@@ -16,8 +16,12 @@ estimated numerically:
   compensator increments pick up the factor Q_{n,k}^2;
 * drifted arrays add a predictable part O = mu * A on top of a base array.
 
-Batch sampling is vectorized over replicates; single realizations are
-materialized as exact :class:`~cadlab.paths.CadlagPath` staircases.
+Batch sampling is vectorized over replicates and streamed: each kind's
+``_draw`` yields the increments of a batch in row blocks, and the readers
+keep only the values they need.  So only the variates a kind draws for a
+whole batch (the clock, the Polya signs, the Lindeberg hits or the
+random-walk steps) are ever held for a whole batch.  Single realizations
+are materialized as exact :class:`~cadlab.paths.CadlagPath` staircases.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import RngStream, SubordinatorSpec, spec_from_dict
-from .paths import CadlagPath, PathDomainError, Segment, TimeGrid
+from .levy import (RngStream, SubordinatorSpec, _staircase_from_increments,
+                   spec_from_dict)
+from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
 __all__ = [
@@ -59,7 +64,12 @@ __all__ = [
     "check_jump_decomposition",
 ]
 
-_BATCH_CELLS = 20_000_000  # chunk size bound for vectorized sampling
+_BATCH_CELLS = 20_000_000  # cells per batch; batch b draws from rng.child(b)
+_BLOCK_CELLS = 2**17  # cells per row block that a batch is read in
+
+#: increments a kind's _draw yields: path name -> IncrementBatch attribute
+_INCREMENTS = {"M": "dX", "A": "dA", "QV": "dQV", "O": "dO"}
+_FIELDS = frozenset(_INCREMENTS)
 
 
 # -- weight profiles -------------------------------------------------------
@@ -177,8 +187,21 @@ class ArraySpec:
         return TimeGrid(self.n, self.horizon)
 
     def _draw(self, gen: np.random.Generator, samples: int, first: int,
-              cells: int) -> "IncrementBatch":
-        """Increments of grid cells first+1 .. first+cells of each replicate.
+              cells: int, fields) -> "Iterator[IncrementBatch]":
+        """Increments of grid cells first+1 .. first+cells of each replicate,
+        yielded in the row blocks of ``_row_blocks(samples, cells)``.
+
+        ``fields`` names the increments wanted, among "M", "A", "QV" and
+        "O"; the others may be None.  The generator is consumed in the
+        order of a whole-batch draw: variates that a later draw must follow
+        are drawn for the whole batch first, and the last-drawn variate
+        block by block.  Trailing draws that no wanted increment needs are
+        skipped, so the generator is left in the state of a whole-batch
+        draw only when every field is wanted.  A block holds no view of a
+        batch-sized array: its dA is a fresh array or, for a deterministic
+        compensator, a read-only broadcast of one row, and its other
+        increments are fresh arrays.  So a reader that holds a block does
+        not keep the batch alive.
 
         ``first=0, cells=self.cells`` draws the whole horizon.  Cells past
         the horizon continue the same array on the grid k/n, so a path can
@@ -197,14 +220,37 @@ class IncrementBatch:
     """Per-cell increments for a batch of replicates; shape (samples, cells).
 
     dX are the martingale increments, dA the compensator increments, dQV
-    the squared increments, dO the predictable drift increments (zero for
-    pure-martingale arrays).
+    the squared increments, dO the predictable drift increments (None for
+    pure-martingale arrays).  A block drawn without some field holds None
+    for it.
     """
 
-    dX: np.ndarray
-    dA: np.ndarray
-    dQV: np.ndarray
+    dX: Optional[np.ndarray]
+    dA: Optional[np.ndarray]
+    dQV: Optional[np.ndarray]
     dO: Optional[np.ndarray] = None
+
+
+def _row_blocks(samples: int, cells: int) -> Iterator[slice]:
+    """Row slices of about _BLOCK_CELLS cells that cover ``samples`` rows;
+    a single empty slice when there are none."""
+    rows = max(1, _BLOCK_CELLS // max(cells, 1))
+    for r0 in range(0, max(samples, 1), rows):
+        yield slice(r0, min(r0 + rows, samples))
+
+
+def _clock_normal_blocks(gen, xi: np.ndarray, fields) -> Iterator[IncrementBatch]:
+    """Blocks of sqrt(xi) Z for a whole batch of clock draws xi; the
+    normals Z are drawn block by block, and only for M or QV."""
+    for rows in _row_blocks(*xi.shape):
+        da = xi[rows]
+        dx = dqv = None
+        if "M" in fields or "QV" in fields:
+            z = gen.normal(0.0, 1.0, size=da.shape)
+            dx = np.sqrt(da) * z if "M" in fields else None
+            dqv = da * z * z if "QV" in fields else None
+        yield IncrementBatch(dX=dx, dA=da.copy() if "A" in fields else None,
+                             dQV=dqv)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -214,11 +260,9 @@ class LinnikArray(ArraySpec):
     n: int
     horizon: float = 1.0
 
-    def _draw(self, gen, samples, first, cells):
+    def _draw(self, gen, samples, first, cells, fields):
         xi = gen.gamma(1.0 / self.n, 1.0, size=(samples, cells))
-        z = gen.normal(0.0, 1.0, size=(samples, cells))
-        dx = np.sqrt(xi) * z
-        return IncrementBatch(dX=dx, dA=xi, dQV=xi * z * z)
+        yield from _clock_normal_blocks(gen, xi, fields)
 
     def to_dict(self):
         return {"kind": "linnik", "n": self.n, "horizon": self.horizon}
@@ -236,22 +280,24 @@ class PolyaArray(ArraySpec):
     n: int
     horizon: float = 1.0
 
-    def _draw(self, gen, samples, first, cells):
+    def _draw(self, gen, samples, first, cells, fields):
         if first:
             raise timechange.InsufficientHorizonError(
                 "a Polya path cannot be extended past its horizon: its later "
                 "cells depend on the drawn prefix; use a larger horizon"
             )
-        m = cells
-        y = gen.integers(0, 2, size=(samples, m)).astype(float) * 2.0 - 1.0
-        j = np.arange(1, m + 1, dtype=float)
-        partial = np.cumsum(y / j, axis=1)
-        zprev = np.empty_like(partial)
-        zprev[:, 0] = 1.0
-        zprev[:, 1:] = partial[:, :-1]
-        dx = y * zprev / math.sqrt(self.n)
-        da = zprev * zprev / self.n
-        return IncrementBatch(dX=dx, dA=da, dQV=da.copy())
+        signs = gen.integers(0, 2, size=(samples, cells))
+        j = np.arange(1, cells + 1, dtype=float)
+        for rows in _row_blocks(samples, cells):
+            y = signs[rows].astype(float) * 2.0 - 1.0
+            partial = np.cumsum(y / j, axis=1)
+            zprev = np.empty_like(partial)
+            zprev[:, 0] = 1.0
+            zprev[:, 1:] = partial[:, :-1]
+            da = zprev * zprev / self.n
+            yield IncrementBatch(
+                dX=y * zprev / math.sqrt(self.n) if "M" in fields else None,
+                dA=da, dQV=da.copy() if "QV" in fields else None)
 
     def to_dict(self):
         return {"kind": "polya", "n": self.n, "horizon": self.horizon}
@@ -303,19 +349,23 @@ class LindebergArray(ArraySpec):
         k = np.arange(first + 1, first + m + 1, dtype=float)
         return k ** (self.delta - 1.0) / self.a_n_sq
 
-    def _draw(self, gen, samples, first, cells):
-        m = cells
-        k = np.arange(first + 1, first + m + 1, dtype=float)
-        p = 1.0 / k**self.beta
-        u = gen.uniform(0.0, 1.0, size=(samples, m))
-        hit = u < p
-        sign = np.where(gen.uniform(size=(samples, m)) < 0.5, -1.0, 1.0)
-        a_n = math.sqrt(self.a_n_sq)
-        xi = np.where(hit, sign * k ** (self.alpha / 2.0), 0.0)
-        dx = xi / a_n
-        da = np.broadcast_to(self.compensator_increments(first, m),
-                             (samples, m)).copy()
-        return IncrementBatch(dX=dx, dA=da, dQV=dx * dx)
+    def _draw(self, gen, samples, first, cells, fields):
+        k = np.arange(first + 1, first + cells + 1, dtype=float)
+        da = self.compensator_increments(first, cells)
+        jumps = "M" in fields or "QV" in fields
+        if jumps:
+            hit = gen.uniform(0.0, 1.0, size=(samples, cells)) < 1.0 / k**self.beta
+            size = k ** (self.alpha / 2.0)
+            a_n = math.sqrt(self.a_n_sq)
+        for rows in _row_blocks(samples, cells):
+            dx = None
+            if jumps:
+                sign = np.where(gen.uniform(size=hit[rows].shape) < 0.5,
+                                -1.0, 1.0)
+                dx = np.where(hit[rows], sign * size, 0.0) / a_n
+            yield IncrementBatch(
+                dX=dx, dA=np.broadcast_to(da, (rows.stop - rows.start, cells)),
+                dQV=dx * dx if "QV" in fields else None)
 
     def to_dict(self):
         return {"kind": "lindeberg", "n": self.n, "alpha": self.alpha,
@@ -335,7 +385,7 @@ class SubordinatorArray(ArraySpec):
         if self.spec is None:
             raise PathDomainError("subordinator spec required")
 
-    def _draw(self, gen, samples, first, cells):
+    def _draw(self, gen, samples, first, cells, fields):
         pts = np.arange(first, first + cells + 1) / self.n
         if self.spec.time_change is None:
             dl = np.diff(pts)
@@ -343,9 +393,7 @@ class SubordinatorArray(ArraySpec):
             ell = self.spec.time_change
             dl = np.diff(ell.eval_many(np.minimum(pts, ell.horizon)))
         xi = self.spec.increments(gen, np.broadcast_to(dl, (samples, dl.size)))
-        z = gen.normal(0.0, 1.0, size=xi.shape)
-        dx = np.sqrt(xi) * z
-        return IncrementBatch(dX=dx, dA=xi, dQV=xi * z * z)
+        yield from _clock_normal_blocks(gen, xi, fields)
 
     def to_dict(self):
         return {"kind": "subordinator", "n": self.n, "horizon": self.horizon,
@@ -369,35 +417,44 @@ class TransformArray(ArraySpec):
         if weight is None:
             raise PathDomainError("weight spec required")
 
-    def _weights(self, gen, samples, first, cells) -> np.ndarray:
-        m = cells
+    def _weights(self, gen, samples, first, cells) -> Callable[[slice], np.ndarray]:
+        """Weights Q_{n,k} of a row block, as a function of its rows.
+
+        Random-walk steps are drawn here, for the whole batch.
+        """
         q = self.weight.resolve()
         if self.weight.kind == "profile":
-            u = np.arange(first, first + m, dtype=float) / self.n
+            u = np.arange(first, first + cells, dtype=float) / self.n
             row = np.array([q(v) for v in u])
-            return np.broadcast_to(row, (samples, m))
+            return lambda rows: row
         if first:
             raise timechange.InsufficientHorizonError(
                 "a random-walk transform cannot be extended past its horizon: "
                 "its weights depend on the drawn prefix; use a larger horizon"
             )
-        steps = gen.normal(0.0, 1.0, size=(samples, m))
-        walk = np.zeros((samples, m))
-        walk[:, 1:] = np.cumsum(steps[:, :-1], axis=1)
-        walk *= self.weight.sigma / math.sqrt(self.n)
-        vec = np.vectorize(q)
-        return vec(walk)
+        steps = gen.normal(0.0, 1.0, size=(samples, cells))
+        vec = np.vectorize(q, otypes=[float])
 
-    def _draw(self, gen, samples, first, cells):
+        def block(rows):
+            walk = np.zeros((rows.stop - rows.start, cells))
+            walk[:, 1:] = np.cumsum(steps[rows, :-1], axis=1)
+            walk *= self.weight.sigma / math.sqrt(self.n)
+            return vec(walk)
+
+        return block
+
+    def _draw(self, gen, samples, first, cells, fields):
         # weights drawn first: they are independent of the base array
-        qmat = self._weights(gen, samples, first, cells)
-        base = self.base._draw(gen, samples, first, cells)
-        return IncrementBatch(
-            dX=qmat * base.dX,
-            dA=qmat * qmat * base.dA,
-            dQV=qmat * qmat * base.dQV,
-            dO=None if base.dO is None else qmat * base.dO,
-        )
+        weights = self._weights(gen, samples, first, cells)
+        base = self.base._draw(gen, samples, first, cells, fields)
+        for b, rows in zip(base, _row_blocks(samples, cells)):
+            q = weights(rows)
+            yield IncrementBatch(
+                dX=None if b.dX is None else q * b.dX,
+                dA=None if b.dA is None else q * q * b.dA,
+                dQV=None if b.dQV is None else q * q * b.dQV,
+                dO=None if b.dO is None else q * b.dO,
+            )
 
     def to_dict(self):
         return {"kind": "transform", "base": self.base.to_dict(),
@@ -419,10 +476,12 @@ class DriftedArray(ArraySpec):
         object.__setattr__(self, "n", base.n)
         object.__setattr__(self, "horizon", base.horizon)
 
-    def _draw(self, gen, samples, first, cells):
-        base = self.base._draw(gen, samples, first, cells)
-        return IncrementBatch(dX=base.dX, dA=base.dA, dQV=base.dQV,
-                              dO=self.mu * base.dA)
+    def _draw(self, gen, samples, first, cells, fields):
+        drift = "O" in fields
+        wanted = set(fields) - {"O"} | ({"A"} if drift else set())
+        for b in self.base._draw(gen, samples, first, cells, wanted):
+            yield IncrementBatch(dX=b.dX, dA=b.dA, dQV=b.dQV,
+                                 dO=self.mu * b.dA if drift else None)
 
     def to_dict(self):
         return {"kind": "drifted", "base": self.base.to_dict(), "mu": self.mu}
@@ -452,19 +511,22 @@ def array_from_dict(doc: dict) -> ArraySpec:
 
 
 def sample_increments(spec: ArraySpec, rng: RngStream, samples: int) -> IncrementBatch:
-    return spec._draw(rng.generator(), samples, 0, spec.cells)
+    """Every increment of ``samples`` replicates, drawn from one generator."""
+    cells = spec.cells
+    out = {}
+    blocks = spec._draw(rng.generator(), samples, 0, cells, _FIELDS)
+    for rows, blk in zip(_row_blocks(samples, cells), blocks):
+        for attr in _INCREMENTS.values():
+            inc = getattr(blk, attr)
+            if inc is not None:
+                out.setdefault(attr, np.empty((samples, cells)))[rows] = inc
+    return IncrementBatch(**out)
 
 
-def _staircase(grid: TimeGrid, inc: np.ndarray) -> CadlagPath:
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    pts = grid.points()
-    segs = [Segment.const(v) for v in values[:-1]]
-    bps = list(pts[:-1])
-    terminal = float(values[-1])
-    if pts[-1] < grid.horizon:
-        bps.append(float(pts[-1]))
-        segs.append(Segment.const(terminal))
-    return CadlagPath(grid.horizon, bps, segs, terminal)
+def _one_path(spec: ArraySpec, gen: np.random.Generator, first: int,
+              cells: int, fields=_FIELDS) -> IncrementBatch:
+    """Increments of cells first+1 .. first+cells of a single replicate."""
+    return next(spec._draw(gen, 1, first, cells, fields))
 
 
 @dataclass(frozen=True)
@@ -482,29 +544,39 @@ class ArrayRealization:
 def realize(spec: ArraySpec, rng: RngStream) -> ArrayRealization:
     batch = sample_increments(spec, rng, 1)
     grid = spec.grid()
-    m_path = _staircase(grid, batch.dX[0])
-    a_path = _staircase(grid, batch.dA[0])
-    qv_path = _staircase(grid, batch.dQV[0])
+    m_path = _staircase_from_increments(grid, batch.dX[0])
+    a_path = _staircase_from_increments(grid, batch.dA[0])
+    qv_path = _staircase_from_increments(grid, batch.dQV[0])
     if batch.dO is None:
-        o_path = _staircase(grid, np.zeros(spec.cells))
+        o_path = _staircase_from_increments(grid, np.zeros(spec.cells))
         n_path = m_path
     else:
-        o_path = _staircase(grid, batch.dO[0])
-        n_path = _staircase(grid, batch.dX[0] + batch.dO[0])
+        o_path = _staircase_from_increments(grid, batch.dO[0])
+        n_path = _staircase_from_increments(grid, batch.dX[0] + batch.dO[0])
     return ArrayRealization(spec=spec, M=m_path, A=a_path, QV=qv_path,
                             O=o_path, N=n_path)
 
 
-def _batched(spec: ArraySpec, rng: RngStream, samples: int):
-    """Yield (stream_offset, batch) pairs bounded by the cell budget."""
-    rows = max(1, _BATCH_CELLS // max(spec.cells, 1))
-    done = 0
-    idx = 0
-    while done < samples:
-        take = min(rows, samples - done)
-        yield sample_increments(spec, rng.child(idx), take)
-        done += take
-        idx += 1
+def _stream(spec: ArraySpec, rng: RngStream, samples: int,
+            fields) -> Iterator[tuple[slice, IncrementBatch]]:
+    """(rows, block) pairs covering ``samples`` replicates in order.
+
+    Replicates are drawn in batches of _BATCH_CELLS // cells rows, batch b
+    from ``rng.child(b)``, and each batch is read in the row blocks of its
+    kind's _draw, so the draws of two batches are never alive at once.
+    """
+    cells = spec.cells
+    batch = max(1, _BATCH_CELLS // max(cells, 1))
+    for b, start in enumerate(range(0, samples, batch)):
+        take = min(batch, samples - start)
+        blocks = spec._draw(rng.child(b).generator(), take, 0, cells, fields)
+        for blk, rows in zip(blocks, _row_blocks(take, cells)):
+            yield slice(start + rows.start, start + rows.stop), blk
+
+
+#: increments each path of marginal_samples is summed from
+_PATH_FIELDS = {"M": {"M"}, "A": {"A"}, "QV": {"QV"}, "O": {"O"},
+                "N": {"M", "O"}}
 
 
 def marginal_samples(
@@ -517,26 +589,40 @@ def marginal_samples(
     """Vectorized draws of path values at fixed times.
 
     Returns arrays of shape (samples, len(times)) keyed by field name
-    ("M", "A", "QV", "O", "N").
+    ("M", "A", "QV", "O", "N").  Only the increments these paths need are
+    drawn, and each block is summed over the cells up to the last time.
     """
     grid = spec.grid()
-    idx = np.array([grid.index_at(t) for t in times])
-    out = {f: [] for f in fields}
-    for batch in _batched(spec, rng, samples):
-        per = {
-            "M": batch.dX,
-            "A": batch.dA,
-            "QV": batch.dQV,
-        }
-        if "O" in fields or "N" in fields:
-            do = batch.dO if batch.dO is not None else np.zeros_like(batch.dX)
-            per["O"] = do
-            per["N"] = batch.dX + do
-        for f in fields:
-            cs = np.cumsum(per[f], axis=1)
+    idx = np.array([grid.index_at(t) for t in times], dtype=int)
+    k = int(idx.max(initial=0))
+    wanted = set().union(*(_PATH_FIELDS[f] for f in fields))
+    out = {f: np.empty((samples, idx.size)) for f in fields}
+    for rows, blk in _stream(spec, rng, samples, wanted):
+        for f in out:
+            if f == "O" and blk.dO is None:
+                out[f][rows] = 0.0
+                continue
+            if f == "N":
+                inc = blk.dX[:, :k] + (0.0 if blk.dO is None else blk.dO[:, :k])
+            else:
+                inc = getattr(blk, _INCREMENTS[f])[:, :k]
+            cs = np.cumsum(inc, axis=1)
             padded = np.concatenate([np.zeros((cs.shape[0], 1)), cs], axis=1)
-            out[f].append(padded[:, idx])
-    return {f: np.concatenate(v, axis=0) for f, v in out.items()}
+            out[f][rows] = padded[:, idx]
+    return out
+
+
+def _running_sup(spec: ArraySpec, t: float, samples: int, rng: RngStream,
+                 fields, increments: Callable[[IncrementBatch], np.ndarray]
+                 ) -> np.ndarray:
+    """sup_{s <= t} |X(s)| for the staircase X summed from ``increments``."""
+    k = spec.grid().index_at(t)
+    sup = np.zeros(samples)
+    if k:
+        for rows, blk in _stream(spec, rng, samples, fields):
+            sup[rows] = np.max(np.abs(np.cumsum(increments(blk)[:, :k], axis=1)),
+                               axis=1)
+    return sup
 
 
 def running_sup_samples(
@@ -551,17 +637,9 @@ def running_sup_samples(
     Exact over grid points, which exhaust the attainable values of a
     staircase on [0, t].
     """
-    grid = spec.grid()
-    k = grid.index_at(t)
-    out = []
-    for batch in _batched(spec, rng, samples):
-        per = {"M": batch.dX, "A": batch.dA, "QV": batch.dQV}
-        inc = per[field][:, :k]
-        if k == 0:
-            out.append(np.zeros(batch.dX.shape[0]))
-        else:
-            out.append(np.max(np.abs(np.cumsum(inc, axis=1)), axis=1))
-    return np.concatenate(out)
+    attr = _INCREMENTS[field]
+    return _running_sup(spec, t, samples, rng, {field},
+                        lambda blk: getattr(blk, attr))
 
 
 # -- hypothesis checks -----------------------------------------------------
@@ -578,27 +656,24 @@ def check_hyp_c(spec: ArraySpec, t: float, samples: int, rng: RngStream) -> HypE
     """Monte Carlo estimate of E{A(tau(A(t))) - A(t)}.
 
     The gap is the compensator increment carried by the first jump of the
-    martingale after time t, computed through the exact first-passage
-    inverse of each realized compensator path.
+    martingale after time t: the first positive cell of the compensator
+    tail after t.  Reading the cell itself, rather than A(tau) - A(t),
+    keeps increments far below the magnitude of A(t) exact.  Replicate r
+    draws only the compensator of one path from ``rng.child(r)``.
     """
     if t >= spec.horizon:
         raise PathDomainError("t must be < horizon")
-    grid = spec.grid()
-    k = grid.index_at(t)
+    k = spec.grid().index_at(t)
     gaps = np.empty(samples)
     for r in range(samples):
-        batch = sample_increments(spec, rng.child(r), 1)
-        # Re-base at A(t): the tail staircase B(s) = A(t+s) - A(t) starts at
-        # level 0, so increments far below the magnitude of A(t) stay
-        # representable and the first-passage gap is computed exactly.
-        tail = batch.dA[0, k:]
-        if tail.size == 0 or not np.any(tail > 0):
+        tail = _one_path(spec, rng.child(r).generator(), 0, spec.cells,
+                         {"A"}).dA[0, k:]
+        rises = tail > 0
+        if not rises.any():
             raise timechange.InsufficientHorizonError(
                 "compensator does not increase after t; use a larger horizon"
             )
-        B = _staircase(TimeGrid(spec.n, spec.horizon - grid.points()[k]), tail)
-        pair = timechange.inverse(B, 0.0)
-        gaps[r] = B.eval(pair.tau.terminal_value)
+        gaps[r] = tail[np.argmax(rises)]
     est = float(np.mean(gaps))
     se = float(np.std(gaps, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return HypEstimate(estimate=est, stderr=se)
@@ -633,12 +708,12 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int, rng: RngStream,
     vals = np.empty(samples)
     for r in range(samples):
         gen = rng.child(r).generator()
-        da = spec._draw(gen, 1, 0, spec.cells).dA[0]
+        da = _one_path(spec, gen, 0, spec.cells).dA[0]
         level = np.cumsum(da)
         for _ in range(max_doublings):
             if level.size and level[-1] > t:
                 break
-            more = spec._draw(gen, 1, da.size, max(da.size, 1)).dA[0]
+            more = _one_path(spec, gen, da.size, max(da.size, 1)).dA[0]
             da = np.concatenate([da, more])
             level = np.cumsum(da)
         if not (level.size and level[-1] > t):
@@ -708,14 +783,8 @@ def check_mcleish(
     The supremum is exact over grid points since both processes are
     staircases constant between them.
     """
-    grid = spec.grid()
-    k = grid.index_at(t)
-    sups = []
-    for batch in _batched(spec, rng, samples):
-        diff = np.cumsum(batch.dQV[:, :k] - batch.dA[:, :k], axis=1)
-        sups.append(np.max(np.abs(diff), axis=1) if k > 0 else
-                    np.zeros(batch.dX.shape[0]))
-    sup = np.concatenate(sups)
+    sup = _running_sup(spec, t, samples, rng, {"QV", "A"},
+                       lambda blk: blk.dQV - blk.dA)
     return {float(e): float(np.mean(sup > e)) for e in epsilons}
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from cadlab import arrays
 from cadlab.arrays import (
     DriftedArray,
     LindebergArray,
@@ -26,9 +28,10 @@ from cadlab.arrays import (
     running_sup_samples,
     sample_increments,
 )
-from cadlab.levy import DriftSpec, GammaSpec, RngStream
-from cadlab.paths import PathDomainError
-from cadlab.timechange import InsufficientHorizonError
+from cadlab.levy import (DriftSpec, GammaSpec, RngStream,
+                         _staircase_from_increments)
+from cadlab.paths import PathDomainError, TimeGrid
+from cadlab.timechange import InsufficientHorizonError, inverse
 
 SEED = 20260824
 
@@ -178,6 +181,34 @@ def test_check_hyp_c_drift_exact():
     assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
 
+def _hyp_c_by_exact_inverse(spec, t, samples, rng):
+    """check_hyp_c through the exact first-passage inverse: the gap is
+    B(tau_B(0)) for the tail staircase B(s) = A(t + s) - A(t)."""
+    grid = spec.grid()
+    k = grid.index_at(t)
+    gaps = np.empty(samples)
+    for r in range(samples):
+        tail = sample_increments(spec, rng.child(r), 1).dA[0, k:]
+        B = _staircase_from_increments(
+            TimeGrid(spec.n, spec.horizon - grid.points()[k]), tail)
+        gaps[r] = B.eval(inverse(B, 0.0).tau.terminal_value)
+    return float(np.mean(gaps)), float(np.std(gaps, ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("spec", [
+    LinnikArray(n=64, horizon=1.0),
+    LinnikArray(n=256, horizon=1.0),
+    SubordinatorArray(n=64, spec=GammaSpec(shape_rate=1.0), horizon=1.0),
+    LindebergArray(n=64, alpha=1.0, beta=0.5, horizon=1.0),
+])
+def test_check_hyp_c_matches_exact_inverse(spec):
+    # the first positive tail cell is the value the exact inverse reads,
+    # and drawing only A leaves that cell unchanged
+    est = check_hyp_c(spec, 0.7, 300, RngStream(SEED, 24))
+    oracle = _hyp_c_by_exact_inverse(spec, 0.7, 300, RngStream(SEED, 24))
+    assert (est.estimate, est.stderr) == oracle
+
+
 def test_check_hyp_d_drift_exact():
     spec = SubordinatorArray(n=10, spec=DriftSpec(slope=1.0), horizon=2.0)
     est = check_hyp_d(spec, 1.0, 3, RngStream(SEED, 12))
@@ -320,3 +351,160 @@ def test_marginal_samples_deterministic_per_stream():
     a = marginal_samples(spec, [1.0], 100, RngStream(SEED, 17), fields=("M",))
     b = marginal_samples(spec, [1.0], 100, RngStream(SEED, 17), fields=("M",))
     assert np.array_equal(a["M"], b["M"])
+
+
+# -- streamed sampling against the whole-batch reference -------------------
+#
+# The reference below draws every variate of a batch in one call, sums the
+# full rows and gathers the requested columns.  The streamed samplers must
+# reproduce its values bit for bit.
+
+
+def _reference_draw(spec, gen, samples):
+    """(dX, dA, dQV, dO) of ``samples`` whole paths, each variate drawn
+    for the whole batch at once."""
+    m = spec.cells
+    if isinstance(spec, (LinnikArray, SubordinatorArray)):
+        if isinstance(spec, LinnikArray):
+            xi = gen.gamma(1.0 / spec.n, 1.0, size=(samples, m))
+        else:
+            dl = np.diff(np.arange(m + 1) / spec.n)
+            xi = spec.spec.increments(gen, np.broadcast_to(dl, (samples, m)))
+        z = gen.normal(0.0, 1.0, size=(samples, m))
+        return np.sqrt(xi) * z, xi, xi * z * z, None
+    if isinstance(spec, PolyaArray):
+        y = gen.integers(0, 2, size=(samples, m)).astype(float) * 2.0 - 1.0
+        partial = np.cumsum(y / np.arange(1, m + 1, dtype=float), axis=1)
+        zprev = np.hstack([np.ones((samples, 1)), partial[:, :-1]])
+        da = zprev * zprev / spec.n
+        return y * zprev / math.sqrt(spec.n), da, da.copy(), None
+    if isinstance(spec, LindebergArray):
+        k = np.arange(1, m + 1, dtype=float)
+        hit = gen.uniform(0.0, 1.0, size=(samples, m)) < 1.0 / k ** spec.beta
+        sign = np.where(gen.uniform(size=(samples, m)) < 0.5, -1.0, 1.0)
+        dx = np.where(hit, sign * k ** (spec.alpha / 2.0), 0.0) / math.sqrt(
+            spec.a_n_sq)
+        da = np.broadcast_to(spec.compensator_increments(), (samples, m)).copy()
+        return dx, da, dx * dx, None
+    if isinstance(spec, TransformArray):
+        q = spec.weight.resolve()
+        if spec.weight.kind == "profile":
+            qmat = np.broadcast_to([q(u) for u in np.arange(m) / spec.n],
+                                   (samples, m))
+        else:
+            steps = gen.normal(0.0, 1.0, size=(samples, m))
+            walk = np.zeros((samples, m))
+            walk[:, 1:] = np.cumsum(steps[:, :-1], axis=1)
+            walk *= spec.weight.sigma / math.sqrt(spec.n)
+            qmat = np.vectorize(q)(walk)
+        dx, da, dqv, do = _reference_draw(spec.base, gen, samples)
+        return (qmat * dx, qmat * qmat * da, qmat * qmat * dqv,
+                None if do is None else qmat * do)
+    if isinstance(spec, DriftedArray):
+        dx, da, dqv, _ = _reference_draw(spec.base, gen, samples)
+        return dx, da, dqv, spec.mu * da
+    raise TypeError(spec)
+
+
+def _reference_batched(spec, rng, samples):
+    """Dicts of per-path increments for each batch, batch b from rng.child(b)."""
+    rows = max(1, arrays._BATCH_CELLS // max(spec.cells, 1))
+    for b, start in enumerate(range(0, samples, rows)):
+        take = min(rows, samples - start)
+        dx, da, dqv, do = _reference_draw(spec, rng.child(b).generator(), take)
+        do = np.zeros_like(dx) if do is None else do
+        yield {"M": dx, "A": da, "QV": dqv, "O": do, "N": dx + do}
+
+
+def _reference_marginal(spec, times, samples, rng, fields):
+    idx = [spec.grid().index_at(t) for t in times]
+    out = {f: [] for f in fields}
+    for per in _reference_batched(spec, rng, samples):
+        for f in fields:
+            cs = np.cumsum(per[f], axis=1)
+            padded = np.concatenate([np.zeros((cs.shape[0], 1)), cs], axis=1)
+            out[f].append(padded[:, idx])
+    return {f: np.concatenate(v) for f, v in out.items()}
+
+
+def _reference_sup(spec, t, samples, rng, path):
+    k = spec.grid().index_at(t)
+    return np.concatenate([
+        np.max(np.abs(np.cumsum(path(per)[:, :k], axis=1)), axis=1)
+        for per in _reference_batched(spec, rng, samples)])
+
+
+STREAM_SPECS = [
+    LinnikArray(n=64, horizon=1.0),
+    PolyaArray(n=32, horizon=1.0),
+    LindebergArray(n=64, alpha=1.0, beta=0.5, horizon=1.0),
+    SubordinatorArray(n=32, spec=GammaSpec(shape_rate=1.0), horizon=1.0),
+    TransformArray(LinnikArray(n=32, horizon=1.0),
+                   deterministic_profile("two_plus_cos")),
+    TransformArray(LinnikArray(n=16, horizon=1.0),
+                   random_walk_profile("two_plus_cos")),
+    DriftedArray(LinnikArray(n=32, horizon=1.0), mu=1.5),
+]
+STREAM_IDS = ["linnik", "polya", "lindeberg", "subordinator",
+              "transform_profile", "transform_walk", "drifted"]
+FIELD_SETS = [("M", "A", "QV", "O", "N"), ("A",), ("M",), ("QV", "N")]
+
+
+def _assert_streams_match_reference(spec, samples):
+    rng = RngStream(SEED, 25)
+    batch = sample_increments(spec, rng, samples)
+    ref = _reference_draw(spec, rng.generator(), samples)
+    for got, want in zip((batch.dX, batch.dA, batch.dQV, batch.dO), ref):
+        assert (got is None and want is None) or np.array_equal(got, want)
+    for fields in FIELD_SETS:
+        for times in ((0.0, 0.3, 0.7), (0.5, 1.0)):
+            got = marginal_samples(spec, times, samples, rng, fields)
+            want = _reference_marginal(spec, times, samples, rng, fields)
+            for f in fields:
+                assert np.array_equal(got[f], want[f]), (fields, times, f)
+    for field in ("M", "A"):
+        got = running_sup_samples(spec, 0.7, samples, rng, field=field)
+        want = _reference_sup(spec, 0.7, samples, rng, lambda p: p[field])
+        assert np.array_equal(got, want), field
+    eps = (0.05, 0.1, 0.2)
+    sup = _reference_sup(spec, 0.7, samples, rng, lambda p: p["QV"] - p["A"])
+    assert check_mcleish(spec, 0.7, samples, rng, epsilons=eps) == {
+        e: float(np.mean(sup > e)) for e in eps}
+
+
+@pytest.mark.parametrize("samples", [7, 3000])
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+def test_streamed_samplers_match_whole_batch_reference(spec, samples):
+    _assert_streams_match_reference(spec, samples)
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
+    # several batches, each read in several blocks, with a partial last
+    # batch and partial last blocks
+    monkeypatch.setattr(arrays, "_BATCH_CELLS", 20_011)
+    monkeypatch.setattr(arrays, "_BLOCK_CELLS", 1_000)
+    _assert_streams_match_reference(spec, 3000)
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+def test_sample_increments_of_no_replicates(spec):
+    batch = sample_increments(spec, RngStream(SEED, 27), 0)
+    assert batch.dX.shape == batch.dA.shape == (0, spec.cells)
+
+
+def test_marginal_samples_memory_is_one_batch_of_clock_draws():
+    # the whole-batch code held five or six batch-sized arrays (~489 MiB
+    # here); streaming keeps one batch of gamma clock draws plus blocks
+    spec = LinnikArray(n=256, horizon=1.0)
+    samples = 50_000
+    rows = min(samples, arrays._BATCH_CELLS // spec.cells)
+    clock_bytes = rows * spec.cells * 8
+    tracemalloc.start()
+    try:
+        marginal_samples(spec, [1.0], samples, RngStream(SEED, 26),
+                         fields=("M",))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * clock_bytes, (peak / 2**20, clock_bytes / 2**20)
