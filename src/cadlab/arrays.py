@@ -33,8 +33,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import (RngStream, SubordinatorSpec, _staircase_from_increments,
-                   spec_from_dict)
+from .levy import (RngStream, SubordinatorSpec, _clock_increments,
+                   _staircase_from_increments, spec_from_dict)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -386,12 +386,8 @@ class SubordinatorArray(ArraySpec):
             raise PathDomainError("subordinator spec required")
 
     def _draw(self, gen, samples, first, cells, fields):
-        pts = np.arange(first, first + cells + 1) / self.n
-        if self.spec.time_change is None:
-            dl = np.diff(pts)
-        else:
-            ell = self.spec.time_change
-            dl = np.diff(ell.eval_many(np.minimum(pts, ell.horizon)))
+        dl = _clock_increments(self.spec,
+                               np.arange(first, first + cells + 1) / self.n)
         xi = self.spec.increments(gen, np.broadcast_to(dl, (samples, dl.size)))
         yield from _clock_normal_blocks(gen, xi, fields)
 
@@ -747,12 +743,7 @@ def lindeberg_statistic(alpha: float, beta: float, n: int, epsilon: float) -> fl
     a_n_sq = float(n) ** delta if delta > 0 else math.log(n)
     cut = a_n_sq * epsilon * epsilon  # k^alpha > a_n^2 eps^2
     k = np.arange(1, n + 1, dtype=float)
-    if alpha > 0:
-        mask = k**alpha > cut
-    elif alpha == 0:
-        mask = np.full(n, 1.0 > cut)
-    else:
-        mask = k**alpha > cut
+    mask = k**alpha > cut
     return float(np.sum(k[mask] ** (delta - 1.0)) / a_n_sq)
 
 

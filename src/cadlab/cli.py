@@ -5,6 +5,8 @@ list of check descriptors.  Every check derives its own random stream by
 stable hashing of (master seed, experiment id, check name, position), so
 reports are byte-identical across reruns and across ``--jobs`` settings;
 wall-clock metadata goes to a sidecar file, never into the report.
+Every key of every check is checked against the check's declared
+parameters when the config is loaded, before any check runs.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -24,7 +27,6 @@ import numpy as np
 from . import arrays, convtest, fixtures, levy, skorohod
 from .convtest import CheckEntry, ConvergenceReport, ks_critical_value
 from .levy import RngStream
-from .paths import PathDomainError
 from .skorohod import TripleKind
 
 MASTER_SEED_ENV = "CADLAB_MASTER_SEED"
@@ -49,30 +51,49 @@ def _rng(seed: int) -> RngStream:
     return RngStream(master_seed=seed, stream_index=0)
 
 
-def _lambda_grid(cfg: dict) -> np.ndarray:
-    lo = float(cfg.get("lambda_min", -3.0))
-    hi = float(cfg.get("lambda_max", 3.0))
-    step = float(cfg.get("lambda_step", 0.25))
-    return np.arange(lo, hi + step / 2.0, step)
+def _lambda_grid(lambda_min: float, lambda_max: float,
+                 lambda_step: float) -> np.ndarray:
+    return np.arange(lambda_min, lambda_max + lambda_step / 2.0, lambda_step)
 
 
 # -- check runners ---------------------------------------------------------
 #
-# Each runner maps (check descriptor, effective sample count, derived seed)
-# to a list of CheckEntry rows.
+# Each runner maps (effective sample count, derived seed, parameters) to a
+# list of CheckEntry rows.  ``_check`` files it in ``_REGISTRY`` with its
+# description and its parameters, each a (default, doc) pair; the config
+# loader checks every key against these rows and passes the runner the
+# values converted to their defaults' types.
+
+#: default of an object parameter that every config must give
+REQUIRED = object()
+_PARSERS = {"array": arrays.array_from_dict, "spec": levy.spec_from_dict}
+_REGISTRY: dict[str, tuple] = {}
+_LAMBDA_GRID = {"lambda_min": (-3.0, "CF grid start"),
+                "lambda_max": (3.0, "CF grid end"),
+                "lambda_step": (0.25, "CF grid step")}
 
 
-def _run_counterexample_m1(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    n_list = cfg.get("n_list", [3, 5, 10])
-    delta = float(cfg.get("delta", 0.5))
-    T = float(cfg.get("T", 2.0))
+def _check(name: str, description: str, **params):
+    def register(runner):
+        _REGISTRY[name] = (runner, description, params)
+        return runner
+    return register
+
+
+@_check("counterexample_m1",
+        "Exact monotone-kind modulus of the tent/steep-ramp compositions "
+        "(= 1 for every ramp) and the failing composition condition of the "
+        "ramp limit.",
+        n_list=([3, 5, 10], "ramp steepness values"),
+        delta=(0.5, "window width"), T=(2.0, "time bound"))
+def _run_counterexample_m1(samples, seed, n_list, delta, T):
     entries = []
     for n in n_list:
-        mod = skorohod.modulus(fixtures.composed_ramp(int(n)), TripleKind.M,
+        mod = skorohod.modulus(fixtures.composed_ramp(n), TripleKind.M,
                                delta, T)
         stat = abs(mod - 1.0)
         entries.append(CheckEntry(
-            check_name="counterexample_m1", n=int(n),
+            check_name="counterexample_m1", n=n,
             param=f"kind=M;delta={delta};T={T}", statistic=stat,
             threshold=0.0, passed=stat <= 0.0, stderr=0.0, seed=seed,
             samples=1,
@@ -89,13 +110,15 @@ def _run_counterexample_m1(cfg: dict, samples: int, seed: int) -> list[CheckEntr
     return entries
 
 
-def _run_ecf_linnik(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    n_ladder = [int(n) for n in cfg.get("n_ladder", [64, 128, 256])]
-    if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
-        raise ConfigError("n_ladder must be strictly increasing")
-    t = float(cfg.get("t", 1.0))
-    threshold = float(cfg.get("threshold", 0.03))
-    grid = _lambda_grid(cfg)
+@_check("ecf_linnik",
+        "Empirical CF of M(t) for the gamma-clock normal array against "
+        "(1 + lambda^2/2)^(-t), with a weak-monotonicity trend check over "
+        "the n ladder.",
+        n_ladder=([64, 128, 256], "strictly increasing grid sizes"),
+        t=(1.0, "evaluation time"),
+        threshold=(0.03, "sup-CF distance bound"), **_LAMBDA_GRID)
+def _run_ecf_linnik(samples, seed, n_ladder, t, threshold, **grid):
+    grid = _lambda_grid(**grid)
     se = math.sqrt(2.0 / samples)
     entries = []
     dists = []
@@ -123,9 +146,11 @@ def _run_ecf_linnik(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
     return entries
 
 
-def _run_fdd_gamma(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    n = int(cfg.get("n", 256))
-    t = float(cfg.get("t", 1.0))
+@_check("fdd_gamma",
+        "Two-sample KS of the gamma-clock compensator A(t) against "
+        "Gamma(t, 1) draws at the 1% critical value.",
+        n=(256, "grid size"), t=(1.0, "time"))
+def _run_fdd_gamma(samples, seed, n, t):
     spec = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.fdd_test(
         spec, [t], [1.0],
@@ -135,18 +160,13 @@ def _run_fdd_gamma(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
     return [entry]
 
 
-def _array_spec(cfg: dict) -> arrays.ArraySpec:
-    doc = cfg.get("array")
-    if doc is None:
-        raise ConfigError("check requires an 'array' spec")
-    return arrays.array_from_dict(doc)
-
-
-def _run_hyp_c(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    spec = _array_spec(cfg)
-    t = float(cfg.get("t", 0.7))
-    expected = cfg.get("expected")
-    est = arrays.check_hyp_c(spec, t, samples, _rng(seed))
+@_check("hyp_c",
+        "Monte Carlo estimate of E{A(tau(A(t))) - A(t)} (compensator gap at "
+        "the first jump after t), compared with 'expected' within 4 SE.",
+        array=(REQUIRED, "array spec object"), t=(0.7, "time"),
+        expected=(None, "target value; null = report only"))
+def _run_hyp_c(samples, seed, array, t, expected):
+    est = arrays.check_hyp_c(array, t, samples, _rng(seed))
     if expected is None:
         stat, thr, ok = est.estimate, float("inf"), True
     else:
@@ -154,33 +174,39 @@ def _run_hyp_c(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
         thr = 4.0 * est.stderr
         ok = stat <= thr
     return [CheckEntry(
-        check_name="hyp_c", n=spec.n, param=f"t={t};expected={expected}",
+        check_name="hyp_c", n=array.n, param=f"t={t};expected={expected}",
         statistic=stat, threshold=thr, passed=ok, stderr=est.stderr,
         seed=seed, samples=samples,
     )]
 
 
-def _run_hyp_d(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    spec = _array_spec(cfg)
-    t = float(cfg.get("t", 1.0))
-    est = arrays.check_hyp_d(spec, t, samples, _rng(seed))
-    lo, hi = t, t + 1.0 / spec.n
+@_check("hyp_d",
+        "Monte Carlo estimate of E{A(tau(t))}; must land in [t, t + 1/n] "
+        "within 4 SE.  The bracket holds for deterministic clocks; a "
+        "jumping clock such as the gamma clock overshoots it by O(1).",
+        array=(REQUIRED, "array spec object"), t=(1.0, "level"))
+def _run_hyp_d(samples, seed, array, t):
+    est = arrays.check_hyp_d(array, t, samples, _rng(seed))
+    lo, hi = t, t + 1.0 / array.n
     stat = max(lo - est.estimate, est.estimate - hi, 0.0)
     thr = 4.0 * est.stderr
     return [CheckEntry(
-        check_name="hyp_d", n=spec.n,
+        check_name="hyp_d", n=array.n,
         param=f"t={t};interval=[{lo},{hi}]", statistic=stat, threshold=thr,
         passed=stat <= thr, stderr=est.stderr, seed=seed, samples=samples,
     )]
 
 
-def _run_lindeberg(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    alpha = float(cfg.get("alpha", 1.0))
-    beta = float(cfg.get("beta", 0.5))
-    epsilon = float(cfg.get("epsilon", 0.1))
-    n_ladder = [int(n) for n in cfg.get("n_ladder",
-                                        [2 ** k for k in range(10, 19, 2)])]
-    expect = bool(cfg.get("expect", True))
+@_check("lindeberg",
+        "Closed-form truncated-second-moment statistic for the sparse "
+        "two-point array across an n ladder; verdict compared with "
+        "'expect'.",
+        alpha=(1.0, "jump size exponent"), beta=(0.5, "sparsity exponent"),
+        epsilon=(0.1, "truncation level"),
+        n_ladder=([2 ** k for k in range(10, 19, 2)],
+                  "strictly increasing grid sizes"),
+        expect=(True, "whether the condition should hold"))
+def _run_lindeberg(samples, seed, alpha, beta, epsilon, n_ladder, expect):
     report = arrays.check_lindeberg(alpha, beta, epsilon, n_ladder)
     final = report.statistic_by_n[n_ladder[-1]]
     ok = report.holds_in_limit == expect
@@ -192,70 +218,79 @@ def _run_lindeberg(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
     )]
 
 
-def _run_mcleish(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    spec = _array_spec(cfg)
-    t = float(cfg.get("t", 1.0))
-    epsilons = [float(e) for e in cfg.get("epsilons", [0.05, 0.1, 0.2])]
-    threshold = float(cfg.get("threshold", 0.05))
-    fractions = arrays.check_mcleish(spec, t, samples, _rng(seed),
+@_check("mcleish",
+        "P{sup_{s<=t} |[M]_s - A_s| > eps} by Monte Carlo, one row per "
+        "epsilon, each below 'threshold'.",
+        array=(REQUIRED, "array spec object"), t=(1.0, "time"),
+        epsilons=([0.05, 0.1, 0.2], "levels"),
+        threshold=(0.05, "max allowed fraction"))
+def _run_mcleish(samples, seed, array, t, epsilons, threshold):
+    fractions = arrays.check_mcleish(array, t, samples, _rng(seed),
                                      epsilons=epsilons)
     return [CheckEntry(
-        check_name="mcleish", n=spec.n, param=f"t={t};eps={e}",
+        check_name="mcleish", n=array.n, param=f"t={t};eps={e}",
         statistic=frac, threshold=threshold, passed=frac <= threshold,
         stderr=math.sqrt(max(frac * (1 - frac), 1e-12) / samples),
         seed=seed, samples=samples,
     ) for e, frac in fractions.items()]
 
 
-def _run_rescaling(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    doc = cfg.get("spec")
-    if doc is None:
-        raise ConfigError("rescaling check requires a subordinator 'spec'")
-    sub = levy.spec_from_dict(doc)
-    s = float(cfg.get("s", 0.0))
-    t = float(cfg.get("t", 1.0))
-    stat = levy.rescaling_check(sub, s, t, samples, _rng(seed))
+@_check("rescaling",
+        "Two-sample KS for the clock-rescaling equality in law of "
+        "subordinated Brownian increments, at the 1% critical value.",
+        spec=(REQUIRED, "subordinator spec object"), s=(0.0, "left time"),
+        t=(1.0, "right time"))
+def _run_rescaling(samples, seed, spec, s, t):
+    stat = levy.rescaling_check(spec, s, t, samples, _rng(seed))
     thr = ks_critical_value(0.01, samples, samples)
     return [CheckEntry(
         check_name="rescaling", n=0,
-        param=f"spec={doc.get('kind')};s={s};t={t}", statistic=stat,
+        param=f"spec={spec.to_dict()['kind']};s={s};t={t}", statistic=stat,
         threshold=thr, passed=stat <= thr, stderr=0.0, seed=seed,
         samples=samples,
     )]
 
 
-def _run_transform_cf(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    n = int(cfg.get("n", 128))
-    t = float(cfg.get("t", 1.0))
-    profile = cfg.get("profile", "two_plus_cos")
-    threshold = float(cfg.get("threshold", 0.03))
+@_check("transform_cf",
+        "Empirical CF of the weighted martingale transform at time t "
+        "against the weighted-clock quadrature oracle.",
+        n=(128, "grid size"), t=(1.0, "time"),
+        profile=("two_plus_cos", "weight profile name"),
+        threshold=(0.03, "sup-CF distance bound"), **_LAMBDA_GRID)
+def _run_transform_cf(samples, seed, n, t, profile, threshold, **grid):
     weight = arrays.deterministic_profile(profile)
     base = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.transform_cf_test(base, weight, t, samples, _rng(seed),
-                                       _lambda_grid(cfg), threshold)
+                                       _lambda_grid(**grid), threshold)
     return [entry]
 
 
-def _run_standardization(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    spec = _array_spec(cfg)
-    t = float(cfg.get("t", 1.0))
-    return [convtest.standardization_test(spec, t, samples, _rng(seed))]
+@_check("standardization",
+        "Two-sample KS of M(t)/sqrt(A(t)) against standard normal draws at "
+        "the 1% critical value.",
+        array=(REQUIRED, "array spec object"), t=(1.0, "time"))
+def _run_standardization(samples, seed, array, t):
+    return [convtest.standardization_test(array, t, samples, _rng(seed))]
 
 
-def _run_lenglart(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    spec = _array_spec(cfg)
-    epsilon = float(cfg.get("epsilon", 1.0))
-    eta = float(cfg.get("eta", 0.5))
-    t = float(cfg.get("t", 1.0))
-    return [convtest.lenglart_check(spec, epsilon, eta, t, samples, _rng(seed))]
+@_check("lenglart",
+        "Empirical maximal-inequality bound P(sup M^2 >= eps) <= eta/eps + "
+        "P(A(t) >= eta) within 3 joint SEs.",
+        array=(REQUIRED, "array spec object"), epsilon=(1.0, "level"),
+        eta=(0.5, "budget"), t=(1.0, "time"))
+def _run_lenglart(samples, seed, array, epsilon, eta, t):
+    return [convtest.lenglart_check(array, epsilon, eta, t, samples,
+                                    _rng(seed))]
 
 
-def _run_tightness(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
-    kind = TripleKind(cfg.get("kind", "M"))
-    n_list = [int(n) for n in cfg.get("n_list", [3, 5, 10])]
-    delta_list = [float(d) for d in cfg.get("delta_list", [0.5, 0.25])]
-    T = float(cfg.get("T", 2.0))
-    epsilon = float(cfg.get("epsilon", 0.5))
+@_check("tightness",
+        "Modulus-exceedance table for the deterministic composition family; "
+        "diagnostic rows only, no asymptotic verdict.",
+        kind=("M", "C | J | M"), n_list=([3, 5, 10], "family indices"),
+        delta_list=([0.5, 0.25], "window widths"), T=(2.0, "time bound"),
+        epsilon=(0.5, "exceedance level"))
+def _run_tightness(samples, seed, kind, n_list, delta_list, T, epsilon):
+    kind = TripleKind(kind)
     report = skorohod.empirical_tightness(
         lambda n, r: fixtures.composed_ramp(n), kind, n_list, delta_list,
         T, epsilon, samples=1,
@@ -271,113 +306,63 @@ def _run_tightness(cfg: dict, samples: int, seed: int) -> list[CheckEntry]:
     ) for e in report.entries]
 
 
-_REGISTRY: dict[str, tuple] = {
-    "counterexample_m1": (
-        _run_counterexample_m1,
-        "Exact monotone-kind modulus of the tent/steep-ramp compositions "
-        "(= 1 for every ramp) and the failing composition condition of the "
-        "ramp limit.",
-        {"n_list": "ramp steepness values (default [3, 5, 10])",
-         "delta": "window width (default 0.5)",
-         "T": "time bound (default 2.0)"},
-    ),
-    "ecf_linnik": (
-        _run_ecf_linnik,
-        "Empirical CF of M(t) for the gamma-clock normal array against "
-        "(1 + lambda^2/2)^(-t), with a weak-monotonicity trend check over "
-        "the n ladder.",
-        {"n_ladder": "strictly increasing grid sizes (default [64,128,256])",
-         "t": "evaluation time (default 1.0)",
-         "threshold": "sup-CF distance bound (default 0.03)",
-         "lambda_min/lambda_max/lambda_step": "CF grid (default [-3,3]/0.25)"},
-    ),
-    "fdd_gamma": (
-        _run_fdd_gamma,
-        "Two-sample KS of the gamma-clock compensator A(t) against "
-        "Gamma(t, 1) draws at the 1% critical value.",
-        {"n": "grid size (default 256)", "t": "time (default 1.0)"},
-    ),
-    "hyp_c": (
-        _run_hyp_c,
-        "Monte Carlo estimate of E{A(tau(A(t))) - A(t)} (compensator gap at "
-        "the first jump after t), compared with 'expected' within 4 SE.",
-        {"array": "array spec dict", "t": "time (default 0.7)",
-         "expected": "target value; omitted = report only"},
-    ),
-    "hyp_d": (
-        _run_hyp_d,
-        "Monte Carlo estimate of E{A(tau(t))}; must land in [t, t + 1/n] "
-        "within 4 SE.  The bracket holds for deterministic clocks; a "
-        "jumping clock such as the gamma clock overshoots it by O(1).",
-        {"array": "array spec dict", "t": "level (default 1.0)"},
-    ),
-    "lindeberg": (
-        _run_lindeberg,
-        "Closed-form truncated-second-moment statistic for the sparse "
-        "two-point array across an n ladder; verdict compared with "
-        "'expect'.",
-        {"alpha": "jump size exponent", "beta": "sparsity exponent",
-         "epsilon": "truncation level (default 0.1)",
-         "n_ladder": "grid sizes (default 2^10..2^18)",
-         "expect": "whether the condition should hold (default true)"},
-    ),
-    "mcleish": (
-        _run_mcleish,
-        "P{sup_{s<=t} |[M]_s - A_s| > eps} by Monte Carlo, one row per "
-        "epsilon, each below 'threshold'.",
-        {"array": "array spec dict", "t": "time (default 1.0)",
-         "epsilons": "levels (default [0.05,0.1,0.2])",
-         "threshold": "max allowed fraction (default 0.05)"},
-    ),
-    "rescaling": (
-        _run_rescaling,
-        "Two-sample KS for the clock-rescaling equality in law of "
-        "subordinated Brownian increments, at the 1% critical value.",
-        {"spec": "subordinator spec dict", "s": "left time", "t": "right time"},
-    ),
-    "transform_cf": (
-        _run_transform_cf,
-        "Empirical CF of the weighted martingale transform at time t "
-        "against the weighted-clock quadrature oracle.",
-        {"n": "grid size (default 128)", "t": "time (default 1.0)",
-         "profile": "weight profile name (default two_plus_cos)",
-         "threshold": "sup-CF distance bound (default 0.03)"},
-    ),
-    "standardization": (
-        _run_standardization,
-        "Two-sample KS of M(t)/sqrt(A(t)) against standard normal draws at "
-        "the 1% critical value.",
-        {"array": "array spec dict", "t": "time (default 1.0)"},
-    ),
-    "lenglart": (
-        _run_lenglart,
-        "Empirical maximal-inequality bound P(sup M^2 >= eps) <= eta/eps + "
-        "P(A(t) >= eta) within 3 joint SEs.",
-        {"array": "array spec dict", "epsilon": "level", "eta": "budget",
-         "t": "time"},
-    ),
-    "tightness": (
-        _run_tightness,
-        "Modulus-exceedance table for the deterministic composition family; "
-        "diagnostic rows only, no asymptotic verdict.",
-        {"kind": "C | J | M", "n_list": "family indices",
-         "delta_list": "window widths", "T": "time bound",
-         "epsilon": "exceedance level"},
-    ),
-}
-
-
 # -- config handling -------------------------------------------------------
 
 
-def _line_of(raw: str, needle: str) -> int:
-    for i, line in enumerate(raw.splitlines(), start=1):
+def _line_of(raw: str, needle: str, start: int = 1) -> int:
+    """First line from ``start`` on that holds ``needle``, else ``start``."""
+    for i, line in enumerate(raw.splitlines()[start - 1:], start=start):
         if needle in line:
             return i
-    return 1
+    return start
+
+
+def _conform(key: str, value, default, line: int):
+    """``value`` checked against the type of ``default`` and converted to
+    it.  An int passes for a float, a None default takes any number, list
+    items follow the default's first item, and REQUIRED objects are parsed."""
+    if default is REQUIRED:
+        try:
+            return _PARSERS[key](value)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key!r} object: {exc}", line)
+    if isinstance(default, list) and isinstance(value, list):
+        return [_conform(key, v, default[0], line) for v in value]
+    if default is None or type(default) is float:
+        if type(value) in (int, float, type(default)):
+            return value if default is None else float(value)
+    elif type(value) is type(default):
+        return value
+    raise ConfigError(f"key {key!r} must have the type of its default "
+                      f"{json.dumps(default)}, not {json.dumps(value)}", line)
+
+
+def _params(chk: dict, line=lambda key: 1) -> dict:
+    """Runner keywords for one check: every key checked against the
+    check's row, defaults filled in; ``line(key)`` places an error."""
+    name, rows = chk["name"], _REGISTRY[chk["name"]][2]
+    out = {key: default for key, (default, _) in rows.items()}
+    for key, value in chk.items():
+        if key == "samples" and (type(value) is not int or value < 1):
+            raise ConfigError("samples must be an int >= 1", line(key))
+        if key in rows:
+            out[key] = _conform(key, value, rows[key][0], line(key))
+        elif key not in ("name", "samples"):
+            raise ConfigError(f"unknown key {key!r} for check {name!r}",
+                              line(key))
+    for key, value in out.items():
+        if value is REQUIRED:
+            raise ConfigError(f"check {name!r} requires {key!r}", line("name"))
+    ladder = out.get("n_ladder", [])
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("n_ladder must be strictly increasing",
+                          line("n_ladder"))
+    return out
 
 
 def load_config(path: Path) -> dict:
+    """Read a config and check it whole, every key of every check against
+    its registry row, before anything runs."""
     try:
         raw = path.read_text()
     except OSError as exc:
@@ -399,13 +384,17 @@ def load_config(path: Path) -> dict:
         raise ConfigError("samples must be >= 1", line=_line_of(raw, '"samples"'))
     if not doc["checks"]:
         raise ConfigError("checks must be non-empty", line=_line_of(raw, '"checks"'))
+    # a check starts at its "name" key; its other keys are searched from there
+    starts = [raw.count("\n", 0, m.start()) + 1 for m in
+              re.compile(r'"name"\s*:').finditer(raw, raw.find('"checks"'))]
     for i, chk in enumerate(doc["checks"]):
         if not isinstance(chk, dict) or "name" not in chk:
             raise ConfigError(f"check #{i} must be an object with a 'name'",
                               line=_line_of(raw, '"checks"'))
+        start = starts[i] if i < len(starts) else 1
         if chk["name"] not in _REGISTRY:
-            raise ConfigError(f"unknown check {chk['name']!r}",
-                              line=_line_of(raw, chk["name"]))
+            raise ConfigError(f"unknown check {chk['name']!r}", line=start)
+        _params(chk, lambda key: _line_of(raw, f'"{key}"', start))
     return doc
 
 
@@ -420,11 +409,11 @@ def run_experiment(config: dict, jobs: int = 1,
 
     def one(index_and_cfg):
         index, cfg = index_and_cfg
-        base = int(cfg.get("samples", config["samples"]))
+        base = cfg.get("samples", config["samples"])
         eff = max(10, int(round(base * samples_scale)))
         chk_seed = derive_seed(seed, experiment_id, cfg["name"], index)
         runner = _REGISTRY[cfg["name"]][0]
-        return runner(cfg, eff, chk_seed)
+        return runner(eff, chk_seed, **_params(cfg))
 
     items = list(enumerate(config["checks"]))
     if jobs <= 1:
@@ -495,9 +484,6 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         report = run_experiment(config, jobs=jobs,
                                 samples_scale=samples_scale,
                                 master_seed=master_seed)
-    except ConfigError as exc:
-        click.echo(f"{config_path}:{exc.line}: config error: {exc}", err=True)
-        sys.exit(1)
     except Exception as exc:  # noqa: BLE001 - runtime errors map to exit 1
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)
@@ -539,8 +525,10 @@ def describe(check_name: str):
     click.echo(check_name)
     click.echo(f"  {description}")
     click.echo("  parameters:")
-    for key, doc in params.items():
-        click.echo(f"    {key}: {doc}")
+    for key, (default, doc) in params.items():
+        shown = ("required" if default is REQUIRED
+                 else f"default {json.dumps(default)}")
+        click.echo(f"    {key}: {doc} ({shown})")
 
 
 def main():

@@ -285,8 +285,8 @@ def spec_from_dict(doc: dict) -> SubordinatorSpec:
 # -- sampling --------------------------------------------------------------
 
 
-def _clock_increments(spec: SubordinatorSpec, grid: TimeGrid) -> np.ndarray:
-    pts = grid.points()
+def _clock_increments(spec: SubordinatorSpec, pts: np.ndarray) -> np.ndarray:
+    """Clock length of each cell between consecutive time points ``pts``."""
     if spec.time_change is None:
         return np.diff(pts)
     ell = spec.time_change
@@ -301,7 +301,7 @@ def sample_subordinator_increments(
     spec: SubordinatorSpec, grid: TimeGrid, rng: RngStream, samples: int = 1
 ) -> np.ndarray:
     """(samples, cells) array of independent grid-cell increments."""
-    dl = _clock_increments(spec, grid)
+    dl = _clock_increments(spec, grid.points())
     gen = rng.generator()
     return spec.increments(gen, np.broadcast_to(dl, (samples, dl.size)))
 
@@ -359,7 +359,7 @@ def subordinate(
     read off at the clock on the grid (random rescaling).
     """
     gen = rng.generator()
-    dl = _clock_increments(spec, grid)
+    dl = _clock_increments(spec, grid.points())
     da = spec.increments(gen, dl)
     dm = gen.normal(0.0, 1.0, size=da.shape) * np.sqrt(da)
     A = _staircase_from_increments(grid, da)
@@ -378,7 +378,7 @@ def subordinate_terminal(
     t = grid.horizon if t is None else t
     k = grid.index_at(t)
     gen = rng.generator()
-    dl = _clock_increments(spec, grid)[:k]
+    dl = _clock_increments(spec, grid.points())[:k]
     da = spec.increments(gen, np.broadcast_to(dl, (samples, k)))
     a_t = da.sum(axis=1)
     m_t = gen.normal(0.0, 1.0, size=samples) * np.sqrt(a_t)
@@ -390,9 +390,7 @@ def subordinate_terminal(
 
 def linnik_cf(t: float, lam: float) -> complex:
     """E exp(i lam M(t)) for the gamma-subordinated Brownian limit."""
-    if t <= 0:
-        raise PathDomainError("t must be > 0")
-    return complex((1.0 + lam * lam / 2.0) ** (-t))
+    return gamma_subordinated_cf(t, lam)
 
 
 def gamma_subordinated_cf(
@@ -452,7 +450,7 @@ def rescaling_check(
     k_s = grid.index_at(s)
     k_t = grid.index_at(t)
 
-    dl = _clock_increments(spec, grid)
+    dl = _clock_increments(spec, grid.points())
 
     def window_gaps(gen, count):
         # clock increase over [s, t], drawn in memory-bounded chunks

@@ -30,7 +30,7 @@ from cadlab.arrays import (
 )
 from cadlab.levy import (DriftSpec, GammaSpec, RngStream,
                          _staircase_from_increments)
-from cadlab.paths import PathDomainError, TimeGrid
+from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
 from cadlab.timechange import InsufficientHorizonError, inverse
 
 SEED = 20260824
@@ -90,6 +90,15 @@ def test_subordinator_array_uses_clock_increments():
     spec = SubordinatorArray(n=20, spec=DriftSpec(slope=1.0), horizon=1.0)
     batch = sample_increments(spec, RngStream(SEED, 4), 5)
     assert np.allclose(batch.dA, 1.0 / 20)
+
+
+def test_subordinator_array_rejects_decreasing_time_change():
+    # the array's clock cells come from levy._clock_increments, so a
+    # decreasing clock fails as it does in sample_subordinator_increments
+    ramp = piecewise_linear([0.0, 1.0], [1.0, 0.0])
+    spec = SubordinatorArray(n=10, spec=DriftSpec(1.0, time_change=ramp))
+    with pytest.raises(PathDomainError, match="nondecreasing"):
+        sample_increments(spec, RngStream(SEED, 4), 3)
 
 
 def test_transform_array_scales_compensator_by_squared_weight():
@@ -299,9 +308,10 @@ def test_polya_standardized_ratio_matches_exact_enumeration():
         assert abs(ratio.mean() - _polya_exact_ratio_mean(n)) <= 4.0 * se
 
 
-def test_lindeberg_statistic_closed_form():
+@pytest.mark.parametrize("alpha, eps", [(1.0, 0.1), (0.0, 0.05), (-0.5, 0.1)])
+def test_lindeberg_statistic_closed_form(alpha, eps):
     # beta = 0: every xi is two-point, the truncated sum is computable by hand
-    n, alpha, beta, eps = 100, 1.0, 0.0, 0.1
+    n, beta = 100, 0.0
     delta = alpha - beta + 1.0
     a_n_sq = n ** delta
     expect = sum(k ** (delta - 1.0) for k in range(1, n + 1)

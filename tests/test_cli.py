@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import cadlab.cli as cli_mod
 from cadlab.cli import cli, derive_seed
 
 CONFIG_DIR = Path(cli_mod.__file__).parent / "configs"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def invoke(args, env=None):
@@ -166,3 +170,103 @@ def test_describe_unknown_exits_one():
     result, out = invoke(["describe", "nothere"])
     assert result.exit_code == 1
     assert "unknown check" in out
+
+
+def last_line_of(path, word):
+    """Number of the last line of a written config that holds "word"."""
+    lines = path.read_text().splitlines()
+    return max(i for i, line in enumerate(lines, start=1)
+               if f'"{word}"' in line)
+
+
+@pytest.mark.parametrize("check, key", [
+    ({"name": "counterexample_m1", "detla": 0.25}, "detla"),
+    ({"name": "lindeberg", "expect": "false"}, "expect"),
+    ({"name": "fdd_gamma", "samples": 0}, "samples"),
+    ({"name": "ecf_linnik", "n_ladder": [128, 64]}, "n_ladder"),
+    ({"name": "tightness", "n_list": [3, 5.5]}, "n_list"),
+], ids=["misspelled", "string_bool", "zero_samples", "ladder", "list_item"])
+def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [check]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error" in out
+    assert key in out
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_array_fails_at_its_check_before_any_check_runs(
+        tmp_path, monkeypatch):
+    calls = []
+    runner, *rest = cli_mod._REGISTRY["lindeberg"]
+    monkeypatch.setitem(cli_mod._REGISTRY, "lindeberg",
+                        (lambda *a, **k: calls.append(a) or runner(*a, **k),
+                         *rest))
+    doc = {"experiment_id": "noarray", "seed": 1, "samples": 10,
+           "checks": [{"name": "lindeberg"}, {"name": "hyp_c", "t": 0.5}]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, 'hyp_c')}: config error" in out
+    assert "'array'" in out
+    assert calls == []
+
+
+def test_params_fill_defaults_and_take_an_int_for_a_float():
+    params = cli_mod._params({"name": "counterexample_m1", "delta": 1})
+    assert params == {"n_list": [3, 5, 10], "delta": 1.0, "T": 2.0}
+    assert type(params["delta"]) is float
+
+
+@pytest.mark.parametrize(
+    "path", sorted(CONFIG_DIR.glob("*.json")) + [BENCH_DIR / "mix.json"],
+    ids=lambda p: p.name)
+def test_shipped_configs_pass_load_config(path):
+    config = cli_mod.load_config(path)
+    assert all(chk["name"] in cli_mod._REGISTRY for chk in config["checks"])
+
+
+def test_describe_gives_every_key_a_default_or_required():
+    assert len(cli_mod._REGISTRY) == 12
+    assert {"lambda_min", "lambda_max", "lambda_step"} <= set(
+        cli_mod._REGISTRY["transform_cf"][2])
+    for name, (_, _, params) in cli_mod._REGISTRY.items():
+        result, out = invoke(["describe", name])
+        assert result.exit_code == 0
+        rows = out.splitlines()[out.splitlines().index("  parameters:") + 1:]
+        assert [row.split(":")[0].strip() for row in rows] == list(params)
+        for row in rows:
+            assert re.search(r"\((default .+|required)\)$", row), row
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", BENCH_DIR / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_times_each_check_and_uninstalls():
+    tracing = load_tracing()
+    registry = dict(cli_mod._REGISTRY)
+    run_experiment = cli_mod.run_experiment
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        config = cli_mod.load_config(CONFIG_DIR / "counterexample.json")
+        report = cli_mod.run_experiment(config)
+        t1 = time.perf_counter()
+    finally:
+        tracer.uninstall()
+    assert report.all_passed
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.check.counterexample_m1", "cli.check.tightness"} <= names
+    metrics = tracing.layer_metrics(tracer.spans, t0, t1, cpu_s=t1 - t0)
+    assert metrics["cli.check_s.counterexample_m1"][0] > 0
+    assert metrics["cli.check_s.tightness"][0] > 0
+    assert cli_mod._REGISTRY == registry
+    assert cli_mod.run_experiment is run_experiment
