@@ -33,8 +33,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import (RngStream, SubordinatorSpec, _clock_increments,
-                   _staircase_from_increments, spec_from_dict)
+from .levy import (RngStream, SubordinatorSpec, _check_keys,
+                   _clock_increments, _staircase_from_increments,
+                   spec_from_dict)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -141,6 +142,7 @@ class WeightSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "WeightSpec":
+        _check_keys(doc, ("name", "const", "sigma"), "a weight")
         return WeightSpec(
             kind=doc["kind"],
             name=doc.get("name", "one"),
@@ -483,8 +485,24 @@ class DriftedArray(ArraySpec):
         return {"kind": "drifted", "base": self.base.to_dict(), "mu": self.mu}
 
 
+#: the keys of each array kind's object, besides "kind"
+_ARRAY_KEYS = {
+    "linnik": ("n", "horizon"),
+    "polya": ("n", "horizon"),
+    "lindeberg": ("n", "alpha", "beta", "horizon"),
+    "subordinator": ("n", "spec", "horizon"),
+    "transform": ("base", "weight"),
+    "drifted": ("base", "mu"),
+}
+
+
 def array_from_dict(doc: dict) -> ArraySpec:
     kind = doc.get("kind")
+    if kind not in _ARRAY_KEYS:
+        raise PathDomainError(f"unknown array kind {kind!r}")
+    _check_keys(doc, _ARRAY_KEYS[kind], f"a {kind} array")
+    if "n" in doc and type(doc["n"]) is not int:
+        raise PathDomainError(f"n must be an int, got {doc['n']!r}")
     if kind == "linnik":
         return LinnikArray(n=doc["n"], horizon=doc.get("horizon", 1.0))
     if kind == "polya":
@@ -498,9 +516,7 @@ def array_from_dict(doc: dict) -> ArraySpec:
     if kind == "transform":
         return TransformArray(array_from_dict(doc["base"]),
                               WeightSpec.from_dict(doc["weight"]))
-    if kind == "drifted":
-        return DriftedArray(array_from_dict(doc["base"]), doc["mu"])
-    raise PathDomainError(f"unknown array kind {kind!r}")
+    return DriftedArray(array_from_dict(doc["base"]), doc["mu"])
 
 
 # -- sampling --------------------------------------------------------------

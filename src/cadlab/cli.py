@@ -67,6 +67,9 @@ def _lambda_grid(lambda_min: float, lambda_max: float,
 #: default of an object parameter that every config must give
 REQUIRED = object()
 _PARSERS = {"array": arrays.array_from_dict, "spec": levy.spec_from_dict}
+#: the values a string parameter may take
+_CHOICES = {"kind": tuple(k.value for k in TripleKind),
+            "profile": tuple(arrays._PROFILES)}
 _REGISTRY: dict[str, tuple] = {}
 _LAMBDA_GRID = {"lambda_min": (-3.0, "CF grid start"),
                 "lambda_max": (3.0, "CF grid end"),
@@ -286,7 +289,7 @@ def _run_lenglart(samples, seed, array, epsilon, eta, t):
 @_check("tightness",
         "Modulus-exceedance table for the deterministic composition family; "
         "diagnostic rows only, no asymptotic verdict.",
-        kind=("M", "C | J | M"), n_list=([3, 5, 10], "family indices"),
+        kind=("M", "triple kind"), n_list=([3, 5, 10], "family indices"),
         delta_list=([0.5, 0.25], "window widths"), T=(2.0, "time bound"),
         epsilon=(0.5, "exceedance level"))
 def _run_tightness(samples, seed, kind, n_list, delta_list, T, epsilon):
@@ -320,7 +323,8 @@ def _line_of(raw: str, needle: str, start: int = 1) -> int:
 def _conform(key: str, value, default, line: int):
     """``value`` checked against the type of ``default`` and converted to
     it.  An int passes for a float, a None default takes any number, list
-    items follow the default's first item, and REQUIRED objects are parsed."""
+    items follow the default's first item, a string in ``_CHOICES`` must be
+    one of its values, and REQUIRED objects are parsed."""
     if default is REQUIRED:
         try:
             return _PARSERS[key](value)
@@ -332,7 +336,11 @@ def _conform(key: str, value, default, line: int):
         if type(value) in (int, float, type(default)):
             return value if default is None else float(value)
     elif type(value) is type(default):
-        return value
+        if key not in _CHOICES or value in _CHOICES[key]:
+            return value
+        raise ConfigError(f"key {key!r} must be one of "
+                          f"{', '.join(_CHOICES[key])}, not {json.dumps(value)}",
+                          line)
     raise ConfigError(f"key {key!r} must have the type of its default "
                       f"{json.dumps(default)}, not {json.dumps(value)}", line)
 
@@ -528,6 +536,8 @@ def describe(check_name: str):
     for key, (default, doc) in params.items():
         shown = ("required" if default is REQUIRED
                  else f"default {json.dumps(default)}")
+        if key in _CHOICES:
+            doc = f"{doc}: {' | '.join(_CHOICES[key])}"
         click.echo(f"    {key}: {doc} ({shown})")
 
 

@@ -17,11 +17,10 @@ shape lambda*h^2, the convolution-stable scaling of the IG process).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .paths import CadlagPath, PathDomainError, Segment, TimeGrid
 
@@ -109,7 +108,13 @@ class GammaSpec(SubordinatorSpec):
         _check_positive("scale", self.scale)
 
     def increments(self, rng, dl):
-        return rng.gamma(self.shape_rate * dl, self.scale)
+        # the shape of a broadcast clock row is formed once per row, so the
+        # draw is the only batch-sized array
+        dl = np.asarray(dl, dtype=float)
+        row = dl[tuple(slice(None, 1) if s == 0 else slice(None)
+                       for s in dl.strides)]
+        shape = np.broadcast_to(self.shape_rate * row, dl.shape)
+        return rng.gamma(shape, self.scale)
 
     def mean_rate(self):
         return self.shape_rate * self.scale
@@ -264,22 +269,36 @@ class CompositeSpec(SubordinatorSpec):
 
 
 _SPEC_KINDS = {
-    "gamma": lambda d: GammaSpec(d["shape_rate"], d.get("scale", 1.0)),
-    "inverse_gaussian": lambda d: InverseGaussianSpec(d["mu"], d["lam"]),
-    "stable": lambda d: StableSpec(d["alpha"], d.get("scale", 1.0)),
-    "compound_poisson": lambda d: CompoundPoissonSpec(d["rate"], d["jump_mean"]),
-    "drift": lambda d: DriftSpec(d["slope"]),
-    "composite": lambda d: CompositeSpec(
-        tuple(spec_from_dict(p) for p in d["parts"])
-    ),
+    "gamma": GammaSpec,
+    "inverse_gaussian": InverseGaussianSpec,
+    "stable": StableSpec,
+    "compound_poisson": CompoundPoissonSpec,
+    "drift": DriftSpec,
+    "composite": CompositeSpec,
 }
 
 
+def _check_keys(doc: dict, allowed, what: str):
+    """Raise on a key of ``doc`` outside ``allowed`` and "kind"."""
+    unknown = sorted(set(doc) - set(allowed) - {"kind"})
+    if unknown:
+        raise PathDomainError(f"unknown key {unknown[0]!r} for {what}")
+
+
 def spec_from_dict(doc: dict) -> SubordinatorSpec:
+    """Spec from its ``to_dict`` form: "kind" plus the spec's fields,
+    ``time_change`` excepted."""
     kind = doc.get("kind")
     if kind not in _SPEC_KINDS:
         raise PathDomainError(f"unknown subordinator kind {kind!r}")
-    return _SPEC_KINDS[kind](doc)
+    cls = _SPEC_KINDS[kind]
+    params = {k: v for k, v in doc.items() if k != "kind"}
+    _check_keys(params, {f.name for f in fields(cls)} - {"time_change"},
+                f"a {kind} spec")
+    if kind == "composite":
+        params["parts"] = tuple(spec_from_dict(p)
+                                for p in params.get("parts", ()))
+    return cls(**params)
 
 
 # -- sampling --------------------------------------------------------------
@@ -420,8 +439,44 @@ def weighted_gamma_subordinated_cf(
         q = Q(u)
         return math.log1p(scale * lam * lam * q * q / 2.0)
 
-    val, _ = integrate.quad(integrand, 0.0, t, epsabs=1e-10, limit=200)
+    val = _adaptive_gauss_legendre(integrand, 0.0, t, 1e-10)
     return complex(math.exp(-shape_rate * val))
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+#: bisections after which a panel is accepted as it is.  Its width is then
+#: 2^-50 of the interval, so a jump of f inside it, which no rule resolves,
+#: costs an error of about the jump times that width.
+_GL_MAX_DEPTH = 50
+
+
+def _adaptive_gauss_legendre(f, a: float, b: float, tol: float) -> float:
+    """int_a^b f(u) du for a scalar callable ``f``, to absolute tolerance
+    ``tol``, by adaptive 20-point Gauss-Legendre.
+
+    A panel is accepted when its two halves agree with the whole within
+    the panel's share of ``tol`` (its width over b - a); otherwise each
+    half is refined.  A non-finite value is accepted as it is.
+    """
+
+    def rule(lo, hi):
+        half = (hi - lo) / 2.0
+        fx = [f(u) for u in lo + half * (_GL_NODES + 1.0)]
+        return half * float(np.dot(_GL_WEIGHTS, fx))
+
+    total = 0.0
+    panels = [(a, b, rule(a, b), 0)]
+    while panels:
+        lo, hi, whole, depth = panels.pop()
+        mid = (lo + hi) / 2.0
+        left, right = rule(lo, mid), rule(mid, hi)
+        share = tol * (hi - lo) / (b - a)
+        if depth == _GL_MAX_DEPTH or not abs(left + right - whole) > share:
+            total += left
+            total += right
+        else:
+            panels += [(mid, hi, right, depth + 1), (lo, mid, left, depth + 1)]
+    return total
 
 
 # -- random rescaling check ------------------------------------------------

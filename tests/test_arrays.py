@@ -505,16 +505,19 @@ def test_sample_increments_of_no_replicates(spec):
 
 def test_marginal_samples_memory_is_one_batch_of_clock_draws():
     # the whole-batch code held five or six batch-sized arrays (~489 MiB
-    # here); streaming keeps one batch of gamma clock draws plus blocks
-    spec = LinnikArray(n=256, horizon=1.0)
+    # here); streaming keeps one batch of gamma clock draws plus blocks.
+    # A gamma subordinator used to hold a second batch, its shape array.
     samples = 50_000
-    rows = min(samples, arrays._BATCH_CELLS // spec.cells)
-    clock_bytes = rows * spec.cells * 8
-    tracemalloc.start()
-    try:
-        marginal_samples(spec, [1.0], samples, RngStream(SEED, 26),
-                         fields=("M",))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * clock_bytes, (peak / 2**20, clock_bytes / 2**20)
+    for spec in (LinnikArray(n=256, horizon=1.0),
+                 SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0))):
+        rows = min(samples, arrays._BATCH_CELLS // spec.cells)
+        clock_bytes = rows * spec.cells * 8
+        tracemalloc.start()
+        try:
+            marginal_samples(spec, [1.0], samples, RngStream(SEED, 26),
+                             fields=("M",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * clock_bytes, (spec, peak / 2**20,
+                                            clock_bytes / 2**20)

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import cadlab.cli as cli_mod
 from cadlab.cli import cli, derive_seed
 
 CONFIG_DIR = Path(cli_mod.__file__).parent / "configs"
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "perfbench"
 
 
 def invoke(args, env=None):
@@ -38,6 +42,26 @@ def small_stochastic_config(seed=123):
             {"name": "fdd_gamma", "n": 16, "t": 1.0, "samples": 2000},
         ],
     }
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(cli_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, cadlab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_and_click():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split("[<>=]", d)[0] for d in project["dependencies"]] == [
+        "numpy", "click"]
+    assert project["optional-dependencies"]["test"] == ["pytest>=7",
+                                                        "scipy>=1.10"]
 
 
 def test_derive_seed_stable_and_distinct():
@@ -194,6 +218,36 @@ def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     assert result.exit_code == 1, out
     assert f"{p}:{last_line_of(p, key)}: config error" in out
     assert key in out
+    assert not (tmp_path / "o").exists()
+
+
+LINNIK16 = {"kind": "linnik", "n": 16}
+
+
+@pytest.mark.parametrize("check, key, word", [
+    ({"name": "hyp_c", "array": {**LINNIK16, "horizn": 2.0}}, "array",
+     "'horizn'"),
+    ({"name": "hyp_c", "array": {**LINNIK16, "n": 16.5}}, "array", "16.5"),
+    ({"name": "hyp_c", "array": {
+        "kind": "transform", "base": LINNIK16,
+        "weight": {"kind": "profile", "nmae": "one"}}}, "array", "'nmae'"),
+    ({"name": "rescaling", "spec": {
+        "kind": "composite",
+        "parts": [{"kind": "gamma", "shape_rate": 1.0, "scael": 2.0}]}},
+     "spec", "'scael'"),
+    ({"name": "tightness", "kind": "X"}, "kind", '"X"'),
+    ({"name": "transform_cf", "profile": "X"}, "profile", '"X"'),
+], ids=["array_key", "array_n", "weight_key", "spec_key", "tightness_kind",
+        "transform_profile"])
+def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
+                                                    word):
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [{"name": "lindeberg"}, check]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error" in out
+    assert word in out
     assert not (tmp_path / "o").exists()
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from cadlab.arrays import deterministic_profile
 from cadlab.levy import (
     CompositeSpec,
     CompoundPoissonSpec,
@@ -189,6 +191,46 @@ def test_weighted_cf_two_plus_cos_value():
     val = weighted_gamma_subordinated_cf(1.0, lam, q)
     assert val.real == pytest.approx(ref, abs=1e-6)
     assert val.imag == 0.0
+
+
+def _log_cf_integrand(lam, q):
+    return lambda u: math.log1p(lam * lam * q(u) ** 2 / 2.0)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_weighted_cf_constant_and_step_profiles_closed_form(lam):
+    t, c, jump = 1.3, 1.7, 0.3717
+    exact = (1.0 + lam * lam * c * c / 2.0) ** -t
+    assert abs(weighted_gamma_subordinated_cf(t, lam, lambda u: c)
+               - exact) <= 1e-12
+    # Q = 1 before the jump and 2 after it
+    step = lambda u: 1.0 if u < jump else 2.0
+    exact = math.exp(-jump * math.log1p(lam * lam / 2.0)
+                     - (t - jump) * math.log1p(2.0 * lam * lam))
+    assert abs(weighted_gamma_subordinated_cf(t, lam, step) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_weighted_cf_kinked_profile_matches_split_quadrature(lam):
+    # quad at its default relative tolerance missed this by 1.4e-7
+    t, kink = 1.3, 0.41
+    q = lambda u: 1.0 + abs(u - kink)
+    f = _log_cf_integrand(lam, q)
+    val = sum(integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+              for a, b in ((0.0, kink), (kink, t)))
+    assert abs(weighted_gamma_subordinated_cf(t, lam, q)
+               - math.exp(-val)) <= 1e-10
+
+
+def test_weighted_cf_two_plus_cos_matches_quad_on_the_cli_grid():
+    # the shipped profile is smooth, so quad's values, which the oracle
+    # used to return, are kept to within a few ulps
+    q = deterministic_profile("two_plus_cos").resolve()
+    for lam in np.arange(-3.0, 3.0 + 0.125, 0.25):  # the CLI's default grid
+        f = _log_cf_integrand(lam, q)
+        val = integrate.quad(f, 0.0, 1.0, epsabs=1e-10, limit=200)[0]
+        assert abs(weighted_gamma_subordinated_cf(1.0, lam, q)
+                   - math.exp(-val)) <= 1e-14, lam
 
 
 def test_rescaling_check_small():
