@@ -19,8 +19,9 @@ estimated numerically:
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
 keep only the values they need.  So only the variates a kind draws for a
-whole batch (the clock, the Polya signs, the Lindeberg hits or the
-random-walk steps) are ever held for a whole batch.  Single realizations
+whole batch, because a later draw must follow them (the clock, the
+Lindeberg hits or the random-walk steps), are ever held for a whole batch;
+the Polya signs, which no draw follows, exist one block at a time.  Single realizations
 are materialized as exact :class:`~cadlab.paths.CadlagPath` staircases.
 """
 
@@ -33,8 +34,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import (RngStream, SubordinatorSpec, _check_keys,
-                   _clock_increments, _staircase_from_increments,
+from .levy import (RngStream, SubordinatorSpec, _batches, _check_keys,
+                   _clock_increments, _row_blocks, _staircase_from_increments,
                    spec_from_dict)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
@@ -64,9 +65,6 @@ __all__ = [
     "check_mcleish",
     "check_jump_decomposition",
 ]
-
-_BATCH_CELLS = 20_000_000  # cells per batch; batch b draws from rng.child(b)
-_BLOCK_CELLS = 2**17  # cells per row block that a batch is read in
 
 #: increments a kind's _draw yields: path name -> IncrementBatch attribute
 _INCREMENTS = {"M": "dX", "A": "dA", "QV": "dQV", "O": "dO"}
@@ -142,7 +140,8 @@ class WeightSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "WeightSpec":
-        _check_keys(doc, ("name", "const", "sigma"), "a weight")
+        _check_keys(doc, {"name": str, "const": float, "sigma": float},
+                    "a weight")
         return WeightSpec(
             kind=doc["kind"],
             name=doc.get("name", "one"),
@@ -233,14 +232,6 @@ class IncrementBatch:
     dO: Optional[np.ndarray] = None
 
 
-def _row_blocks(samples: int, cells: int) -> Iterator[slice]:
-    """Row slices of about _BLOCK_CELLS cells that cover ``samples`` rows;
-    a single empty slice when there are none."""
-    rows = max(1, _BLOCK_CELLS // max(cells, 1))
-    for r0 in range(0, max(samples, 1), rows):
-        yield slice(r0, min(r0 + rows, samples))
-
-
 def _clock_normal_blocks(gen, xi: np.ndarray, fields) -> Iterator[IncrementBatch]:
     """Blocks of sqrt(xi) Z for a whole batch of clock draws xi; the
     normals Z are drawn block by block, and only for M or QV."""
@@ -288,10 +279,11 @@ class PolyaArray(ArraySpec):
                 "a Polya path cannot be extended past its horizon: its later "
                 "cells depend on the drawn prefix; use a larger horizon"
             )
-        signs = gen.integers(0, 2, size=(samples, cells))
+        # no later draw follows the signs, so they are drawn block by block
         j = np.arange(1, cells + 1, dtype=float)
         for rows in _row_blocks(samples, cells):
-            y = signs[rows].astype(float) * 2.0 - 1.0
+            signs = gen.integers(0, 2, size=(rows.stop - rows.start, cells))
+            y = signs.astype(float) * 2.0 - 1.0
             partial = np.cumsum(y / j, axis=1)
             zprev = np.empty_like(partial)
             zprev[:, 0] = 1.0
@@ -390,7 +382,7 @@ class SubordinatorArray(ArraySpec):
     def _draw(self, gen, samples, first, cells, fields):
         dl = _clock_increments(self.spec,
                                np.arange(first, first + cells + 1) / self.n)
-        xi = self.spec.increments(gen, np.broadcast_to(dl, (samples, dl.size)))
+        xi = self.spec.increments(gen, dl, samples)
         yield from _clock_normal_blocks(gen, xi, fields)
 
     def to_dict(self):
@@ -485,14 +477,14 @@ class DriftedArray(ArraySpec):
         return {"kind": "drifted", "base": self.base.to_dict(), "mu": self.mu}
 
 
-#: the keys of each array kind's object, besides "kind"
+#: the keys of each array kind's object, besides "kind", with their types
 _ARRAY_KEYS = {
-    "linnik": ("n", "horizon"),
-    "polya": ("n", "horizon"),
-    "lindeberg": ("n", "alpha", "beta", "horizon"),
-    "subordinator": ("n", "spec", "horizon"),
-    "transform": ("base", "weight"),
-    "drifted": ("base", "mu"),
+    "linnik": {"n": int, "horizon": float},
+    "polya": {"n": int, "horizon": float},
+    "lindeberg": {"n": int, "alpha": float, "beta": float, "horizon": float},
+    "subordinator": {"n": int, "spec": dict, "horizon": float},
+    "transform": {"base": dict, "weight": dict},
+    "drifted": {"base": dict, "mu": float},
 }
 
 
@@ -501,8 +493,6 @@ def array_from_dict(doc: dict) -> ArraySpec:
     if kind not in _ARRAY_KEYS:
         raise PathDomainError(f"unknown array kind {kind!r}")
     _check_keys(doc, _ARRAY_KEYS[kind], f"a {kind} array")
-    if "n" in doc and type(doc["n"]) is not int:
-        raise PathDomainError(f"n must be an int, got {doc['n']!r}")
     if kind == "linnik":
         return LinnikArray(n=doc["n"], horizon=doc.get("horizon", 1.0))
     if kind == "polya":
@@ -573,17 +563,16 @@ def _stream(spec: ArraySpec, rng: RngStream, samples: int,
             fields) -> Iterator[tuple[slice, IncrementBatch]]:
     """(rows, block) pairs covering ``samples`` replicates in order.
 
-    Replicates are drawn in batches of _BATCH_CELLS // cells rows, batch b
-    from ``rng.child(b)``, and each batch is read in the row blocks of its
+    Replicates are drawn in the batches of ``levy._batches``, batch b from
+    ``rng.child(b)``, and each batch is read in the row blocks of its
     kind's _draw, so the draws of two batches are never alive at once.
     """
     cells = spec.cells
-    batch = max(1, _BATCH_CELLS // max(cells, 1))
-    for b, start in enumerate(range(0, samples, batch)):
-        take = min(batch, samples - start)
+    for b, batch in _batches(samples, cells):
+        take = batch.stop - batch.start
         blocks = spec._draw(rng.child(b).generator(), take, 0, cells, fields)
         for blk, rows in zip(blocks, _row_blocks(take, cells)):
-            yield slice(start + rows.start, start + rows.stop), blk
+            yield slice(batch.start + rows.start, batch.start + rows.stop), blk
 
 
 #: increments each path of marginal_samples is summed from

@@ -17,7 +17,9 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
+import resource
 import sys
 from pathlib import Path
 
@@ -449,6 +451,13 @@ def write_report(report: ConvergenceReport, output_dir: Path,
 # -- command line ----------------------------------------------------------
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB of 2^20 bytes;
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 @click.group()
 def cli():
     """Reproducible stochastic-process experiments and checks."""
@@ -503,6 +512,10 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "samples_scale": samples_scale,
         "seed_overridden": master_seed is not None,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # byte-identical reports are promised for one numpy version only
+        "peak_rss_mb": _peak_rss_mb(),
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
     }
     out = write_report(report, out_base, metadata)
 

@@ -8,6 +8,14 @@ staircase starting at 0 (a pure drift gives an exact linear path instead).
 An optional deterministic nondecreasing clock ell(t) makes the increments
 inhomogeneous in time.
 
+Every spec draws a batch of replicates of one clock row as a stream of row
+blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
+order of a whole-batch draw.  Only the variates that a later draw must
+follow are held for the whole batch: the stable sampler's uniforms, the
+compound Poisson counts and every part of a composite but the last.  The
+last-drawn variate, and every array formed from it, exists one block at a
+time.  The batch and block sizes that the array layer shares live here.
+
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
 exp(-u^alpha); the inverse Gaussian parameters follow the mean/shape
 convention (increment over elapsed clock time h is IG with mean mu*h and
@@ -16,9 +24,10 @@ shape lambda*h^2, the convolution-stable scaling of the IG process).
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -64,6 +73,28 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_index * 1_000_003 + index + 1)
 
 
+_BATCH_CELLS = 20_000_000  # cells per batch of replicates
+_BLOCK_CELLS = 2**17  # cells per row block that a batch is read in
+
+
+def _batches(samples: int, cells: int) -> Iterator[tuple[int, slice]]:
+    """(b, rows) for the batches of _BATCH_CELLS // cells rows that cover
+    ``samples`` rows.  The array samplers draw batch b from
+    ``rng.child(b)``; a side of rescaling_check draws its batches in turn
+    from its one generator."""
+    size = max(1, _BATCH_CELLS // max(cells, 1))
+    for b, r0 in enumerate(range(0, samples, size)):
+        yield b, slice(r0, min(r0 + size, samples))
+
+
+def _row_blocks(samples: int, cells: int) -> Iterator[slice]:
+    """Row slices of about _BLOCK_CELLS cells that cover ``samples`` rows;
+    a single empty slice when there are none."""
+    rows = max(1, _BLOCK_CELLS // max(cells, 1))
+    for r0 in range(0, max(samples, 1), rows):
+        yield slice(r0, min(r0 + rows, samples))
+
+
 # -- specs -----------------------------------------------------------------
 
 
@@ -72,12 +103,39 @@ class SubordinatorSpec:
 
     time_change: Optional[CadlagPath] = None
 
-    def increments(self, rng: np.random.Generator, dl: np.ndarray) -> np.ndarray:
-        """Independent increments for cells of clock length ``dl``.
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each kind holds ``increments`` in its own namespace, where
+        # perfbench/tracing.py wraps it kind by kind
+        cls.increments = SubordinatorSpec.increments
 
-        ``dl`` may be any shape; the draw is elementwise independent.
+    def blocks(self, gen: np.random.Generator, dl: np.ndarray,
+               rows: int) -> Iterator[np.ndarray]:
+        """Increments of ``rows`` replicates of the cells of clock length
+        ``dl`` (one row), yielded in the row blocks of
+        ``_row_blocks(rows, dl.size)``.
+
+        ``gen`` is consumed in the order of a whole-batch draw: a variate
+        that a later draw must follow is drawn for all ``rows`` first, and
+        the last-drawn variate block by block.  Each block is a fresh array
+        or a read-only broadcast of one row.
         """
         raise NotImplementedError
+
+    def increments(self, gen: np.random.Generator, dl: np.ndarray,
+                   rows: int) -> np.ndarray:
+        """(rows, dl.size) independent increments for cells of clock length
+        ``dl``, one clock row shared by every replicate: the blocks of
+        :meth:`blocks` in one array.
+
+        Besides the result, only the variates that a later draw must follow
+        are held for all ``rows``: the stable uniforms, the compound Poisson
+        counts, and each part of a composite but the last.
+        """
+        out = np.empty((rows, dl.size))
+        for r, blk in zip(_row_blocks(rows, dl.size), self.blocks(gen, dl, rows)):
+            out[r] = blk
+        return out
 
     def mean_rate(self) -> float:
         """Expected increment per unit clock time (may be inf)."""
@@ -107,14 +165,11 @@ class GammaSpec(SubordinatorSpec):
         _check_positive("shape_rate", self.shape_rate)
         _check_positive("scale", self.scale)
 
-    def increments(self, rng, dl):
-        # the shape of a broadcast clock row is formed once per row, so the
-        # draw is the only batch-sized array
-        dl = np.asarray(dl, dtype=float)
-        row = dl[tuple(slice(None, 1) if s == 0 else slice(None)
-                       for s in dl.strides)]
-        shape = np.broadcast_to(self.shape_rate * row, dl.shape)
-        return rng.gamma(shape, self.scale)
+    def blocks(self, gen, dl, rows):
+        shape = self.shape_rate * dl
+        for r in _row_blocks(rows, dl.size):
+            yield gen.gamma(np.broadcast_to(shape, (r.stop - r.start, dl.size)),
+                            self.scale)
 
     def mean_rate(self):
         return self.shape_rate * self.scale
@@ -135,12 +190,15 @@ class InverseGaussianSpec(SubordinatorSpec):
         _check_positive("mu", self.mu)
         _check_positive("lam", self.lam)
 
-    def increments(self, rng, dl):
-        dl = np.asarray(dl, dtype=float)
-        out = np.zeros_like(dl)
+    def blocks(self, gen, dl, rows):
+        # only cells of positive clock length draw, in row-major order
         pos = dl > 0
-        out[pos] = rng.wald(self.mu * dl[pos], self.lam * dl[pos] ** 2)
-        return out
+        mean, shape = self.mu * dl[pos], self.lam * dl[pos] ** 2
+        for r in _row_blocks(rows, dl.size):
+            out = np.zeros((r.stop - r.start, dl.size))
+            out[:, pos] = gen.wald(np.broadcast_to(mean, (len(out), mean.size)),
+                                   shape)
+            yield out
 
     def mean_rate(self):
         return self.mu
@@ -165,11 +223,11 @@ class StableSpec(SubordinatorSpec):
             raise PathDomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         _check_positive("scale", self.scale)
 
-    def increments(self, rng, dl):
-        dl = np.asarray(dl, dtype=float)
-        s = _positive_stable(rng, self.alpha, dl.shape)
+    def blocks(self, gen, dl, rows):
         # self-similarity: A(h) = (scale * h)^(1/alpha) * S
-        return np.where(dl > 0, (self.scale * dl) ** (1.0 / self.alpha) * s, 0.0)
+        factor = (self.scale * dl) ** (1.0 / self.alpha)
+        for s in _positive_stable(gen, self.alpha, rows, dl.size):
+            yield np.where(dl > 0, factor * s, 0.0)
 
     def mean_rate(self):
         return math.inf
@@ -178,18 +236,25 @@ class StableSpec(SubordinatorSpec):
         return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
 
 
-def _positive_stable(rng: np.random.Generator, alpha: float, shape) -> np.ndarray:
-    """Kanter sampler for the one-sided stable law with E e^{-uS} = e^{-u^alpha}."""
-    u = rng.uniform(0.0, 1.0, size=shape)
-    e = rng.exponential(1.0, size=shape)
-    pu = np.pi * u
-    a = (
-        np.sin(alpha * pu) ** (alpha / (1.0 - alpha))
-        * np.sin((1.0 - alpha) * pu)
-        / np.sin(pu) ** (1.0 / (1.0 - alpha))
-    )
-    # S = (a(U)/E)^((1-alpha)/alpha) with a(u) as above
-    return (a / e) ** ((1.0 - alpha) / alpha)
+def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
+                     cells: int) -> Iterator[np.ndarray]:
+    """Kanter sampler for the one-sided stable law with E e^{-uS} = e^{-u^alpha},
+    (rows, cells) draws in the row blocks of ``_row_blocks(rows, cells)``.
+
+    The uniforms are drawn for the whole batch, since the exponentials
+    follow them; the exponentials and the rest are formed block by block.
+    """
+    u = gen.uniform(0.0, 1.0, size=(rows, cells))
+    for r in _row_blocks(rows, cells):
+        e = gen.exponential(1.0, size=u[r].shape)
+        pu = np.pi * u[r]
+        a = (
+            np.sin(alpha * pu) ** (alpha / (1.0 - alpha))
+            * np.sin((1.0 - alpha) * pu)
+            / np.sin(pu) ** (1.0 / (1.0 - alpha))
+        )
+        # S = (a(U)/E)^((1-alpha)/alpha) with a(u) as above
+        yield (a / e) ** ((1.0 - alpha) / alpha)
 
 
 @dataclass(frozen=True)
@@ -204,10 +269,12 @@ class CompoundPoissonSpec(SubordinatorSpec):
         _check_positive("rate", self.rate)
         _check_positive("jump_mean", self.jump_mean)
 
-    def increments(self, rng, dl):
-        counts = rng.poisson(self.rate * np.asarray(dl, dtype=float))
-        # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean)
-        return rng.gamma(counts.astype(float), self.jump_mean)
+    def blocks(self, gen, dl, rows):
+        # the counts are drawn for the whole batch, since the jumps follow
+        counts = gen.poisson(np.broadcast_to(self.rate * dl, (rows, dl.size)))
+        for r in _row_blocks(rows, dl.size):
+            # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean)
+            yield gen.gamma(counts[r].astype(float), self.jump_mean)
 
     def mean_rate(self):
         return self.rate * self.jump_mean
@@ -228,8 +295,10 @@ class DriftSpec(SubordinatorSpec):
         if self.slope < 0:
             raise PathDomainError(f"drift slope must be >= 0, got {self.slope}")
 
-    def increments(self, rng, dl):
-        return self.slope * np.asarray(dl, dtype=float)
+    def blocks(self, gen, dl, rows):
+        inc = self.slope * dl
+        for r in _row_blocks(rows, dl.size):
+            yield np.broadcast_to(inc, (r.stop - r.start, dl.size))
 
     def mean_rate(self):
         return self.slope
@@ -252,11 +321,14 @@ class CompositeSpec(SubordinatorSpec):
         if not self.parts:
             raise PathDomainError("composite spec needs at least one part")
 
-    def increments(self, rng, dl):
-        total = np.zeros_like(np.asarray(dl, dtype=float))
-        for p in self.parts:
-            total = total + p.increments(rng, dl)
-        return total
+    def blocks(self, gen, dl, rows):
+        # every part but the last is drawn for the whole batch, since the
+        # next part's draws follow it; the sum runs in part order
+        *held, last = self.parts
+        held = [p.increments(gen, dl, rows) for p in held]
+        for r, blk in zip(_row_blocks(rows, dl.size),
+                          last.blocks(gen, dl, rows)):
+            yield sum((h[r] for h in held), 0.0) + blk
 
     def mean_rate(self):
         return sum(p.mean_rate() for p in self.parts)
@@ -278,11 +350,27 @@ _SPEC_KINDS = {
 }
 
 
-def _check_keys(doc: dict, allowed, what: str):
-    """Raise on a key of ``doc`` outside ``allowed`` and "kind"."""
-    unknown = sorted(set(doc) - set(allowed) - {"kind"})
+#: how each type of a config object's value is named in an error
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _check_keys(doc: dict, keys: dict, what: str):
+    """Raise on a key of ``doc`` outside ``keys`` and "kind", and on a
+    value whose type is not its key's: an int passes for a float, and a
+    bool passes for neither."""
+    unknown = sorted(set(doc) - set(keys) - {"kind"})
     if unknown:
         raise PathDomainError(f"unknown key {unknown[0]!r} for {what}")
+    for key, typ in keys.items():
+        if key in doc and type(doc[key]) not in (
+                (int, float) if typ is float else (typ,)):
+            raise PathDomainError(f"{key} must be {_TYPE_NAMES[typ]}, got "
+                                  f"{json.dumps(doc[key])} in {what}")
+
+
+#: the type a spec field takes in a config object, by its annotation
+_FIELD_TYPES = {"float": float, "tuple": list}
 
 
 def spec_from_dict(doc: dict) -> SubordinatorSpec:
@@ -293,8 +381,8 @@ def spec_from_dict(doc: dict) -> SubordinatorSpec:
         raise PathDomainError(f"unknown subordinator kind {kind!r}")
     cls = _SPEC_KINDS[kind]
     params = {k: v for k, v in doc.items() if k != "kind"}
-    _check_keys(params, {f.name for f in fields(cls)} - {"time_change"},
-                f"a {kind} spec")
+    _check_keys(params, {f.name: _FIELD_TYPES[f.type] for f in fields(cls)
+                         if f.name != "time_change"}, f"a {kind} spec")
     if kind == "composite":
         params["parts"] = tuple(spec_from_dict(p)
                                 for p in params.get("parts", ()))
@@ -321,8 +409,7 @@ def sample_subordinator_increments(
 ) -> np.ndarray:
     """(samples, cells) array of independent grid-cell increments."""
     dl = _clock_increments(spec, grid.points())
-    gen = rng.generator()
-    return spec.increments(gen, np.broadcast_to(dl, (samples, dl.size)))
+    return spec.increments(rng.generator(), dl, samples)
 
 
 def _staircase_from_increments(grid: TimeGrid, inc: np.ndarray) -> CadlagPath:
@@ -379,7 +466,7 @@ def subordinate(
     """
     gen = rng.generator()
     dl = _clock_increments(spec, grid.points())
-    da = spec.increments(gen, dl)
+    da = spec.increments(gen, dl, 1)[0]
     dm = gen.normal(0.0, 1.0, size=da.shape) * np.sqrt(da)
     A = _staircase_from_increments(grid, da)
     M = _staircase_from_increments(grid, dm)
@@ -398,7 +485,7 @@ def subordinate_terminal(
     k = grid.index_at(t)
     gen = rng.generator()
     dl = _clock_increments(spec, grid.points())[:k]
-    da = spec.increments(gen, np.broadcast_to(dl, (samples, k)))
+    da = spec.increments(gen, dl, samples)
     a_t = da.sum(axis=1)
     m_t = gen.normal(0.0, 1.0, size=samples) * np.sqrt(a_t)
     return a_t, m_t
@@ -508,16 +595,16 @@ def rescaling_check(
     dl = _clock_increments(spec, grid.points())
 
     def window_gaps(gen, count):
-        # clock increase over [s, t], drawn in memory-bounded chunks
-        rows = max(1, 20_000_000 // max(dl.size, 1))
-        parts = []
-        done = 0
-        while done < count:
-            take = min(rows, count - done)
-            da = spec.increments(gen, np.broadcast_to(dl, (take, dl.size)))
-            parts.append(da[:, k_s:k_t].sum(axis=1))
-            done += take
-        return np.concatenate(parts)
+        # clock increase over [s, t], summed block by block; every batch
+        # draws from the side's one generator
+        gaps = np.empty(count)
+        for _, batch in _batches(count, dl.size):
+            take = batch.stop - batch.start
+            for r, da in zip(_row_blocks(take, dl.size),
+                             spec.blocks(gen, dl, take)):
+                gaps[batch.start + r.start:batch.start + r.stop] = (
+                    da[:, k_s:k_t].sum(axis=1))
+        return gaps
 
     gen1 = rng.child(1).generator()
     side1 = gen1.normal(0.0, 1.0, size=samples) * np.sqrt(window_gaps(gen1, samples))

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from cadlab import arrays
+from cadlab import levy
 from cadlab.arrays import (
     DriftedArray,
     LindebergArray,
@@ -28,10 +27,12 @@ from cadlab.arrays import (
     running_sup_samples,
     sample_increments,
 )
-from cadlab.levy import (DriftSpec, GammaSpec, RngStream,
+from cadlab.levy import (CompositeSpec, CompoundPoissonSpec, DriftSpec,
+                         GammaSpec, InverseGaussianSpec, RngStream, StableSpec,
                          _staircase_from_increments)
 from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
 from cadlab.timechange import InsufficientHorizonError, inverse
+from test_levy import _peak_bytes, _reference_increments
 
 SEED = 20260824
 
@@ -379,7 +380,8 @@ def _reference_draw(spec, gen, samples):
             xi = gen.gamma(1.0 / spec.n, 1.0, size=(samples, m))
         else:
             dl = np.diff(np.arange(m + 1) / spec.n)
-            xi = spec.spec.increments(gen, np.broadcast_to(dl, (samples, m)))
+            xi = _reference_increments(spec.spec, gen,
+                                       np.broadcast_to(dl, (samples, m)))
         z = gen.normal(0.0, 1.0, size=(samples, m))
         return np.sqrt(xi) * z, xi, xi * z * z, None
     if isinstance(spec, PolyaArray):
@@ -418,7 +420,7 @@ def _reference_draw(spec, gen, samples):
 
 def _reference_batched(spec, rng, samples):
     """Dicts of per-path increments for each batch, batch b from rng.child(b)."""
-    rows = max(1, arrays._BATCH_CELLS // max(spec.cells, 1))
+    rows = max(1, levy._BATCH_CELLS // max(spec.cells, 1))
     for b, start in enumerate(range(0, samples, rows)):
         take = min(rows, samples - start)
         dx, da, dqv, do = _reference_draw(spec, rng.child(b).generator(), take)
@@ -449,6 +451,12 @@ STREAM_SPECS = [
     PolyaArray(n=32, horizon=1.0),
     LindebergArray(n=64, alpha=1.0, beta=0.5, horizon=1.0),
     SubordinatorArray(n=32, spec=GammaSpec(shape_rate=1.0), horizon=1.0),
+    SubordinatorArray(n=32, spec=InverseGaussianSpec(mu=1.0, lam=2.0)),
+    SubordinatorArray(n=32, spec=StableSpec(alpha=0.6)),
+    SubordinatorArray(n=32, spec=CompoundPoissonSpec(rate=3.0, jump_mean=0.5)),
+    SubordinatorArray(n=32, spec=CompositeSpec((
+        InverseGaussianSpec(mu=1.0, lam=2.0),
+        CompoundPoissonSpec(rate=3.0, jump_mean=0.5)))),
     TransformArray(LinnikArray(n=32, horizon=1.0),
                    deterministic_profile("two_plus_cos")),
     TransformArray(LinnikArray(n=16, horizon=1.0),
@@ -456,6 +464,8 @@ STREAM_SPECS = [
     DriftedArray(LinnikArray(n=32, horizon=1.0), mu=1.5),
 ]
 STREAM_IDS = ["linnik", "polya", "lindeberg", "subordinator",
+              "subordinator_ig", "subordinator_stable", "subordinator_cp",
+              "subordinator_composite",
               "transform_profile", "transform_walk", "drifted"]
 FIELD_SETS = [("M", "A", "QV", "O", "N"), ("A",), ("M",), ("QV", "N")]
 
@@ -492,8 +502,8 @@ def test_streamed_samplers_match_whole_batch_reference(spec, samples):
 def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
     # several batches, each read in several blocks, with a partial last
     # batch and partial last blocks
-    monkeypatch.setattr(arrays, "_BATCH_CELLS", 20_011)
-    monkeypatch.setattr(arrays, "_BLOCK_CELLS", 1_000)
+    monkeypatch.setattr(levy, "_BATCH_CELLS", 20_011)
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     _assert_streams_match_reference(spec, 3000)
 
 
@@ -507,17 +517,33 @@ def test_marginal_samples_memory_is_one_batch_of_clock_draws():
     # the whole-batch code held five or six batch-sized arrays (~489 MiB
     # here); streaming keeps one batch of gamma clock draws plus blocks.
     # A gamma subordinator used to hold a second batch, its shape array.
+    # The other levy specs held two to six batches (IG 403 MiB, stable
+    # 586 MiB).  Now each holds only what a later draw must follow: the
+    # stable uniforms, the compound Poisson counts, a composite's parts but
+    # the last (here one IG batch; IG + compound Poisson holds three).
     samples = 50_000
-    for spec in (LinnikArray(n=256, horizon=1.0),
-                 SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0))):
-        rows = min(samples, arrays._BATCH_CELLS // spec.cells)
+    for spec, budget in (
+            (LinnikArray(n=256, horizon=1.0), 1.25),
+            (SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0)), 1.25),
+            (SubordinatorArray(n=256, spec=InverseGaussianSpec(mu=1.0, lam=2.0)),
+             1.25),
+            (SubordinatorArray(n=256, spec=StableSpec(alpha=0.6)), 2.25),
+            (SubordinatorArray(n=256, spec=CompoundPoissonSpec(
+                rate=3.0, jump_mean=0.5)), 2.25),
+            (SubordinatorArray(n=256, spec=CompositeSpec((
+                InverseGaussianSpec(mu=1.0, lam=2.0),
+                GammaSpec(shape_rate=1.0)))), 2.25)):
+        rows = min(samples, levy._BATCH_CELLS // spec.cells)
         clock_bytes = rows * spec.cells * 8
-        tracemalloc.start()
-        try:
-            marginal_samples(spec, [1.0], samples, RngStream(SEED, 26),
-                             fields=("M",))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * clock_bytes, (spec, peak / 2**20,
-                                            clock_bytes / 2**20)
+        peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
+                           RngStream(SEED, 26), fields=("M",))
+        assert peak <= budget * clock_bytes, (spec, peak / 2**20,
+                                              clock_bytes / 2**20)
+
+
+def test_check_mcleish_polya_memory_is_below_one_batch_of_signs():
+    # mix's mcleish check; the signs used to be held for the whole batch
+    # (65.8 MiB), and no later draw follows them
+    spec, samples = PolyaArray(n=256, horizon=1.0), 30_000
+    peak = _peak_bytes(check_mcleish, spec, 1.0, samples, RngStream(SEED, 28))
+    assert peak <= 0.25 * samples * spec.cells * 8, peak / 2**20

@@ -1,12 +1,14 @@
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -168,6 +170,22 @@ def test_master_seed_env_override_warns_and_changes_report(tmp_path):
     assert meta["seed_overridden"] is True
 
 
+def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
+    p = write_config(tmp_path, small_stochastic_config())
+    result, _ = invoke(["run", str(p), "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0
+    meta = json.loads((tmp_path / "smoke" / "metadata.json").read_text())
+    assert meta["peak_rss_mb"] > 1.0
+    assert meta["python_version"] == platform.python_version()
+    assert meta["numpy_version"] == np.__version__
+    # report.json is what the run's report serializes to, nothing more
+    report = cli_mod.run_experiment(cli_mod.load_config(p))
+    assert (tmp_path / "smoke" / "report.json").read_text() == (
+        report.to_json() + "\n")
+    for key in ("peak_rss_mb", "python_version", "numpy_version"):
+        assert key not in report.to_json()
+
+
 def test_master_seed_env_not_integer_exits_one(tmp_path):
     p = write_config(tmp_path, small_stochastic_config())
     result, out = invoke(["run", str(p)], env={"CADLAB_MASTER_SEED": "abc"})
@@ -241,6 +259,29 @@ LINNIK16 = {"kind": "linnik", "n": 16}
         "transform_profile"])
 def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
                                                     word):
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [{"name": "lindeberg"}, check]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error" in out
+    assert word in out
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("check, key, word", [
+    ({"name": "rescaling", "spec": {"kind": "gamma", "shape_rate": True}},
+     "spec", "shape_rate must be a number, got true"),
+    ({"name": "hyp_c", "array": {**LINNIK16, "horizon": True}}, "array",
+     "horizon must be a number, got true"),
+    ({"name": "hyp_c", "array": {**LINNIK16, "horizon": "2"}}, "array",
+     'horizon must be a number, got "2"'),
+    ({"name": "mcleish", "array": {
+        "kind": "transform", "base": LINNIK16,
+        "weight": {"kind": "random_walk", "name": "one", "sigma": True}}},
+     "array", "sigma must be a number, got true"),
+], ids=["spec_bool", "array_bool", "array_string", "weight_bool"])
+def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [{"name": "lindeberg"}, check]}
     p = write_config(tmp_path, doc)

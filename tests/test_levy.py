@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from cadlab import levy
 from cadlab.arrays import deterministic_profile
 from cadlab.levy import (
     CompositeSpec,
@@ -13,6 +16,7 @@ from cadlab.levy import (
     InverseGaussianSpec,
     RngStream,
     StableSpec,
+    _clock_increments,
     gamma_subordinated_cf,
     linnik_cf,
     rescaling_check,
@@ -24,7 +28,7 @@ from cadlab.levy import (
     subordinate_terminal,
     weighted_gamma_subordinated_cf,
 )
-from cadlab.paths import PathDomainError, TimeGrid
+from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
 
 SEED = 20260824
 
@@ -238,3 +242,154 @@ def test_rescaling_check_small():
                            RngStream(SEED, 12), grid_n=100)
     # 1% two-sample critical value at 2 x 20000
     assert stat < 1.63 * math.sqrt(2.0 / 20000)
+
+
+# -- streamed samplers against the whole-batch reference -------------------
+#
+# _reference_increments is the whole-batch sampler each spec had before it
+# streamed: every variate drawn for all of ``dl`` at once.  The streamed
+# samplers must reproduce its values and leave the generator in its state.
+
+
+def _reference_increments(spec, gen, dl):
+    """Whole-batch increments for cells of clock length ``dl`` (any shape)."""
+    dl = np.asarray(dl, dtype=float)
+    if isinstance(spec, GammaSpec):
+        return gen.gamma(spec.shape_rate * dl, spec.scale)
+    if isinstance(spec, InverseGaussianSpec):
+        out = np.zeros_like(dl)
+        pos = dl > 0
+        out[pos] = gen.wald(spec.mu * dl[pos], spec.lam * dl[pos] ** 2)
+        return out
+    if isinstance(spec, StableSpec):
+        a, u = spec.alpha, gen.uniform(0.0, 1.0, size=dl.shape)
+        e = gen.exponential(1.0, size=dl.shape)
+        pu = np.pi * u
+        k = (np.sin(a * pu) ** (a / (1.0 - a)) * np.sin((1.0 - a) * pu)
+             / np.sin(pu) ** (1.0 / (1.0 - a)))
+        s = (k / e) ** ((1.0 - a) / a)
+        return np.where(dl > 0, (spec.scale * dl) ** (1.0 / a) * s, 0.0)
+    if isinstance(spec, CompoundPoissonSpec):
+        counts = gen.poisson(spec.rate * dl)
+        return gen.gamma(counts.astype(float), spec.jump_mean)
+    if isinstance(spec, DriftSpec):
+        return spec.slope * dl
+    if isinstance(spec, CompositeSpec):
+        total = np.zeros_like(dl)
+        for p in spec.parts:
+            total = total + _reference_increments(p, gen, dl)
+        return total
+    raise TypeError(spec)
+
+
+def _reference_rescaling(spec, s, t, samples, rng, grid_n):
+    """rescaling_check with the whole-batch sampler: each side draws its
+    batches of _BATCH_CELLS // cells rows one after the other from its one
+    generator, each batch whole."""
+    from cadlab.convtest import ks_two_sample
+
+    grid = TimeGrid(grid_n, t)
+    k_s, k_t = grid.index_at(s), grid.index_at(t)
+    dl = _clock_increments(spec, grid.points())
+    rows = max(1, levy._BATCH_CELLS // dl.size)
+
+    def gaps(gen):
+        return np.concatenate([
+            _reference_increments(spec, gen, np.broadcast_to(
+                dl, (min(rows, samples - r0), dl.size)))[:, k_s:k_t].sum(axis=1)
+            for r0 in range(0, samples, rows)])
+
+    gen1 = rng.child(1).generator()
+    side1 = gen1.normal(0.0, 1.0, size=samples) * np.sqrt(gaps(gen1))
+    gen2 = rng.child(2).generator()
+    a_gap = gaps(gen2)
+    w_inc = gen2.normal(0.0, math.sqrt(t - s), size=samples)
+    return ks_two_sample(side1, w_inc * np.sqrt(a_gap / (t - s)))
+
+
+#: a clock that stops on [0.3, 0.6], so some cells have length 0
+FLAT = piecewise_linear([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.4, 1.0])
+ORACLE_SPECS = [
+    GammaSpec(shape_rate=1.3, scale=0.7),
+    InverseGaussianSpec(mu=1.0, lam=2.0),
+    StableSpec(alpha=0.6),
+    CompoundPoissonSpec(rate=3.0, jump_mean=0.5),
+    DriftSpec(slope=1.5),
+    CompositeSpec((InverseGaussianSpec(mu=1.0, lam=2.0),
+                   CompoundPoissonSpec(rate=3.0, jump_mean=0.5))),
+]
+ORACLE_IDS = ["gamma", "ig", "stable", "cp", "drift", "composite"]
+
+
+def _with_clock(spec, clock):
+    return spec if clock is None else dataclasses.replace(spec,
+                                                          time_change=clock)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 3000])
+@pytest.mark.parametrize("clock", [None, FLAT], ids=["plain", "flat_spot"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_increments_match_whole_batch_reference(spec, clock, rows):
+    spec = _with_clock(spec, clock)
+    grid = TimeGrid(64, 1.0)
+    dl = _clock_increments(spec, grid.points())
+    assert clock is None or np.any(dl == 0.0)
+    inc = sample_subordinator_increments(spec, grid, RngStream(SEED, 30), rows)
+    gen = RngStream(SEED, 30).generator()
+    ref = _reference_increments(spec, gen, np.broadcast_to(dl, (rows, dl.size)))
+    assert np.array_equal(inc, ref)
+    # the generator ends where the whole-batch draw left it
+    got = RngStream(SEED, 30).generator()
+    spec.increments(got, dl, rows)
+    assert np.array_equal(got.random(4), gen.random(4))
+
+
+@pytest.mark.parametrize("clock", [None, FLAT], ids=["plain", "flat_spot"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_rescaling_check_matches_whole_batch_reference(spec, clock,
+                                                       monkeypatch):
+    spec = _with_clock(spec, clock)
+    args = (spec, 0.25, 1.0, 600, RngStream(SEED, 31))
+    assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
+    # several batches per side, each read in several blocks, with partial
+    # last ones; the batches of a side share its one generator
+    monkeypatch.setattr(levy, "_BATCH_CELLS", 5_011)
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 700)
+    assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+def test_increments_across_blocks_match_reference(spec, monkeypatch):
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 100)
+    dl = _clock_increments(spec, TimeGrid(64, 1.0).points())
+    got = RngStream(SEED, 32).generator()
+    gen = RngStream(SEED, 32).generator()
+    assert np.array_equal(spec.increments(got, dl, 301),
+                          _reference_increments(spec, gen, np.broadcast_to(
+                              dl, (301, dl.size))))
+    assert np.array_equal(got.random(4), gen.random(4))
+
+
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    """tracemalloc's peak over one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, budget", [
+    (StableSpec(alpha=0.6), 1.5),
+    (ORACLE_SPECS[-1], 2.25),
+], ids=["stable", "composite"])
+def test_rescaling_check_memory_at_mix_scale(spec, budget):
+    # mix's rescaling checks: 3000 samples on a grid of 1000.  The whole-
+    # batch samplers held five or six (samples, 1000) arrays (138 and
+    # 117 MiB).  Streamed, the stable sampler holds its uniforms and the
+    # composite its inverse Gaussian part and its Poisson counts.
+    batch_bytes = 3000 * 1000 * 8
+    peak = _peak_bytes(rescaling_check, spec, 0.25, 1.0, 3000,
+                       RngStream(SEED, 33))
+    assert peak <= budget * batch_bytes, (peak / 2**20, batch_bytes / 2**20)
