@@ -13,7 +13,6 @@ from .paths import (
     constant_path,
     identity_path,
     piecewise_linear,
-    scale,
     step_path,
 )
 from .skorohod import (
@@ -27,13 +26,9 @@ from .skorohod import (
     triple,
 )
 from .timechange import (
-    IdentityReport,
     InsufficientHorizonError,
     InversePair,
-    check_inverse_identities,
-    flat_spot,
     inverse,
-    starts_at_zero,
 )
 from .levy import (
     CompositeSpec,
@@ -47,11 +42,8 @@ from .levy import (
     gamma_subordinated_cf,
     linnik_cf,
     rescaling_check,
-    sample_brownian,
     sample_subordinator,
     spec_from_dict,
-    subordinate,
-    subordinate_terminal,
     weighted_gamma_subordinated_cf,
 )
 from .arrays import (

@@ -61,6 +61,7 @@ __all__ = [
     "check_hyp_c",
     "check_hyp_d",
     "LindebergReport",
+    "lindeberg_statistic",
     "check_lindeberg",
     "check_mcleish",
     "check_jump_decomposition",
@@ -85,17 +86,15 @@ class WeightSpec:
 
     ``kind`` is "profile" (deterministic, Q_{n,k} = Q((k-1)/n)) or
     "random_walk" (Q_{n,k} = Q(sigma * S_{k-1} / sqrt(n)) for a standard
-    random walk S independent of the base array).  The profile function
-    must stay inside bounds 0 < lo <= hi < inf.
+    random walk S independent of the base array).  Q is the named profile
+    or, when ``const`` is given, that constant; it must stay inside bounds
+    0 < lo <= hi < inf.
     """
 
     kind: str
     name: str = "one"
     const: Optional[float] = None
     sigma: float = 1.0
-    fn: Optional[Callable[[float], float]] = None
-    lo: Optional[float] = None
-    hi: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("profile", "random_walk"):
@@ -107,20 +106,12 @@ class WeightSpec:
             )
 
     def resolve(self) -> Callable[[float], float]:
-        if self.fn is not None:
-            return self.fn
         if self.const is not None:
             c = float(self.const)
             return lambda u: c
-        if self.name not in _PROFILES:
-            raise PathDomainError(f"unknown weight profile {self.name!r}")
         return _PROFILES[self.name][0]
 
     def bounds(self) -> tuple[float, float]:
-        if self.fn is not None:
-            if self.lo is None or self.hi is None:
-                raise PathDomainError("custom weight functions need explicit bounds")
-            return abs(self.lo), abs(self.hi)
         if self.const is not None:
             return abs(self.const), abs(self.const)
         if self.name not in _PROFILES:
@@ -129,8 +120,6 @@ class WeightSpec:
         return lo, hi
 
     def to_dict(self) -> dict:
-        if self.fn is not None:
-            raise PathDomainError("callable weight specs are not serializable")
         doc = {"kind": self.kind, "name": self.name}
         if self.const is not None:
             doc["const"] = self.const
@@ -150,26 +139,21 @@ class WeightSpec:
         )
 
 
-def deterministic_profile(name: str = "one", const: float | None = None,
-                          fn: Callable[[float], float] | None = None,
-                          lo: float | None = None,
-                          hi: float | None = None) -> WeightSpec:
-    return WeightSpec(kind="profile", name=name, const=const, fn=fn, lo=lo, hi=hi)
+def deterministic_profile(name: str = "one",
+                          const: float | None = None) -> WeightSpec:
+    return WeightSpec(kind="profile", name=name, const=const)
 
 
-def random_walk_profile(name: str, sigma: float = 1.0,
-                        fn: Callable[[float], float] | None = None,
-                        lo: float | None = None,
-                        hi: float | None = None) -> WeightSpec:
-    return WeightSpec(kind="random_walk", name=name, sigma=sigma, fn=fn, lo=lo, hi=hi)
+def random_walk_profile(name: str, sigma: float = 1.0) -> WeightSpec:
+    return WeightSpec(kind="random_walk", name=name, sigma=sigma)
 
 
 # -- array specs -----------------------------------------------------------
 
 
-@dataclass(frozen=True, kw_only=True)
 class ArraySpec:
-    """Base class for martingale array descriptions."""
+    """Base class for martingale array descriptions; each kind is a frozen
+    dataclass with a grid resolution ``n`` and a ``horizon``."""
 
     n: int
     horizon: float
@@ -297,6 +281,11 @@ class PolyaArray(ArraySpec):
         return {"kind": "polya", "n": self.n, "horizon": self.horizon}
 
 
+def _a_n_sq(n: int, delta: float) -> float:
+    """a_n^2 of the sparse two-point array: n^delta, or log n at delta = 0."""
+    return float(n) ** delta if delta > 0 else math.log(n)
+
+
 @dataclass(frozen=True, kw_only=True)
 class LindebergArray(ArraySpec):
     """Sparse two-point array with deterministic compensator.
@@ -332,9 +321,7 @@ class LindebergArray(ArraySpec):
 
     @property
     def a_n_sq(self) -> float:
-        if self.delta > 0:
-            return float(self.n) ** self.delta
-        return math.log(self.n)
+        return _a_n_sq(self.n, self.delta)
 
     def compensator_increments(self, first: int = 0,
                                cells: int | None = None) -> np.ndarray:
@@ -390,21 +377,22 @@ class SubordinatorArray(ArraySpec):
                 "spec": self.spec.to_dict()}
 
 
-@dataclass(frozen=True, kw_only=True)
-class TransformArray(ArraySpec):
+class _OnBase(ArraySpec):
+    """An array built on the array ``base``, on its grid."""
+
+    n = property(lambda self: self.base.n)
+    horizon = property(lambda self: self.base.horizon)
+
+
+@dataclass(frozen=True)
+class TransformArray(_OnBase):
     """Martingale transform of a base array by predictable weights."""
 
-    n: int = 0
-    base: ArraySpec = None
-    weight: WeightSpec = None
-    horizon: float = 0.0
+    base: ArraySpec
+    weight: WeightSpec
 
-    def __init__(self, base: ArraySpec, weight: WeightSpec):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "n", base.n)
-        object.__setattr__(self, "horizon", base.horizon)
-        if weight is None:
+    def __post_init__(self):
+        if self.weight is None:
             raise PathDomainError("weight spec required")
 
     def _weights(self, gen, samples, first, cells) -> Callable[[slice], np.ndarray]:
@@ -451,20 +439,12 @@ class TransformArray(ArraySpec):
                 "weight": self.weight.to_dict()}
 
 
-@dataclass(frozen=True, kw_only=True)
-class DriftedArray(ArraySpec):
+@dataclass(frozen=True)
+class DriftedArray(_OnBase):
     """Base array plus predictable drift mu * A; N = M + O."""
 
-    n: int = 0
-    base: ArraySpec = None
-    mu: float = 0.0
-    horizon: float = 0.0
-
-    def __init__(self, base: ArraySpec, mu: float):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "mu", float(mu))
-        object.__setattr__(self, "n", base.n)
-        object.__setattr__(self, "horizon", base.horizon)
+    base: ArraySpec
+    mu: float
 
     def _draw(self, gen, samples, first, cells, fields):
         drift = "O" in fields
@@ -745,7 +725,7 @@ def lindeberg_statistic(alpha: float, beta: float, n: int, epsilon: float) -> fl
     delta = alpha - beta + 1.0
     if delta < 0:
         raise PathDomainError("delta must be >= 0")
-    a_n_sq = float(n) ** delta if delta > 0 else math.log(n)
+    a_n_sq = _a_n_sq(n, delta)
     cut = a_n_sq * epsilon * epsilon  # k^alpha > a_n^2 eps^2
     k = np.arange(1, n + 1, dtype=float)
     mask = k**alpha > cut

@@ -387,7 +387,7 @@ def load_config(path: Path) -> dict:
                      ("samples", int), ("checks", list)):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
-        if not isinstance(doc[key], typ):
+        if type(doc[key]) is not typ:  # a bool is no int
             raise ConfigError(f"key {key!r} must be {typ.__name__}",
                               line=_line_of(raw, f'"{key}"'))
     if doc["samples"] < 1:
@@ -478,6 +478,11 @@ def run(config_path: Path, jobs: int, samples_scale: float,
     Exit status: 0 all checks pass, 2 at least one check fails, 1 config or
     runtime error.
     """
+    if jobs < 1 or not 0 < samples_scale < math.inf:
+        click.echo(f"config error: need --jobs >= 1 and a finite "
+                   f"--samples-scale > 0, got {jobs} and {samples_scale}",
+                   err=True)
+        sys.exit(1)
     try:
         config = load_config(config_path)
     except ConfigError as exc:

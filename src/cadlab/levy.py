@@ -1,5 +1,6 @@
-"""Samplers for subordinators and subordinated Brownian motion, plus the
-closed-form characteristic functions used as verification oracles.
+"""Samplers for subordinators, the random rescaling check of subordinated
+Brownian motion, and the closed-form characteristic functions used as
+verification oracles.
 
 Subordinators are sampled by exact increment laws on a uniform grid: each
 grid cell receives an independent draw from the increment distribution of
@@ -45,9 +46,6 @@ __all__ = [
     "spec_from_dict",
     "sample_subordinator",
     "sample_subordinator_increments",
-    "sample_brownian",
-    "subordinate",
-    "subordinate_terminal",
     "linnik_cf",
     "gamma_subordinated_cf",
     "weighted_gamma_subordinated_cf",
@@ -137,13 +135,6 @@ class SubordinatorSpec:
             out[r] = blk
         return out
 
-    def mean_rate(self) -> float:
-        """Expected increment per unit clock time (may be inf)."""
-        raise NotImplementedError
-
-    def is_deterministic(self) -> bool:
-        return False
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -171,9 +162,6 @@ class GammaSpec(SubordinatorSpec):
             yield gen.gamma(np.broadcast_to(shape, (r.stop - r.start, dl.size)),
                             self.scale)
 
-    def mean_rate(self):
-        return self.shape_rate * self.scale
-
     def to_dict(self):
         return {"kind": "gamma", "shape_rate": self.shape_rate, "scale": self.scale}
 
@@ -200,9 +188,6 @@ class InverseGaussianSpec(SubordinatorSpec):
                                    shape)
             yield out
 
-    def mean_rate(self):
-        return self.mu
-
     def to_dict(self):
         return {"kind": "inverse_gaussian", "mu": self.mu, "lam": self.lam}
 
@@ -228,9 +213,6 @@ class StableSpec(SubordinatorSpec):
         factor = (self.scale * dl) ** (1.0 / self.alpha)
         for s in _positive_stable(gen, self.alpha, rows, dl.size):
             yield np.where(dl > 0, factor * s, 0.0)
-
-    def mean_rate(self):
-        return math.inf
 
     def to_dict(self):
         return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
@@ -276,9 +258,6 @@ class CompoundPoissonSpec(SubordinatorSpec):
             # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean)
             yield gen.gamma(counts[r].astype(float), self.jump_mean)
 
-    def mean_rate(self):
-        return self.rate * self.jump_mean
-
     def to_dict(self):
         return {"kind": "compound_poisson", "rate": self.rate,
                 "jump_mean": self.jump_mean}
@@ -299,12 +278,6 @@ class DriftSpec(SubordinatorSpec):
         inc = self.slope * dl
         for r in _row_blocks(rows, dl.size):
             yield np.broadcast_to(inc, (r.stop - r.start, dl.size))
-
-    def mean_rate(self):
-        return self.slope
-
-    def is_deterministic(self):
-        return True
 
     def to_dict(self):
         return {"kind": "drift", "slope": self.slope}
@@ -329,12 +302,6 @@ class CompositeSpec(SubordinatorSpec):
         for r, blk in zip(_row_blocks(rows, dl.size),
                           last.blocks(gen, dl, rows)):
             yield sum((h[r] for h in held), 0.0) + blk
-
-    def mean_rate(self):
-        return sum(p.mean_rate() for p in self.parts)
-
-    def is_deterministic(self):
-        return all(p.is_deterministic() for p in self.parts)
 
     def to_dict(self):
         return {"kind": "composite", "parts": [p.to_dict() for p in self.parts]}
@@ -438,57 +405,6 @@ def sample_subordinator(
         )
     inc = sample_subordinator_increments(spec, grid, rng, samples=1)[0]
     return _staircase_from_increments(grid, inc)
-
-
-def sample_brownian(grid: TimeGrid, rng: RngStream) -> CadlagPath:
-    """Piecewise-linear Brownian path with exact N(0, 1/n) grid increments."""
-    gen = rng.generator()
-    pts = grid.points()
-    inc = gen.normal(0.0, np.sqrt(np.diff(pts)))
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    segs = [Segment.linear(values[i], values[i + 1]) for i in range(len(inc))]
-    bps = list(pts[:-1])
-    terminal = float(values[-1])
-    if pts[-1] < grid.horizon:
-        bps.append(float(pts[-1]))
-        segs.append(Segment.const(terminal))
-    return CadlagPath(grid.horizon, bps, segs, terminal)
-
-
-def subordinate(
-    spec: SubordinatorSpec, grid: TimeGrid, rng: RngStream
-) -> tuple[CadlagPath, CadlagPath]:
-    """Sample the clock A and the time-changed Brownian staircase M.
-
-    Given the clock increments dA per cell, M gains conditionally
-    independent N(0, dA) increments, which is the law of a Brownian motion
-    read off at the clock on the grid (random rescaling).
-    """
-    gen = rng.generator()
-    dl = _clock_increments(spec, grid.points())
-    da = spec.increments(gen, dl, 1)[0]
-    dm = gen.normal(0.0, 1.0, size=da.shape) * np.sqrt(da)
-    A = _staircase_from_increments(grid, da)
-    M = _staircase_from_increments(grid, dm)
-    return A, M
-
-
-def subordinate_terminal(
-    spec: SubordinatorSpec,
-    grid: TimeGrid,
-    rng: RngStream,
-    samples: int,
-    t: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draws of (A(t), M(t)) for the subordinated pair."""
-    t = grid.horizon if t is None else t
-    k = grid.index_at(t)
-    gen = rng.generator()
-    dl = _clock_increments(spec, grid.points())[:k]
-    da = spec.increments(gen, dl, samples)
-    a_t = da.sum(axis=1)
-    m_t = gen.normal(0.0, 1.0, size=samples) * np.sqrt(a_t)
-    return a_t, m_t
 
 
 # -- characteristic function oracles --------------------------------------

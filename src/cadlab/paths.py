@@ -10,7 +10,6 @@ numerical approximations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +27,6 @@ __all__ = [
     "constant_path",
     "identity_path",
     "combine",
-    "scale",
     "compose",
 ]
 
@@ -220,8 +218,6 @@ class CadlagPath:
             raise PathDomainError("no left limit at or before the origin")
         if t > self.horizon:
             raise PathDomainError(f"t={t} beyond horizon {self.horizon}")
-        if self.horizon == 0:  # unreachable given t > 0 check, kept for clarity
-            raise PathDomainError("zero-horizon path has no left limits")
         i = self._segment_index(t) if t < self.horizon else len(self.segments) - 1
         a, b = self._interval(i)
         if t == a:
@@ -242,17 +238,6 @@ class CadlagPath:
                 out.append(t)
         return out
 
-    def largest_jump(self, T: float | None = None) -> float:
-        """sup of |jump| over (0, T]; jumps occur only at breakpoints."""
-        T = self.horizon if T is None else float(T)
-        if T <= 0 or T > self.horizon:
-            raise PathDomainError(f"T={T} outside (0, {self.horizon}]")
-        best = 0.0
-        for t in list(self.breakpoints[1:]) + [self.horizon]:
-            if t <= T:
-                best = max(best, abs(self.jump(t)))
-        return best
-
     # -- shape predicates -------------------------------------------------
 
     def is_nondecreasing(self) -> bool:
@@ -264,42 +249,6 @@ class CadlagPath:
             if self.jump(t) < 0:
                 return False
         return True
-
-    def is_continuous(self) -> bool:
-        return not self.jump_times()
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        segs = []
-        for s in self.segments:
-            if s.kind == CONST:
-                segs.append({"kind": CONST, "v": s.v})
-            else:
-                segs.append({"kind": LINEAR, "v": s.v, "w": s.w})
-        return {
-            "horizon": self.horizon,
-            "breakpoints": list(self.breakpoints),
-            "segments": segs,
-            "terminal_value": self.terminal_value,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict) -> "CadlagPath":
-        segs = []
-        for s in doc["segments"]:
-            if s["kind"] == CONST:
-                segs.append(Segment.const(s["v"]))
-            else:
-                segs.append(Segment.linear(s["v"], s["w"]))
-        return CadlagPath(doc["horizon"], doc["breakpoints"], segs, doc["terminal_value"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CadlagPath":
-        return CadlagPath.from_dict(json.loads(text))
 
 
 def _merge_redundant(bps: list[float], segs: list[Segment], horizon: float):
@@ -368,7 +317,7 @@ def combine(a: CadlagPath, b: CadlagPath, op: str) -> CadlagPath:
 
     The product of two genuinely linear pieces is quadratic and not
     representable here; in that case a :class:`PathDomainError` is raised.
-    Use :func:`scale` for multiplication by a scalar.
+    A scalar multiple is the product with a :func:`constant_path`.
     """
     if a.horizon != b.horizon:
         raise PathDomainError(
@@ -402,13 +351,6 @@ def _apply(op: str, u: float, v: float) -> float:
     if op == "sub":
         return u - v
     return u * v
-
-
-def scale(a: CadlagPath, c: float) -> CadlagPath:
-    """Path scaled pointwise by the scalar c."""
-    c = float(c)
-    segs = [Segment.linear(c * s.v, c * s.w) for s in a.segments]
-    return CadlagPath(a.horizon, a.breakpoints, segs, c * a.terminal_value)
 
 
 def compose(x: CadlagPath, y: CadlagPath) -> CadlagPath:

@@ -15,9 +15,6 @@ lower bound refinable through the ``refine`` parameter.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -235,30 +232,6 @@ class ModulusReport:
 
     kind: TripleKind
     entries: list[ModulusEntry] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "entries": [vars(e) for e in self.entries],
-            },
-            sort_keys=True,
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kind", "n", "delta", "T", "epsilon", "exceed_fraction", "samples"])
-        for e in self.entries:
-            w.writerow([self.kind.value, e.n, e.delta, e.T, e.epsilon,
-                        e.exceed_fraction, e.samples])
-        return buf.getvalue()
-
-    def fraction(self, n: int, delta: float) -> float:
-        for e in self.entries:
-            if e.n == n and e.delta == delta:
-                return e.exceed_fraction
-        raise KeyError((n, delta))
 
 
 def empirical_tightness(

@@ -1,4 +1,4 @@
-"""First-passage inverse of nondecreasing paths and its algebraic identities.
+"""First-passage inverse of nondecreasing paths.
 
 For a nondecreasing path A the inverse is tau(s) = inf{t >= 0 : A(t) > s}.
 The input families here (staircases and piecewise-linear nondecreasing
@@ -18,13 +18,7 @@ __all__ = [
     "InversePair",
     "InsufficientHorizonError",
     "inverse",
-    "flat_spot",
-    "starts_at_zero",
-    "IdentityReport",
-    "check_inverse_identities",
 ]
-
-_TOL = 1e-10
 
 
 class InsufficientHorizonError(PathDomainError):
@@ -122,63 +116,3 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
     else:
         tau = CadlagPath(s_max, bps, segs, terminal)
     return InversePair(A=A, tau=tau, s_max=s_max)
-
-
-def flat_spot(A: CadlagPath, t: float, s_max: float) -> float:
-    """Remaining flat time at level A(t): tau(A(t)) - t."""
-    level = A.eval(t)
-    if level > s_max:
-        raise PathDomainError(f"A(t)={level} exceeds s_max={s_max}")
-    pair = inverse(A, s_max)
-    return pair.tau.eval(level) - t
-
-
-def starts_at_zero(tau: CadlagPath) -> bool:
-    """Distinguishes inverses with tau(0) = 0 from those starting later."""
-    return tau.eval(0.0) == 0.0
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    ataua_holds: bool
-    ataua_witness: float | None
-    roundtrip_holds: bool
-
-
-def check_inverse_identities(A: CadlagPath, s_max: float) -> IdentityReport:
-    """Verify A(tau(A(t))) = A(t) and the inverse-of-inverse round trip.
-
-    The first identity is expected to hold whenever A is continuous or
-    strictly increasing; at a flat spot of a general staircase it can fail
-    and the witnessing time is reported.  The round trip tau -> A is only
-    asserted when tau(0) = 0.
-    """
-    pair = inverse(A, s_max)
-    tau = pair.tau
-
-    ataua = True
-    witness = None
-    check_times = sorted(set(A.breakpoints) | {A.horizon})
-    for t in check_times:
-        level = A.eval(t)
-        if level > s_max:
-            continue
-        back = A.eval(tau.eval(level))
-        if abs(back - level) > _TOL:
-            ataua = False
-            witness = t
-            break
-
-    roundtrip = True
-    if starts_at_zero(tau) and tau.terminal_value > 0:
-        lvl2 = tau.terminal_value * (1 - 1e-9)
-        back_pair = inverse(tau, lvl2)
-        B = back_pair.tau
-        for t in check_times:
-            if t > lvl2:
-                continue
-            if abs(B.eval(t) - A.eval(t)) > _TOL:
-                roundtrip = False
-                break
-    return IdentityReport(ataua_holds=ataua, ataua_witness=witness,
-                          roundtrip_holds=roundtrip)

@@ -114,16 +114,14 @@ def test_transform_array_scales_compensator_by_squared_weight():
 
 
 def test_random_walk_weights_bounded():
-    w = random_walk_profile("clipped", sigma=1.0,
-                            fn=lambda v: min(max(1.0 + v, 0.5), 2.0),
-                            lo=0.5, hi=2.0)
+    w = random_walk_profile("two_plus_cos", sigma=1.0)  # Q in [1, 3]
     # deterministic unit-rate clock: dA = Q_{n,k}^2 / n exposes the weights
     base = SubordinatorArray(n=64, spec=DriftSpec(slope=1.0), horizon=1.0)
     spec = TransformArray(base, w)
     batch = sample_increments(spec, RngStream(SEED, 6), 50)
     q_sq = batch.dA * 64
-    assert np.all(q_sq >= 0.25 - 1e-9)
-    assert np.all(q_sq <= 4.0 + 1e-9)
+    assert np.all(q_sq >= 1.0 - 1e-9)
+    assert np.all(q_sq <= 9.0 + 1e-9)
     assert q_sq.std() > 0.0  # the walk actually moves the weights
 
 
@@ -131,7 +129,9 @@ def test_weight_spec_validation():
     with pytest.raises(PathDomainError):
         WeightSpec(kind="profile", name="nope")
     with pytest.raises(PathDomainError):
-        random_walk_profile("bad", sigma=1.0, fn=lambda v: v, lo=0.0, hi=1.0)
+        random_walk_profile("nope", sigma=1.0)
+    with pytest.raises(PathDomainError):
+        deterministic_profile(const=0.0)
 
 
 def test_drifted_array_components():

@@ -239,6 +239,33 @@ def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key", ["seed", "samples"])
+def test_bool_seed_or_samples_exits_one_at_load_with_its_line(tmp_path, key):
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [{"name": "counterexample_m1"}], key: True}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error: key '{key}'" in out
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", [["--jobs", "0"], ["--jobs", "-1"],
+                                    ["--samples-scale", "0"],
+                                    ["--samples-scale", "-1"],
+                                    ["--samples-scale", "nan"],
+                                    ["--samples-scale", "inf"]],
+                         ids=["jobs_0", "jobs_neg", "scale_0", "scale_neg",
+                              "scale_nan", "scale_inf"])
+def test_bad_jobs_or_samples_scale_exits_one(tmp_path, option):
+    p = write_config(tmp_path, small_stochastic_config())
+    result, out = invoke(["run", str(p), *option,
+                          "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert "config error" in out and option[0] in out
+    assert not (tmp_path / "o").exists()
+
+
 LINNIK16 = {"kind": "linnik", "n": 16}
 
 

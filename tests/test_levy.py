@@ -20,12 +20,9 @@ from cadlab.levy import (
     gamma_subordinated_cf,
     linnik_cf,
     rescaling_check,
-    sample_brownian,
     sample_subordinator,
     sample_subordinator_increments,
     spec_from_dict,
-    subordinate,
-    subordinate_terminal,
     weighted_gamma_subordinated_cf,
 )
 from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
@@ -104,7 +101,6 @@ def test_drift_path_is_exact_line():
     path = sample_subordinator(spec, TimeGrid(10, 2.0), RngStream(SEED, 6))
     for t in np.linspace(0.0, 2.0, 21):
         assert path.eval(t) == pytest.approx(1.5 * t, abs=1e-12)
-    assert spec.is_deterministic()
 
 
 def test_composite_sums_components():
@@ -114,7 +110,6 @@ def test_composite_sums_components():
                                          samples=50000)
     assert np.all(inc >= 0.25)  # drift floor per cell
     assert inc.mean() == pytest.approx(0.5, rel=0.03)
-    assert spec.mean_rate() == 2.0
 
 
 def test_spec_serialization_round_trip():
@@ -146,33 +141,6 @@ def test_subordinator_path_is_nondecreasing_staircase():
                                RngStream(SEED, 8))
     assert path.is_nondecreasing()
     assert path.eval(0.0) == 0.0
-
-
-def test_brownian_path_moments():
-    grid = TimeGrid(100, 1.0)
-    terminals = [sample_brownian(grid, RngStream(SEED, 9).child(i)).terminal_value
-                 for i in range(4000)]
-    terminals = np.asarray(terminals)
-    assert terminals.mean() == pytest.approx(0.0, abs=0.05)
-    assert terminals.var() == pytest.approx(1.0, rel=0.1)
-
-
-def test_subordinate_pair_consistency():
-    A, M = subordinate(GammaSpec(shape_rate=1.0), TimeGrid(20, 1.0),
-                       RngStream(SEED, 10))
-    assert A.is_nondecreasing()
-    assert M.horizon == A.horizon
-    grid_points = set(np.round(np.arange(21) / 20.0, 12))
-    assert all(round(t, 12) in grid_points for t in M.jump_times())
-
-
-def test_subordinate_terminal_matches_linnik_cf():
-    grid = TimeGrid(64, 1.0)
-    _, m = subordinate_terminal(GammaSpec(shape_rate=1.0), grid,
-                                RngStream(SEED, 11), samples=200000)
-    for lam in (0.5, 1.0, 2.0):
-        emp = np.mean(np.exp(1j * lam * m))
-        assert abs(emp - linnik_cf(1.0, lam)) < 0.01
 
 
 def test_cf_oracles_consistency():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from cadlab.paths import (
     constant_path,
     identity_path,
     piecewise_linear,
-    scale,
     step_path,
 )
 
@@ -39,7 +36,6 @@ def test_piecewise_linear_evaluation():
     assert x.eval(2.0) == 0.0
     assert x.left_limit(1.0) == 2.0
     assert x.jump_times() == []
-    assert x.is_continuous()
 
 
 def test_eval_many_matches_eval():
@@ -78,17 +74,10 @@ def test_domain_errors_on_eval():
         x.left_limit(0.0)
 
 
-def test_largest_jump():
-    x = step_path([0.0, 0.5, 1.0], [0.0, 1.0, -2.0], horizon=2.0)
-    assert x.largest_jump() == 3.0
-    assert x.largest_jump(0.75) == 1.0
-
-
 def test_terminal_jump_counts():
     x = CadlagPath(1.0, [0.0], [Segment.const(0.0)], 4.0)
     assert x.jump_times() == [1.0]
     assert x.jump(1.0) == 4.0
-    assert x.largest_jump() == 4.0
 
 
 def test_is_nondecreasing():
@@ -129,7 +118,8 @@ def test_combine_horizon_mismatch():
 
 def test_scale():
     x = piecewise_linear([0.0, 1.0, 2.0], [0.0, 1.0, -1.0])
-    y = scale(x, -2.0)
+    # a scalar multiple is the product with a constant path
+    y = combine(x, constant_path(-2.0, 2.0), "pointwise-scale")
     for t in [0.0, 0.25, 1.0, 1.5, 2.0]:
         assert y.eval(t) == -2.0 * x.eval(t)
 
@@ -172,18 +162,6 @@ def test_compose_nonmonotone_clock_rejected():
     y = piecewise_linear([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
     with pytest.raises(PathDomainError):
         compose(x, y)
-
-
-def test_json_round_trip():
-    x = CadlagPath(
-        2.0,
-        [0.0, 0.5, 1.5],
-        [Segment.const(0.0), Segment.linear(1.0, 2.0), Segment.const(-1.0)],
-        3.0,
-    )
-    back = CadlagPath.from_json(x.to_json())
-    assert back == x
-    assert json.loads(x.to_json())["horizon"] == 2.0
 
 
 def test_time_grid():

@@ -4,17 +4,13 @@ import pytest
 from cadlab.paths import (
     CadlagPath,
     PathDomainError,
-    Segment,
     identity_path,
     piecewise_linear,
     step_path,
 )
 from cadlab.timechange import (
     InsufficientHorizonError,
-    check_inverse_identities,
-    flat_spot,
     inverse,
-    starts_at_zero,
 )
 
 
@@ -92,31 +88,43 @@ def test_insufficient_horizon():
 
 
 def test_flat_spot_length():
+    # the flat time left at level A(t) is tau(A(t)) - t
     A = piecewise_linear([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0])
-    assert flat_spot(A, 1.0, 1.5) == pytest.approx(1.0, abs=1e-12)
-    assert flat_spot(A, 0.5, 1.5) == pytest.approx(0.0, abs=1e-12)
+    tau = inverse(A, 1.5).tau
+    assert tau.eval(A.eval(1.0)) - 1.0 == pytest.approx(1.0, abs=1e-12)
+    assert tau.eval(A.eval(0.5)) - 0.5 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_starts_at_zero():
     A = identity_path(2.0)
-    assert starts_at_zero(inverse(A, 1.0).tau)
+    assert inverse(A, 1.0).tau.eval(0.0) == 0.0
+    # B waits at level 0 until t = 1, so tau(0) = 1
     B = step_path([0.0, 1.0], [0.0, 1.0], horizon=2.0)
     B = CadlagPath(2.0, B.breakpoints, B.segments, 2.0)
-    assert not starts_at_zero(inverse(B, 0.5).tau)
+    assert inverse(B, 0.5).tau.eval(0.0) == 1.0
 
 
-def test_identity_report_continuous_clock():
+def test_inverse_identities_continuous_clock():
     A = piecewise_linear([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
-    report = check_inverse_identities(A, 2.5)
-    assert report.ataua_holds
-    assert report.roundtrip_holds
+    tau = inverse(A, 2.5).tau
+    # A(tau(A(t))) = A(t) at every t with A(t) <= s_max
+    for t in (0.0, 0.5, 1.0, 1.5):
+        assert A.eval(tau.eval(A.eval(t))) == pytest.approx(A.eval(t),
+                                                            abs=1e-10)
+    # tau starts at 0, so inverting it again gives A back
+    assert tau.eval(0.0) == 0.0
+    back = inverse(tau, tau.terminal_value * (1 - 1e-9)).tau
+    for t in (0.0, 0.5, 1.0, 1.5):
+        assert back.eval(t) == pytest.approx(A.eval(t), abs=1e-10)
 
 
-def test_identity_report_flat_clock_witness():
+def test_inverse_identities_flat_clock():
     A = piecewise_linear([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 2.0])
-    report = check_inverse_identities(A, 1.5)
+    tau = inverse(A, 1.5).tau
     # A(tau(A(t))) = A(t) still holds at a flat (the level is unchanged)
-    assert report.ataua_holds
+    for t in (0.0, 0.5, 1.0, 1.5, 2.0):
+        assert A.eval(tau.eval(A.eval(t))) == pytest.approx(A.eval(t),
+                                                            abs=1e-10)
 
 
 def test_inverse_matches_grid_scan_oracle_on_random_staircases():
