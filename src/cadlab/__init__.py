@@ -6,7 +6,6 @@ reproducible Monte Carlo verification harness.
 from .paths import (
     CadlagPath,
     PathDomainError,
-    Segment,
     TimeGrid,
     combine,
     compose,

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import (RngStream, SubordinatorSpec, _batches, _check_keys,
+from .levy import (RngStream, SubordinatorSpec, _batched_blocks, _check_keys,
                    _clock_increments, _row_blocks, _staircase_from_increments,
                    spec_from_dict)
 from .paths import CadlagPath, PathDomainError, TimeGrid
@@ -541,18 +541,10 @@ def realize(spec: ArraySpec, rng: RngStream) -> ArrayRealization:
 
 def _stream(spec: ArraySpec, rng: RngStream, samples: int,
             fields) -> Iterator[tuple[slice, IncrementBatch]]:
-    """(rows, block) pairs covering ``samples`` replicates in order.
-
-    Replicates are drawn in the batches of ``levy._batches``, batch b from
-    ``rng.child(b)``, and each batch is read in the row blocks of its
-    kind's _draw, so the draws of two batches are never alive at once.
-    """
-    cells = spec.cells
-    for b, batch in _batches(samples, cells):
-        take = batch.stop - batch.start
-        blocks = spec._draw(rng.child(b).generator(), take, 0, cells, fields)
-        for blk, rows in zip(blocks, _row_blocks(take, cells)):
-            yield slice(batch.start + rows.start, batch.start + rows.stop), blk
+    """(rows, block) pairs covering ``samples`` replicates in order, batch
+    b of ``levy._batched_blocks`` drawn from ``rng.child(b)``."""
+    return _batched_blocks(samples, spec.cells, lambda b, take: spec._draw(
+        rng.child(b).generator(), take, 0, spec.cells, fields))
 
 
 #: increments each path of marginal_samples is summed from

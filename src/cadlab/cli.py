@@ -314,12 +314,21 @@ def _run_tightness(samples, seed, kind, n_list, delta_list, T, epsilon):
 # -- config handling -------------------------------------------------------
 
 
-def _line_of(raw: str, needle: str, start: int = 1) -> int:
-    """First line from ``start`` on that holds ``needle``, else ``start``."""
-    for i, line in enumerate(raw.splitlines()[start - 1:], start=start):
-        if needle in line:
-            return i
-    return start
+_GAP = re.compile(r"[\s,:]*")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _key_lines(raw: str, p: int) -> dict[str, tuple[int, int]]:
+    """{key: (its line, offset of its value)} for the keys of the JSON
+    object at ``raw[p]``, nested objects' keys left out."""
+    out = {}
+    p = _GAP.match(raw, p + 1).end()
+    while raw[p] != "}":
+        key, p_value = _DECODE(raw, p)
+        p_value = _GAP.match(raw, p_value).end()
+        out[key] = (raw.count("\n", 0, p) + 1, p_value)
+        p = _GAP.match(raw, _DECODE(raw, p_value)[1]).end()
+    return out
 
 
 def _conform(key: str, value, default, line: int):
@@ -383,28 +392,30 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"malformed JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    top = _key_lines(raw, _GAP.match(raw).end())
     for key, typ in (("experiment_id", str), ("seed", int),
                      ("samples", int), ("checks", list)):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
         if type(doc[key]) is not typ:  # a bool is no int
             raise ConfigError(f"key {key!r} must be {typ.__name__}",
-                              line=_line_of(raw, f'"{key}"'))
+                              line=top[key][0])
     if doc["samples"] < 1:
-        raise ConfigError("samples must be >= 1", line=_line_of(raw, '"samples"'))
+        raise ConfigError("samples must be >= 1", line=top["samples"][0])
     if not doc["checks"]:
-        raise ConfigError("checks must be non-empty", line=_line_of(raw, '"checks"'))
-    # a check starts at its "name" key; its other keys are searched from there
-    starts = [raw.count("\n", 0, m.start()) + 1 for m in
-              re.compile(r'"name"\s*:').finditer(raw, raw.find('"checks"'))]
+        raise ConfigError("checks must be non-empty", line=top["checks"][0])
+    p = top["checks"][1] + 1  # walk the checks array item by item
     for i, chk in enumerate(doc["checks"]):
+        p = _GAP.match(raw, p).end()
         if not isinstance(chk, dict) or "name" not in chk:
             raise ConfigError(f"check #{i} must be an object with a 'name'",
-                              line=_line_of(raw, '"checks"'))
-        start = starts[i] if i < len(starts) else 1
+                              line=top["checks"][0])
+        keys = _key_lines(raw, p)
+        p = _DECODE(raw, p)[1]
+        start = keys["name"][0]
         if chk["name"] not in _REGISTRY:
             raise ConfigError(f"unknown check {chk['name']!r}", line=start)
-        _params(chk, lambda key: _line_of(raw, f'"{key}"', start))
+        _params(chk, lambda key: keys[key][0] if key in keys else start)
     return doc
 
 

@@ -9,7 +9,7 @@ ways inside a shrinking interval.
 
 from __future__ import annotations
 
-from .paths import CadlagPath, PathDomainError, Segment, piecewise_linear
+from .paths import CadlagPath, PathDomainError, piecewise_linear
 
 __all__ = ["tent_path", "steep_ramp", "ramp_limit", "composed_ramp"]
 
@@ -33,9 +33,7 @@ def steep_ramp(n: int) -> CadlagPath:
 def ramp_limit() -> CadlagPath:
     """Pointwise limit of the ramps: slope 1/2 on [0, 2) with a jump to 2
     at the horizon."""
-    return CadlagPath(
-        HORIZON, [0.0], [Segment.linear(0.0, 1.0)], 2.0
-    )
+    return CadlagPath(HORIZON, [0.0], [(0.0, 1.0)], 2.0)
 
 
 def composed_ramp(n: int) -> CadlagPath:

@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .paths import CadlagPath, PathDomainError, Segment, TimeGrid
+from .paths import (CadlagPath, PathDomainError, TimeGrid, piecewise_linear,
+                    step_path)
 
 __all__ = [
     "RngStream",
@@ -75,14 +76,21 @@ _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**17  # cells per row block that a batch is read in
 
 
-def _batches(samples: int, cells: int) -> Iterator[tuple[int, slice]]:
-    """(b, rows) for the batches of _BATCH_CELLS // cells rows that cover
-    ``samples`` rows.  The array samplers draw batch b from
-    ``rng.child(b)``; a side of rescaling_check draws its batches in turn
-    from its one generator."""
+def _batched_blocks(samples: int, cells: int,
+                    blocks_of: Callable[[int, int], Iterable]) -> Iterator:
+    """(rows, block) pairs covering ``samples`` rows in order.
+
+    The rows go in batches of _BATCH_CELLS // cells rows, and batch b, of
+    ``take`` rows, is read from ``blocks_of(b, take)`` in the row blocks of
+    ``_row_blocks(take, cells)``, so two batches are never alive at once.
+    The array samplers draw batch b from ``rng.child(b)``; a side of
+    rescaling_check draws its batches in turn from its one generator.
+    """
     size = max(1, _BATCH_CELLS // max(cells, 1))
     for b, r0 in enumerate(range(0, samples, size)):
-        yield b, slice(r0, min(r0 + size, samples))
+        take = min(size, samples - r0)
+        for r, blk in zip(_row_blocks(take, cells), blocks_of(b, take)):
+            yield slice(r0 + r.start, r0 + r.stop), blk
 
 
 def _row_blocks(samples: int, cells: int) -> Iterator[slice]:
@@ -380,15 +388,10 @@ def sample_subordinator_increments(
 
 
 def _staircase_from_increments(grid: TimeGrid, inc: np.ndarray) -> CadlagPath:
+    # a last grid point at (or a rounding past) the horizon leaves a
+    # zero-length last step, which the path drops
     values = np.concatenate([[0.0], np.cumsum(inc)])
-    pts = grid.points()
-    segs = [Segment.const(v) for v in values[:-1]]
-    bps = list(pts[:-1])
-    terminal = float(values[-1])
-    if pts[-1] < grid.horizon:
-        bps.append(float(pts[-1]))
-        segs.append(Segment.const(terminal))
-    return CadlagPath(grid.horizon, bps, segs, terminal)
+    return step_path(np.minimum(grid.points(), grid.horizon), values, grid.horizon)
 
 
 def sample_subordinator(
@@ -397,12 +400,8 @@ def sample_subordinator(
     """One nondecreasing path: staircase for random specs, exact linear
     segments for a pure drift."""
     if isinstance(spec, DriftSpec) and spec.time_change is None:
-        return CadlagPath(
-            grid.horizon,
-            [0.0],
-            [Segment.linear(0.0, spec.slope * grid.horizon)],
-            spec.slope * grid.horizon,
-        )
+        return piecewise_linear([0.0, grid.horizon],
+                                [0.0, spec.slope * grid.horizon])
     inc = sample_subordinator_increments(spec, grid, rng, samples=1)[0]
     return _staircase_from_increments(grid, inc)
 
@@ -514,12 +513,9 @@ def rescaling_check(
         # clock increase over [s, t], summed block by block; every batch
         # draws from the side's one generator
         gaps = np.empty(count)
-        for _, batch in _batches(count, dl.size):
-            take = batch.stop - batch.start
-            for r, da in zip(_row_blocks(take, dl.size),
-                             spec.blocks(gen, dl, take)):
-                gaps[batch.start + r.start:batch.start + r.stop] = (
-                    da[:, k_s:k_t].sum(axis=1))
+        for rows, da in _batched_blocks(
+                count, dl.size, lambda b, take: spec.blocks(gen, dl, take)):
+            gaps[rows] = da[:, k_s:k_t].sum(axis=1)
         return gaps
 
     gen1 = rng.child(1).generator()

@@ -8,9 +8,12 @@ The associated modulus takes the supremum of the functional over time
 triples t1 < t2 < t3 within a window of width delta.
 
 Suprema are computed by candidate-point enumeration: breakpoint values,
-left limits and evenly spaced interior points of every segment.  For pure
-step paths this is exact; for piecewise-linear paths it is a certified
-lower bound refinable through the ``refine`` parameter.
+left limits and evenly spaced interior points of every affine piece.  A
+constant piece needs no interior points, since each of them has the value
+that the piece's start and its left limit at the end already carry, at
+times that are no worse for the window.  So for pure step paths the
+suprema are exact; for piecewise-linear paths they are a certified lower
+bound refinable through the ``refine`` parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .paths import CadlagPath, PathDomainError
+from .paths import CadlagPath, PathDomainError, _piece_value
 
 __all__ = [
     "TripleKind",
@@ -63,27 +66,18 @@ def _candidates(x: CadlagPath, T: float, refine: int) -> list[tuple[float, int, 
     each left limit immediately before the value at the same instant.
     """
     pts: dict[tuple[float, int], float] = {}
-
-    def put(t: float, tag: int, v: float):
-        pts[(t, tag)] = v
-
-    for i in range(len(x.segments)):
-        a, b = x._interval(i)
-        if a > T:
+    for a, b, v, w in x.pieces():
+        if a >= T:  # a piece starting at T adds only x(T), put below
             break
         b_eff = min(b, T)
-        seg = x.segments[i]
-        put(a, 1, seg.v)
-        for j in range(1, refine):
+        pts[(a, 1)] = v
+        for j in range(1, refine if v != w else 0):  # affine pieces only
             t = a + (b_eff - a) * j / refine
             if a < t < b_eff:
-                put(t, 1, seg.value_at(a, b, t))
-        # left limit entering the segment end (or entering T)
-        put(b_eff, 0, seg.value_at(a, b, b_eff))
-    if T >= x.horizon:
-        put(x.horizon, 1, x.terminal_value)
-    elif (T, 1) not in pts:
-        put(T, 1, x.eval(T))
+                pts[(t, 1)] = _piece_value(a, b, v, w, t)
+        # left limit entering the piece end (or entering T)
+        pts[(b_eff, 0)] = _piece_value(a, b, v, w, b_eff)
+    pts[(T, 1)] = x.eval(T)
     return sorted((t, tag, v) for (t, tag), v in pts.items())
 
 
@@ -149,14 +143,12 @@ def oscillation(x: CadlagPath, delta: float, T: float, refine: int = 8) -> float
             if not _window_ok(t1, t3, tag3, delta):
                 break
             best = max(best, abs(v3 - v1))
-    # pairs inside one affine segment admit a closed-form supremum
-    for i in range(len(x.segments)):
-        a, b = x._interval(i)
+    # pairs inside one affine piece admit a closed-form supremum
+    for a, b, v, w in x.pieces():
         if a >= T:
             break
         span = min(b, T) - a
-        seg = x.segments[i]
-        rate = abs(seg.slope(a, b))
+        rate = abs((w - v) / (b - a))
         if rate > 0 and span > 0:
             best = max(best, rate * min(delta, span))
     return best
@@ -187,12 +179,10 @@ def _monotone_on(x: CadlagPath, lo: float, hi: float) -> bool:
         elif d < 0:
             neg = True
 
-    for i in range(len(x.segments)):
-        a, b = x._interval(i)
+    for a, b, v, w in x.pieces():
         s, e = max(a, lo), min(b, hi)
         if s < e:
-            seg = x.segments[i]
-            note(seg.value_at(a, b, e) - seg.value_at(a, b, s))
+            note(_piece_value(a, b, v, w, e) - _piece_value(a, b, v, w, s))
     for t in x.jump_times():
         if lo < t <= hi:
             note(x.jump(t))

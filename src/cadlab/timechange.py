@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .paths import CadlagPath, PathDomainError, Segment
+from .paths import CadlagPath, PathDomainError
 
 __all__ = [
     "InversePair",
@@ -43,16 +43,13 @@ def _level_pieces(A: CadlagPath):
     if A.eval(0.0) > 0:
         yield 0.0, A.eval(0.0), ("flat", 0.0)
     level = A.eval(0.0)
-    for i in range(len(A.segments)):
-        a = A.breakpoints[i]
-        b = A.breakpoints[i + 1] if i + 1 < len(A.breakpoints) else A.horizon
-        seg = A.segments[i]
-        if seg.v > level:  # jump of A entering this segment
-            yield level, seg.v, ("flat", a)
-            level = seg.v
-        if seg.w > seg.v:
-            yield seg.v, seg.w, ("affine", a, b)
-            level = seg.w
+    for a, b, v, w in A.pieces():
+        if v > level:  # jump of A entering this piece
+            yield level, v, ("flat", a)
+            level = v
+        if w > v:
+            yield v, w, ("affine", a, b)
+            level = w
     if A.terminal_value > level:  # terminal jump at the horizon
         yield level, A.terminal_value, ("flat", A.horizon)
 
@@ -77,7 +74,7 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
         )
 
     bps: list[float] = []
-    segs: list[Segment] = []
+    segs: list[tuple[float, float]] = []
     terminal: float | None = None
     for u, v, piece in _level_pieces(A):
         if u > s_max:
@@ -87,7 +84,7 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
             t = piece[1]
             if u < hi:
                 bps.append(u)
-                segs.append(Segment.const(t))
+                segs.append((t, t))
             if v > s_max:
                 terminal = t
         else:
@@ -96,7 +93,7 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
             t_hi = a + (hi - u) * (b - a) / width
             if u < hi:
                 bps.append(u)
-                segs.append(Segment.linear(a, t_hi))
+                segs.append((a, t_hi))
             if v > s_max:
                 terminal = t_hi
     if terminal is None:
@@ -108,11 +105,5 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
                 break
     if terminal is None:  # pragma: no cover - excluded by the horizon check
         raise InsufficientHorizonError("no passage above s_max inside the horizon")
-
-    if not bps:
-        tau = CadlagPath(s_max, [], [], terminal) if s_max == 0 else CadlagPath(
-            s_max, [0.0], [Segment.const(terminal)], terminal
-        )
-    else:
-        tau = CadlagPath(s_max, bps, segs, terminal)
-    return InversePair(A=A, tau=tau, s_max=s_max)
+    # the first level piece starts at 0, so bps is empty only if s_max == 0
+    return InversePair(A=A, tau=CadlagPath(s_max, bps, segs, terminal), s_max=s_max)

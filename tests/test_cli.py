@@ -319,6 +319,41 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     assert not (tmp_path / "o").exists()
 
 
+MCLEISH_NAMED_WEIGHT = {"name": "mcleish", "array": {
+    "kind": "transform", "base": LINNIK16,
+    "weight": {"kind": "profile", "name": "one"}}}
+
+
+@pytest.mark.parametrize("check, key, word", [
+    ({"name": "no_such_check"}, "no_such_check", "unknown check"),
+    ({"name": "hyp_c"}, "hyp_c", "check 'hyp_c' requires 'array'"),
+    ({"name": "counterexample_m1", "detla": 0.25}, "detla",
+     "unknown key 'detla'"),
+], ids=["unknown_check", "required_key", "unknown_key"])
+def test_nested_name_key_does_not_shift_later_check_lines(tmp_path, check,
+                                                          key, word):
+    # the weight's "name" key sits inside a check and names no check
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [MCLEISH_NAMED_WEIGHT, {"name": "lindeberg"}, check]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error: {word}" in out
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_lines_follow_one_line_checks(tmp_path):
+    p = tmp_path / "w.json"
+    p.write_text('{"experiment_id": "w", "seed": 1, "samples": 10,\n'
+                 ' "checks": [\n'
+                 '  ' + json.dumps(MCLEISH_NAMED_WEIGHT) + ',\n'
+                 '  {"name": "lindeberg"},\n'
+                 '  {"name": "no_such_check"}]}\n')
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:5: config error: unknown check 'no_such_check'" in out
+
+
 def test_missing_array_fails_at_its_check_before_any_check_runs(
         tmp_path, monkeypatch):
     calls = []

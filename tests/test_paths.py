@@ -4,7 +4,6 @@ import pytest
 from cadlab.paths import (
     CadlagPath,
     PathDomainError,
-    Segment,
     TimeGrid,
     combine,
     compose,
@@ -48,18 +47,28 @@ def test_eval_many_matches_eval():
 
 def test_breakpoints_canonicalized():
     # a breakpoint where nothing changes must disappear
-    x = CadlagPath(2.0, [0.0, 1.0], [Segment.const(5.0), Segment.const(5.0)], 5.0)
-    assert x.breakpoints == (0.0,)
-    assert len(x.segments) == 1
+    x = CadlagPath(2.0, [0.0, 1.0], [(5.0, 5.0), (5.0, 5.0)], 5.0)
+    assert x.breakpoints.tolist() == [0.0]
+    assert x.segments.tolist() == [[5.0, 5.0]]
+    # equal slopes join into one affine piece; a kink stays
+    x = piecewise_linear([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 3.0, 1.0])
+    assert x.breakpoints.tolist() == [0.0, 3.0]
+    assert x.segments.tolist() == [[0.0, 3.0], [3.0, 1.0]]
 
 
 def test_invalid_paths_rejected():
     with pytest.raises(PathDomainError):
-        CadlagPath(1.0, [0.5], [Segment.const(0.0)], 0.0)
+        CadlagPath(1.0, [0.5], [(0.0, 0.0)], 0.0)
     with pytest.raises(PathDomainError):
-        CadlagPath(1.0, [0.0, 0.7, 0.7], [Segment.const(0.0)] * 3, 0.0)
+        CadlagPath(1.0, [0.0, 0.7, 0.7], [(0.0, 0.0)] * 3, 0.0)
     with pytest.raises(PathDomainError):
-        CadlagPath(1.0, [0.0, 2.0], [Segment.const(0.0)] * 2, 0.0)
+        CadlagPath(1.0, [0.0, 2.0], [(0.0, 0.0)] * 2, 0.0)
+    # one (v, w) pair per breakpoint, on a zero horizon too
+    for horizon, bps, segs in [(1.0, [0.0, 0.5], [0.0, 1.0]),
+                               (0.0, [0.0], [(1.0, 1.0), (2.0, 2.0)]),
+                               (0.0, [], [(1.0, 1.0, 1.0)])]:
+        with pytest.raises(PathDomainError):
+            CadlagPath(horizon, bps, segs, 0.0)
     with pytest.raises(PathDomainError):
         step_path([0.0, 1.0], [1.0], horizon=2.0)
 
@@ -75,7 +84,7 @@ def test_domain_errors_on_eval():
 
 
 def test_terminal_jump_counts():
-    x = CadlagPath(1.0, [0.0], [Segment.const(0.0)], 4.0)
+    x = CadlagPath(1.0, [0.0], [(0.0, 0.0)], 4.0)
     assert x.jump_times() == [1.0]
     assert x.jump(1.0) == 4.0
 
@@ -180,3 +189,27 @@ def test_zero_horizon_path():
     x = constant_path(7.0, 0.0)
     assert x.eval(0.0) == 7.0
     assert x.horizon == 0.0
+
+
+def test_pieces_are_read_only_arrays():
+    times, values = [0.0, 0.5], [1.0, 2.0]
+    x = step_path(times, values, horizon=1.0)
+    assert x.breakpoints.dtype == x.segments.dtype == np.float64
+    assert x.segments.shape == (2, 2)
+    for arr in (x.breakpoints, x.segments):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    # the path owns copies of its inputs
+    values[0] = 9.0
+    assert x.eval(0.0) == 1.0
+    assert list(x.pieces()) == [(0.0, 0.5, 1.0, 1.0), (0.5, 1.0, 2.0, 2.0)]
+    assert all(type(f) is float for piece in x.pieces() for f in piece)
+
+
+def test_zero_horizon_path_has_no_jumps_and_composes():
+    y = constant_path(0.5, 0.0)
+    assert y.jump_times() == []
+    assert y.is_nondecreasing()
+    z = compose(identity_path(1.0), y)
+    assert z == constant_path(0.5, 0.0)
+    assert (z.horizon, z.eval(0.0), z.segments.shape) == (0.0, 0.5, (0, 2))

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from cadlab import fixtures
-from cadlab.paths import PathDomainError, identity_path, piecewise_linear, step_path
+from cadlab.paths import (
+    CadlagPath,
+    PathDomainError,
+    combine,
+    constant_path,
+    identity_path,
+    piecewise_linear,
+    step_path,
+)
 from cadlab.skorohod import (
     TripleKind,
     composition_condition,
@@ -156,3 +164,102 @@ def test_empirical_tightness_report():
         (3, 0.5, 1.0), (3, 0.25, 1.0), (10, 0.5, 1.0), (10, 0.25, 1.0)]
     assert all((e.T, e.epsilon, e.samples) == (2.0, 0.5, 1)
                for e in report.entries)
+
+
+def test_modulus_takes_the_left_limit_at_a_breakpoint_at_T():
+    # rises from 0 towards 1 on [0, 0.5) and drops back to 0 at 0.5: with
+    # T = 0.5 the triple (x(0), x(0.5-), x(0.5)) gives the supremum 1
+    x = CadlagPath(1.0, [0.0, 0.5], [(0.0, 1.0), (0.0, 0.0)], 0.0)
+    for T in (0.5, 0.75):
+        assert modulus(x, TripleKind.M, 0.9, T) == 1.0
+        assert modulus(x, TripleKind.J, 0.9, T) == 1.0
+
+
+def test_composition_condition_on_a_zero_horizon_clock():
+    assert composition_condition(identity_path(1.0), constant_path(0.5, 0.0))
+
+
+# -- oracle: every piece refined ------------------------------------------
+
+
+def _refined_candidates(x, T, refine=8):
+    """(time, tag, value) candidates with ``refine`` interior points on
+    every piece, constant pieces included."""
+    pts = {}
+    for a, b, v, w in x.pieces():
+        if a >= T:
+            break
+        b_eff = min(b, T)
+        pts[(a, 1)] = v
+        for j in range(1, refine):
+            t = a + (b_eff - a) * j / refine
+            if a < t < b_eff:
+                pts[(t, 1)] = v if v == w else v + (w - v) * (t - a) / (b - a)
+        pts[(b_eff, 0)] = (w if v == w or b_eff >= b
+                           else v + (w - v) * (b_eff - a) / (b - a))
+    pts[(T, 1)] = x.eval(T)
+    return sorted((t, tag, v) for (t, tag), v in pts.items())
+
+
+def _in_window(t1, t3, tag3, delta):
+    return t3 - t1 <= delta if tag3 == 0 else t3 - t1 < delta
+
+
+def _refined_modulus(x, kind, delta, T):
+    cand = _refined_candidates(x, T)
+    best = 0.0
+    for i, (t1, _, v1) in enumerate(cand):
+        for k in range(i + 2, len(cand)):
+            t3, tag3, v3 = cand[k]
+            if not _in_window(t1, t3, tag3, delta):
+                break
+            for j in range(i + 1, k):
+                best = max(best, triple(kind, v1, cand[j][2], v3))
+    return best
+
+
+def _refined_oscillation(x, delta, T):
+    cand = _refined_candidates(x, T)
+    best = 0.0
+    for i, (t1, _, v1) in enumerate(cand):
+        for t3, tag3, v3 in cand[i + 1:]:
+            if not _in_window(t1, t3, tag3, delta):
+                break
+            best = max(best, abs(v3 - v1))
+    for a, b, v, w in x.pieces():
+        if a < T and v != w:
+            best = max(best, abs((w - v) / (b - a)) * min(delta, min(b, T) - a))
+    return best
+
+
+def _random_paths(gen):
+    def times(k):
+        return [0.0, *np.sort(gen.uniform(0.0, 1.0, size=k))]
+
+    def step(k_max=5):
+        k = int(gen.integers(1, k_max + 1))
+        # rounded values repeat, so some neighbouring steps merge
+        return step_path(times(k), np.round(gen.normal(size=k + 1), 1), 1.0)
+
+    def linear(k_max=4):
+        k = int(gen.integers(1, k_max + 1))
+        values = gen.normal(size=k + 2)
+        values[gen.uniform(size=k + 2) < 0.3] = 0.0  # flat stretches
+        return piecewise_linear([*times(k), 1.0], values)
+
+    return [step(), linear(), combine(step(), step(), "add"),
+            combine(step(3), linear(2), "add"),
+            combine(step(3), linear(2), "pointwise-scale")]
+
+
+def test_moduli_match_the_every_piece_refined_oracle():
+    gen = np.random.default_rng(20261018)
+    for _ in range(10):
+        for x in _random_paths(gen):
+            for T in (1.0, float(gen.uniform(0.2, 1.0))):
+                for delta in (0.05, float(gen.uniform(0.05, 0.5)), 0.7):
+                    for kind in (TripleKind.M, TripleKind.J):
+                        assert (modulus(x, kind, delta, T)
+                                == _refined_modulus(x, kind, delta, T))
+                    assert (oscillation(x, delta, T)
+                            == _refined_oscillation(x, delta, T))

@@ -102,6 +102,10 @@ def test_starts_at_zero():
     B = step_path([0.0, 1.0], [0.0, 1.0], horizon=2.0)
     B = CadlagPath(2.0, B.breakpoints, B.segments, 2.0)
     assert inverse(B, 0.5).tau.eval(0.0) == 1.0
+    # on the empty level range (0, 0] tau has no jumps and does not fall
+    tau = inverse(B, 0.0).tau
+    assert (tau.horizon, tau.eval(0.0), tau.jump_times()) == (0.0, 1.0, [])
+    assert tau.is_nondecreasing()
 
 
 def test_inverse_identities_continuous_clock():
