@@ -19,10 +19,14 @@ estimated numerically:
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
 keep only the values they need.  So only the variates a kind draws for a
-whole batch, because a later draw must follow them (the clock, the
-Lindeberg hits or the random-walk steps), are ever held for a whole batch;
-the Polya signs, which no draw follows, exist one block at a time.  Single realizations
-are materialized as exact :class:`~cadlab.paths.CadlagPath` staircases.
+whole batch, because a later draw must follow them (the clock when normals
+follow it, the Lindeberg hits or the random-walk steps), are ever held for
+a whole batch.  Each such array lives in its own mapping
+(``levy._batch_array``), filled block by block, so its pages go back to the
+system when the batch is done.  A clock that no normal follows, and the
+Polya signs, which no draw follows, exist one block at a time.  Single
+realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
+staircases.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .levy import (RngStream, SubordinatorSpec, _batched_blocks, _check_keys,
-                   _clock_increments, _row_blocks, _staircase_from_increments,
-                   spec_from_dict)
+                   _clock_increments, _fill, _row_blocks,
+                   _staircase_from_increments, spec_from_dict)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -179,14 +183,17 @@ class ArraySpec:
         ``fields`` names the increments wanted, among "M", "A", "QV" and
         "O"; the others may be None.  The generator is consumed in the
         order of a whole-batch draw: variates that a later draw must follow
-        are drawn for the whole batch first, and the last-drawn variate
-        block by block.  Trailing draws that no wanted increment needs are
-        skipped, so the generator is left in the state of a whole-batch
-        draw only when every field is wanted.  A block holds no view of a
-        batch-sized array: its dA is a fresh array or, for a deterministic
-        compensator, a read-only broadcast of one row, and its other
-        increments are fresh arrays.  So a reader that holds a block does
-        not keep the batch alive.
+        are drawn for the whole batch first, into a ``levy._batch_array``
+        filled block by block, and the last-drawn variate block by block.
+        A batch-sized array thus never comes from malloc, whose heap would
+        keep its pages after the batch.  Trailing draws that no wanted
+        increment needs are skipped, so the generator is left in the state
+        of a whole-batch draw only when every field is wanted; a clock that
+        no normal follows is then drawn block by block.  A block holds no
+        view of a batch-sized array: its dA is a fresh array or, for a
+        deterministic compensator, a read-only broadcast of one row, and
+        its other increments are fresh arrays.  So a reader that holds a
+        block does not keep the batch alive.
 
         ``first=0, cells=self.cells`` draws the whole horizon.  Cells past
         the horizon continue the same array on the grid k/n, so a path can
@@ -216,18 +223,25 @@ class IncrementBatch:
     dO: Optional[np.ndarray] = None
 
 
-def _clock_normal_blocks(gen, xi: np.ndarray, fields) -> Iterator[IncrementBatch]:
-    """Blocks of sqrt(xi) Z for a whole batch of clock draws xi; the
-    normals Z are drawn block by block, and only for M or QV."""
+def _clock_normal_blocks(gen, fields, blocks: Callable[[], Iterator],
+                         batch: Callable[[], np.ndarray]
+                         ) -> Iterator[IncrementBatch]:
+    """Blocks of sqrt(xi) Z for clock draws xi.  The normals Z are drawn
+    block by block, and only for M or QV.  Without them the clock is read
+    block by block from ``blocks()``; with them it is drawn whole first, by
+    ``batch()``, since they follow it."""
+    if "M" not in fields and "QV" not in fields:
+        for da in blocks():
+            yield IncrementBatch(dX=None, dA=da, dQV=None)
+        return
+    xi = batch()
     for rows in _row_blocks(*xi.shape):
         da = xi[rows]
-        dx = dqv = None
-        if "M" in fields or "QV" in fields:
-            z = gen.normal(0.0, 1.0, size=da.shape)
-            dx = np.sqrt(da) * z if "M" in fields else None
-            dqv = da * z * z if "QV" in fields else None
-        yield IncrementBatch(dX=dx, dA=da.copy() if "A" in fields else None,
-                             dQV=dqv)
+        z = gen.normal(0.0, 1.0, size=da.shape)
+        yield IncrementBatch(
+            dX=np.sqrt(da) * z if "M" in fields else None,
+            dA=da.copy() if "A" in fields else None,
+            dQV=da * z * z if "QV" in fields else None)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,8 +252,12 @@ class LinnikArray(ArraySpec):
     horizon: float = 1.0
 
     def _draw(self, gen, samples, first, cells, fields):
-        xi = gen.gamma(1.0 / self.n, 1.0, size=(samples, cells))
-        yield from _clock_normal_blocks(gen, xi, fields)
+        def clock():
+            for r in _row_blocks(samples, cells):
+                yield gen.gamma(1.0 / self.n, 1.0, size=(r.stop - r.start, cells))
+
+        yield from _clock_normal_blocks(
+            gen, fields, clock, lambda: _fill(clock(), (samples, cells)))
 
     def to_dict(self):
         return {"kind": "linnik", "n": self.n, "horizon": self.horizon}
@@ -335,7 +353,10 @@ class LindebergArray(ArraySpec):
         da = self.compensator_increments(first, cells)
         jumps = "M" in fields or "QV" in fields
         if jumps:
-            hit = gen.uniform(0.0, 1.0, size=(samples, cells)) < 1.0 / k**self.beta
+            p = 1.0 / k**self.beta
+            hit = _fill((gen.uniform(0.0, 1.0, size=(r.stop - r.start, cells)) < p
+                         for r in _row_blocks(samples, cells)),
+                        (samples, cells), bool)
             size = k ** (self.alpha / 2.0)
             a_n = math.sqrt(self.a_n_sq)
         for rows in _row_blocks(samples, cells):
@@ -369,8 +390,9 @@ class SubordinatorArray(ArraySpec):
     def _draw(self, gen, samples, first, cells, fields):
         dl = _clock_increments(self.spec,
                                np.arange(first, first + cells + 1) / self.n)
-        xi = self.spec.increments(gen, dl, samples)
-        yield from _clock_normal_blocks(gen, xi, fields)
+        yield from _clock_normal_blocks(
+            gen, fields, lambda: self.spec.blocks(gen, dl, samples),
+            lambda: self.spec.increments(gen, dl, samples))
 
     def to_dict(self):
         return {"kind": "subordinator", "n": self.n, "horizon": self.horizon,
@@ -410,7 +432,8 @@ class TransformArray(_OnBase):
                 "a random-walk transform cannot be extended past its horizon: "
                 "its weights depend on the drawn prefix; use a larger horizon"
             )
-        steps = gen.normal(0.0, 1.0, size=(samples, cells))
+        steps = _fill((gen.normal(0.0, 1.0, size=(r.stop - r.start, cells))
+                       for r in _row_blocks(samples, cells)), (samples, cells))
         vec = np.vectorize(q, otypes=[float])
 
         def block(rows):

@@ -64,7 +64,8 @@ def _lambda_grid(lambda_min: float, lambda_max: float,
 # list of CheckEntry rows.  ``_check`` files it in ``_REGISTRY`` with its
 # description and its parameters, each a (default, doc) pair; the config
 # loader checks every key against these rows and passes the runner the
-# values converted to their defaults' types.
+# values converted to their defaults' types.  A runner's preconditions on
+# its own parameters go to ``_REQUIRES``, so that they too fail at load.
 
 #: default of an object parameter that every config must give
 REQUIRED = object()
@@ -73,14 +74,20 @@ _PARSERS = {"array": arrays.array_from_dict, "spec": levy.spec_from_dict}
 _CHOICES = {"kind": tuple(k.value for k in TripleKind),
             "profile": tuple(arrays._PROFILES)}
 _REGISTRY: dict[str, tuple] = {}
+#: check name -> (key, condition, message) rows: a condition on the runner's
+#: keywords, the key whose line an error names, and the error's text,
+#: formatted with the keywords
+_REQUIRES: dict[str, tuple] = {}
+_T_POSITIVE = ("t", lambda p: p["t"] > 0, "t must be > 0, got {t}")
 _LAMBDA_GRID = {"lambda_min": (-3.0, "CF grid start"),
                 "lambda_max": (3.0, "CF grid end"),
                 "lambda_step": (0.25, "CF grid step")}
 
 
-def _check(name: str, description: str, **params):
+def _check(name: str, description: str, requires=(), **params):
     def register(runner):
         _REGISTRY[name] = (runner, description, params)
+        _REQUIRES[name] = requires
         return runner
     return register
 
@@ -168,6 +175,8 @@ def _run_fdd_gamma(samples, seed, n, t):
 @_check("hyp_c",
         "Monte Carlo estimate of E{A(tau(A(t))) - A(t)} (compensator gap at "
         "the first jump after t), compared with 'expected' within 4 SE.",
+        requires=[("t", lambda p: p["t"] < p["array"].horizon,
+                   "t must be < the array's horizon {array.horizon}, got {t}")],
         array=(REQUIRED, "array spec object"), t=(0.7, "time"),
         expected=(None, "target value; null = report only"))
 def _run_hyp_c(samples, seed, array, t, expected):
@@ -189,6 +198,7 @@ def _run_hyp_c(samples, seed, array, t, expected):
         "Monte Carlo estimate of E{A(tau(t))}; must land in [t, t + 1/n] "
         "within 4 SE.  The bracket holds for deterministic clocks; a "
         "jumping clock such as the gamma clock overshoots it by O(1).",
+        requires=[("t", lambda p: p["t"] >= 0, "t must be >= 0, got {t}")],
         array=(REQUIRED, "array spec object"), t=(1.0, "level"))
 def _run_hyp_d(samples, seed, array, t):
     est = arrays.check_hyp_d(array, t, samples, _rng(seed))
@@ -243,6 +253,9 @@ def _run_mcleish(samples, seed, array, t, epsilons, threshold):
 @_check("rescaling",
         "Two-sample KS for the clock-rescaling equality in law of "
         "subordinated Brownian increments, at the 1% critical value.",
+        requires=[("s", lambda p: p["s"] >= 0, "need 0 <= s < t, got s={s}"),
+                  ("t", lambda p: p["s"] < p["t"],
+                   "need 0 <= s < t, got s={s} and t={t}")],
         spec=(REQUIRED, "subordinator spec object"), s=(0.0, "left time"),
         t=(1.0, "right time"))
 def _run_rescaling(samples, seed, spec, s, t):
@@ -259,7 +272,7 @@ def _run_rescaling(samples, seed, spec, s, t):
 @_check("transform_cf",
         "Empirical CF of the weighted martingale transform at time t "
         "against the weighted-clock quadrature oracle.",
-        n=(128, "grid size"), t=(1.0, "time"),
+        requires=[_T_POSITIVE], n=(128, "grid size"), t=(1.0, "time"),
         profile=("two_plus_cos", "weight profile name"),
         threshold=(0.03, "sup-CF distance bound"), **_LAMBDA_GRID)
 def _run_transform_cf(samples, seed, n, t, profile, threshold, **grid):
@@ -272,7 +285,7 @@ def _run_transform_cf(samples, seed, n, t, profile, threshold, **grid):
 
 @_check("standardization",
         "Two-sample KS of M(t)/sqrt(A(t)) against standard normal draws at "
-        "the 1% critical value.",
+        "the 1% critical value.", requires=[_T_POSITIVE],
         array=(REQUIRED, "array spec object"), t=(1.0, "time"))
 def _run_standardization(samples, seed, array, t):
     return [convtest.standardization_test(array, t, samples, _rng(seed))]
@@ -281,6 +294,9 @@ def _run_standardization(samples, seed, array, t):
 @_check("lenglart",
         "Empirical maximal-inequality bound P(sup M^2 >= eps) <= eta/eps + "
         "P(A(t) >= eta) within 3 joint SEs.",
+        requires=[("epsilon", lambda p: p["epsilon"] > 0,
+                   "epsilon must be > 0, got {epsilon}"),
+                  ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}")],
         array=(REQUIRED, "array spec object"), epsilon=(1.0, "level"),
         eta=(0.5, "budget"), t=(1.0, "time"))
 def _run_lenglart(samples, seed, array, epsilon, eta, t):
@@ -376,6 +392,9 @@ def _params(chk: dict, line=lambda key: 1) -> dict:
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigError("n_ladder must be strictly increasing",
                           line("n_ladder"))
+    for key, holds, message in _REQUIRES[name]:
+        if not holds(out):
+            raise ConfigError(message.format(**out), line(key))
     return out
 
 

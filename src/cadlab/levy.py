@@ -13,9 +13,16 @@ Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
 order of a whole-batch draw.  Only the variates that a later draw must
 follow are held for the whole batch: the stable sampler's uniforms, the
-compound Poisson counts and every part of a composite but the last.  The
-last-drawn variate, and every array formed from it, exists one block at a
-time.  The batch and block sizes that the array layer shares live here.
+compound Poisson counts (one byte a cell at small rates) and the running
+sum of a composite's parts but the last.  The last-drawn variate, and every
+array formed from it, exists one block at a time.  The batch and block
+sizes that the array layer shares live here.
+
+An array held for a whole batch gets its own private anonymous mapping
+(:func:`_batch_array`) and is filled row block by row block.  Freeing it
+returns its pages to the system at once.  From malloc, a batch of 20 to 30
+MiB would instead raise glibc's mmap threshold once freed, and the next
+batches would come from the heap, which does not shrink.
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
 exp(-u^alpha); the inverse Gaussian parameters follow the mean/shape
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -73,7 +81,35 @@ class RngStream:
 
 
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
-_BLOCK_CELLS = 2**17  # cells per row block that a batch is read in
+_BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
+
+#: a private anonymous mapping, None where mmap lacks the flags.  A shared
+#: one gets 4 KiB pages: 25 times the page faults on a 100 MB array.
+_MAP_FLAGS = (mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+              if hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MAP_ANONYMOUS")
+              else None)
+
+
+def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array in its own anonymous mapping, unmapped when
+    the last view of it is gone; ``np.empty`` without ``_MAP_FLAGS``."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if _MAP_FLAGS is None or not size:
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, size, flags=_MAP_FLAGS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _fill(blocks: Iterable[np.ndarray], shape: tuple,
+          dtype=np.float64) -> np.ndarray:
+    """A :func:`_batch_array` of ``shape`` filled from ``blocks``, in the
+    row blocks of ``_row_blocks(*shape)``."""
+    out = _batch_array(shape, dtype)
+    for r, blk in zip(_row_blocks(*shape), blocks):
+        out[r] = blk
+    return out
 
 
 def _batched_blocks(samples: int, cells: int,
@@ -113,7 +149,8 @@ class SubordinatorSpec:
         super().__init_subclass__(**kwargs)
         # each kind holds ``increments`` in its own namespace, where
         # perfbench/tracing.py wraps it kind by kind
-        cls.increments = SubordinatorSpec.increments
+        if "increments" not in cls.__dict__:
+            cls.increments = SubordinatorSpec.increments
 
     def blocks(self, gen: np.random.Generator, dl: np.ndarray,
                rows: int) -> Iterator[np.ndarray]:
@@ -134,14 +171,13 @@ class SubordinatorSpec:
         ``dl``, one clock row shared by every replicate: the blocks of
         :meth:`blocks` in one array.
 
-        Besides the result, only the variates that a later draw must follow
-        are held for all ``rows``: the stable uniforms, the compound Poisson
-        counts, and each part of a composite but the last.
+        The result is a :func:`_batch_array`, filled block by block, so no
+        batch-sized temporary comes from malloc.  Besides it, only the
+        variates that a later draw must follow are held for all ``rows``:
+        the stable uniforms and the compound Poisson counts.  A composite
+        sums its parts into the first part's array.
         """
-        out = np.empty((rows, dl.size))
-        for r, blk in zip(_row_blocks(rows, dl.size), self.blocks(gen, dl, rows)):
-            out[r] = blk
-        return out
+        return _fill(self.blocks(gen, dl, rows), (rows, dl.size))
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -234,7 +270,8 @@ def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
     The uniforms are drawn for the whole batch, since the exponentials
     follow them; the exponentials and the rest are formed block by block.
     """
-    u = gen.uniform(0.0, 1.0, size=(rows, cells))
+    u = _fill((gen.uniform(0.0, 1.0, size=(r.stop - r.start, cells))
+               for r in _row_blocks(rows, cells)), (rows, cells))
     for r in _row_blocks(rows, cells):
         e = gen.exponential(1.0, size=u[r].shape)
         pu = np.pi * u[r]
@@ -260,11 +297,20 @@ class CompoundPoissonSpec(SubordinatorSpec):
         _check_positive("jump_mean", self.jump_mean)
 
     def blocks(self, gen, dl, rows):
-        # the counts are drawn for the whole batch, since the jumps follow
-        counts = gen.poisson(np.broadcast_to(self.rate * dl, (rows, dl.size)))
+        # the counts are drawn for the whole batch, since the jumps follow;
+        # each row block is held in the narrowest type that holds its largest
+        mean = self.rate * dl
+        counts = []
         for r in _row_blocks(rows, dl.size):
-            # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean)
-            yield gen.gamma(counts[r].astype(float), self.jump_mean)
+            n = gen.poisson(np.broadcast_to(mean, (r.stop - r.start, dl.size)))
+            counts.append(n.astype(np.min_scalar_type(n.max(initial=0))))
+        for n in counts:
+            # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean);
+            # Gamma(0) is 0 and draws nothing, so only nonzero counts draw
+            out = np.zeros(n.shape)
+            jumps = n > 0
+            out[jumps] = gen.gamma(n[jumps], self.jump_mean)
+            yield out
 
     def to_dict(self):
         return {"kind": "compound_poisson", "rate": self.rate,
@@ -302,14 +348,35 @@ class CompositeSpec(SubordinatorSpec):
         if not self.parts:
             raise PathDomainError("composite spec needs at least one part")
 
+    def _held(self, gen, dl, rows) -> Optional[np.ndarray]:
+        """The sum of every part but the last, drawn for the whole batch,
+        since the next part's draws follow it, and added in part order into
+        the first part's array; None for a single part."""
+        *held, _ = self.parts
+        if not held:
+            return None
+        total = held[0].increments(gen, dl, rows)
+        for p in held[1:]:
+            total += p.increments(gen, dl, rows)
+        return total
+
     def blocks(self, gen, dl, rows):
-        # every part but the last is drawn for the whole batch, since the
-        # next part's draws follow it; the sum runs in part order
-        *held, last = self.parts
-        held = [p.increments(gen, dl, rows) for p in held]
+        total = self._held(gen, dl, rows)
+        last = self.parts[-1].blocks(gen, dl, rows)
+        if total is None:
+            yield from last
+            return
+        for r, blk in zip(_row_blocks(rows, dl.size), last):
+            yield total[r] + blk
+
+    def increments(self, gen, dl, rows):
+        total = self._held(gen, dl, rows)
+        if total is None:
+            return self.parts[-1].increments(gen, dl, rows)
         for r, blk in zip(_row_blocks(rows, dl.size),
-                          last.blocks(gen, dl, rows)):
-            yield sum((h[r] for h in held), 0.0) + blk
+                          self.parts[-1].blocks(gen, dl, rows)):
+            total[r] += blk
+        return total
 
     def to_dict(self):
         return {"kind": "composite", "parts": [p.to_dict() for p in self.parts]}

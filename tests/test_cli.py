@@ -319,6 +319,37 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("check, key, word", [
+    ({"name": "rescaling", "spec": {"kind": "gamma", "shape_rate": 1.0},
+      "s": 1.0, "t": 1.0}, "t", "need 0 <= s < t"),
+    ({"name": "rescaling", "spec": {"kind": "gamma", "shape_rate": 1.0},
+      "s": -0.5}, "s", "need 0 <= s < t"),
+    ({"name": "hyp_c", "array": LINNIK16, "t": 1.0}, "t",
+     "t must be < the array's horizon 1.0"),
+    ({"name": "hyp_d", "array": LINNIK16, "t": -1.0}, "t", "t must be >= 0"),
+    ({"name": "lenglart", "array": LINNIK16, "epsilon": 0.0}, "epsilon",
+     "epsilon must be > 0"),
+    ({"name": "lenglart", "array": LINNIK16, "eta": -1.0}, "eta",
+     "eta must be > 0"),
+    ({"name": "standardization", "array": LINNIK16, "t": 0.0}, "t",
+     "t must be > 0"),
+    ({"name": "transform_cf", "t": 0}, "t", "t must be > 0"),
+], ids=["rescaling_t", "rescaling_s", "hyp_c", "hyp_d", "lenglart_epsilon",
+        "lenglart_eta", "standardization", "transform_cf"])
+def test_runner_precondition_exits_one_at_load_with_its_line(tmp_path, check,
+                                                            key, word):
+    # each of these ran the checks before it, then exited 1 with a
+    # "runtime error" and no line
+    doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
+           "checks": [{"name": "lindeberg"}, check]}
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{last_line_of(p, key)}: config error: {word}" in out
+    assert "runtime error" not in out
+    assert not (tmp_path / "o").exists()
+
+
 MCLEISH_NAMED_WEIGHT = {"name": "mcleish", "array": {
     "kind": "transform", "base": LINNIK16,
     "weight": {"kind": "profile", "name": "one"}}}
@@ -396,6 +427,58 @@ def test_describe_gives_every_key_a_default_or_required():
         assert [row.split(":")[0].strip() for row in rows] == list(params)
         for row in rows:
             assert re.search(r"\((default .+|required)\)$", row), row
+
+
+#: run in a fresh interpreter: mix's composite rescaling check, then its
+#: transform_cf check, with VmRSS after each and ru_maxrss around both
+RSS_SCRIPT = """
+import json, resource, sys
+from cadlab import cli
+
+def vm_rss_mb():
+    with open("/proc/self/status") as f:
+        line = next(x for x in f if x.startswith("VmRSS:"))
+    return int(line.split()[1]) / 1024
+
+def max_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+doc = json.load(open(sys.argv[1]))
+checks = [c for c in doc["checks"] if c["name"] == "rescaling"
+          and c["spec"]["kind"] == "composite"]
+checks += [c for c in doc["checks"] if c["name"] == "transform_cf"]
+start, max_start, after = vm_rss_mb(), max_rss_mb(), []
+for i, chk in enumerate(checks):
+    runner = cli._REGISTRY[chk["name"]][0]
+    runner(chk.get("samples", doc["samples"]), i, **cli._params(chk))
+    after.append(vm_rss_mb())
+print(json.dumps({"start": start, "after": after,
+                  "max_rise": max_rss_mb() - max_start}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc")
+def test_mix_batches_return_their_memory_between_checks():
+    # tracemalloc does not see the mappings batches live in, so this reads
+    # the process's RSS.  A batch freed to malloc's heap stayed resident
+    # after its check, and the next check's batch did not fit in it.
+    mix = json.loads((BENCH_DIR / "mix.json").read_text())
+    rescaling, transform = (
+        next(c for c in mix["checks"] if c["name"] == "rescaling"
+             and c["spec"]["kind"] == "composite"),
+        next(c for c in mix["checks"] if c["name"] == "transform_cf"))
+    batch_mb = max(rescaling["samples"] * 1000,  # rescaling_check's grid_n
+                   mix["samples"] * transform["n"]) * 8 / 2**20
+    src = str(Path(cli_mod.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", RSS_SCRIPT,
+                          str(BENCH_DIR / "mix.json")],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    rss = json.loads(out)
+    for mb in rss["after"]:
+        assert mb - rss["start"] <= 8.0, rss
+    assert rss["max_rise"] <= 1.3 * batch_mb, (rss, batch_mb)
 
 
 def load_tracing():

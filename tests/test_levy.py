@@ -282,11 +282,13 @@ ORACLE_SPECS = [
     InverseGaussianSpec(mu=1.0, lam=2.0),
     StableSpec(alpha=0.6),
     CompoundPoissonSpec(rate=3.0, jump_mean=0.5),
+    # about 312 jumps a cell on 64 cells: counts wider than a byte
+    CompoundPoissonSpec(rate=2e4, jump_mean=0.5),
     DriftSpec(slope=1.5),
     CompositeSpec((InverseGaussianSpec(mu=1.0, lam=2.0),
                    CompoundPoissonSpec(rate=3.0, jump_mean=0.5))),
 ]
-ORACLE_IDS = ["gamma", "ig", "stable", "cp", "drift", "composite"]
+ORACLE_IDS = ["gamma", "ig", "stable", "cp", "cp_wide", "drift", "composite"]
 
 
 def _with_clock(spec, clock):
@@ -338,6 +340,14 @@ def test_increments_across_blocks_match_reference(spec, monkeypatch):
     assert np.array_equal(got.random(4), gen.random(4))
 
 
+@pytest.fixture
+def malloc_batches(monkeypatch):
+    """Batch-held arrays from ``np.empty``, which tracemalloc sees; it does
+    not see the mappings of ``levy._batch_array``, which every batch-held
+    array of ``levy`` and ``arrays`` comes from."""
+    monkeypatch.setattr(levy, "_batch_array", np.empty)
+
+
 def _peak_bytes(fn, *args, **kwargs) -> int:
     """tracemalloc's peak over one call of ``fn``."""
     tracemalloc.start()
@@ -350,14 +360,17 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
 
 @pytest.mark.parametrize("spec, budget", [
     (StableSpec(alpha=0.6), 1.5),
-    (ORACLE_SPECS[-1], 2.25),
+    (ORACLE_SPECS[-1], 1.25),
 ], ids=["stable", "composite"])
-def test_rescaling_check_memory_at_mix_scale(spec, budget):
+def test_rescaling_check_memory_at_mix_scale(spec, budget, malloc_batches):
     # mix's rescaling checks: 3000 samples on a grid of 1000.  The whole-
     # batch samplers held five or six (samples, 1000) arrays (138 and
     # 117 MiB).  Streamed, the stable sampler holds its uniforms and the
-    # composite its inverse Gaussian part and its Poisson counts.
+    # composite its inverse Gaussian part and its Poisson counts, one byte
+    # a cell.
     batch_bytes = 3000 * 1000 * 8
     peak = _peak_bytes(rescaling_check, spec, 0.25, 1.0, 3000,
                        RngStream(SEED, 33))
-    assert peak <= budget * batch_bytes, (peak / 2**20, batch_bytes / 2**20)
+    # at least the one batch each holds, so the budget measures something
+    assert batch_bytes <= peak <= budget * batch_bytes, (peak / 2**20,
+                                                         batch_bytes / 2**20)
