@@ -38,9 +38,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .levy import (RngStream, SubordinatorSpec, _batched_blocks, _check_keys,
-                   _clock_increments, _fill, _row_blocks,
-                   _staircase_from_increments, spec_from_dict)
+from .levy import (_FAMILIES as _SPEC_FAMILIES, RngStream, SubordinatorSpec,
+                   _batched_blocks, _clock_increments, _fill, _from_config,
+                   _row_blocks, _staircase_from_increments)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -84,6 +84,10 @@ _PROFILES: dict[str, tuple[Callable[[float], float], float, float]] = {
 }
 
 
+#: the values of WeightSpec.kind
+_WEIGHT_KINDS = ("profile", "random_walk")
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Predictable weight description for martingale transforms.
@@ -101,7 +105,7 @@ class WeightSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("profile", "random_walk"):
+        if self.kind not in _WEIGHT_KINDS:
             raise PathDomainError(f"unknown weight kind {self.kind!r}")
         lo, hi = self.bounds()
         if not (0 < lo <= hi < math.inf):
@@ -122,25 +126,6 @@ class WeightSpec:
             raise PathDomainError(f"unknown weight profile {self.name!r}")
         _, lo, hi = _PROFILES[self.name]
         return lo, hi
-
-    def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "name": self.name}
-        if self.const is not None:
-            doc["const"] = self.const
-        if self.kind == "random_walk":
-            doc["sigma"] = self.sigma
-        return doc
-
-    @staticmethod
-    def from_dict(doc: dict) -> "WeightSpec":
-        _check_keys(doc, {"name": str, "const": float, "sigma": float},
-                    "a weight")
-        return WeightSpec(
-            kind=doc["kind"],
-            name=doc.get("name", "one"),
-            const=doc.get("const"),
-            sigma=doc.get("sigma", 1.0),
-        )
 
 
 def deterministic_profile(name: str = "one",
@@ -203,9 +188,6 @@ class ArraySpec:
         """
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class IncrementBatch:
@@ -259,9 +241,6 @@ class LinnikArray(ArraySpec):
         yield from _clock_normal_blocks(
             gen, fields, clock, lambda: _fill(clock(), (samples, cells)))
 
-    def to_dict(self):
-        return {"kind": "linnik", "n": self.n, "horizon": self.horizon}
-
 
 @dataclass(frozen=True, kw_only=True)
 class PolyaArray(ArraySpec):
@@ -294,9 +273,6 @@ class PolyaArray(ArraySpec):
             yield IncrementBatch(
                 dX=y * zprev / math.sqrt(self.n) if "M" in fields else None,
                 dA=da, dQV=da.copy() if "QV" in fields else None)
-
-    def to_dict(self):
-        return {"kind": "polya", "n": self.n, "horizon": self.horizon}
 
 
 def _a_n_sq(n: int, delta: float) -> float:
@@ -369,23 +345,14 @@ class LindebergArray(ArraySpec):
                 dX=dx, dA=np.broadcast_to(da, (rows.stop - rows.start, cells)),
                 dQV=dx * dx if "QV" in fields else None)
 
-    def to_dict(self):
-        return {"kind": "lindeberg", "n": self.n, "alpha": self.alpha,
-                "beta": self.beta, "horizon": self.horizon}
-
 
 @dataclass(frozen=True, kw_only=True)
 class SubordinatorArray(ArraySpec):
     """Clock increments from an arbitrary subordinator spec."""
 
     n: int
-    spec: SubordinatorSpec = None
+    spec: SubordinatorSpec
     horizon: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.spec is None:
-            raise PathDomainError("subordinator spec required")
 
     def _draw(self, gen, samples, first, cells, fields):
         dl = _clock_increments(self.spec,
@@ -393,10 +360,6 @@ class SubordinatorArray(ArraySpec):
         yield from _clock_normal_blocks(
             gen, fields, lambda: self.spec.blocks(gen, dl, samples),
             lambda: self.spec.increments(gen, dl, samples))
-
-    def to_dict(self):
-        return {"kind": "subordinator", "n": self.n, "horizon": self.horizon,
-                "spec": self.spec.to_dict()}
 
 
 class _OnBase(ArraySpec):
@@ -457,10 +420,6 @@ class TransformArray(_OnBase):
                 dO=None if b.dO is None else q * b.dO,
             )
 
-    def to_dict(self):
-        return {"kind": "transform", "base": self.base.to_dict(),
-                "weight": self.weight.to_dict()}
-
 
 @dataclass(frozen=True)
 class DriftedArray(_OnBase):
@@ -476,40 +435,23 @@ class DriftedArray(_OnBase):
             yield IncrementBatch(dX=b.dX, dA=b.dA, dQV=b.dQV,
                                  dO=self.mu * b.dA if drift else None)
 
-    def to_dict(self):
-        return {"kind": "drifted", "base": self.base.to_dict(), "mu": self.mu}
 
-
-#: the keys of each array kind's object, besides "kind", with their types
-_ARRAY_KEYS = {
-    "linnik": {"n": int, "horizon": float},
-    "polya": {"n": int, "horizon": float},
-    "lindeberg": {"n": int, "alpha": float, "beta": float, "horizon": float},
-    "subordinator": {"n": int, "spec": dict, "horizon": float},
-    "transform": {"base": dict, "weight": dict},
-    "drifted": {"base": dict, "mu": float},
+#: the families of config objects: levy's specs, arrays and weights
+_FAMILIES = {
+    **_SPEC_FAMILIES,
+    "ArraySpec": ("array", {"linnik": LinnikArray, "polya": PolyaArray,
+                            "lindeberg": LindebergArray,
+                            "subordinator": SubordinatorArray,
+                            "transform": TransformArray,
+                            "drifted": DriftedArray}),
+    "WeightSpec": ("weight", dict.fromkeys(_WEIGHT_KINDS, WeightSpec)),
 }
 
 
 def array_from_dict(doc: dict) -> ArraySpec:
-    kind = doc.get("kind")
-    if kind not in _ARRAY_KEYS:
-        raise PathDomainError(f"unknown array kind {kind!r}")
-    _check_keys(doc, _ARRAY_KEYS[kind], f"a {kind} array")
-    if kind == "linnik":
-        return LinnikArray(n=doc["n"], horizon=doc.get("horizon", 1.0))
-    if kind == "polya":
-        return PolyaArray(n=doc["n"], horizon=doc.get("horizon", 1.0))
-    if kind == "lindeberg":
-        return LindebergArray(n=doc["n"], alpha=doc["alpha"], beta=doc["beta"],
-                              horizon=doc.get("horizon", 1.0))
-    if kind == "subordinator":
-        return SubordinatorArray(n=doc["n"], spec=spec_from_dict(doc["spec"]),
-                                 horizon=doc.get("horizon", 1.0))
-    if kind == "transform":
-        return TransformArray(array_from_dict(doc["base"]),
-                              WeightSpec.from_dict(doc["weight"]))
-    return DriftedArray(array_from_dict(doc["base"]), doc["mu"])
+    """Array from its config object: "kind" plus the array's fields; see
+    :func:`levy._from_config`."""
+    return _from_config(doc, "ArraySpec", _FAMILIES)
 
 
 # -- sampling --------------------------------------------------------------
@@ -675,8 +617,12 @@ def check_hyp_c(spec: ArraySpec, t: float, samples: int, rng: RngStream) -> HypE
     return HypEstimate(estimate=est, stderr=se)
 
 
-def check_hyp_d(spec: ArraySpec, t: float, samples: int, rng: RngStream,
-                max_doublings: int = 6) -> HypEstimate:
+#: horizon doublings after which check_hyp_d gives up on a path
+_MAX_DOUBLINGS = 6
+
+
+def check_hyp_d(spec: ArraySpec, t: float, samples: int,
+                rng: RngStream) -> HypEstimate:
     """Monte Carlo estimate of E{A(tau(t))}, with the exceedance
     E{A(tau(t))} - t >= 0.
 
@@ -687,7 +633,7 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int, rng: RngStream,
 
     A path that has not passed t by the spec's horizon is extended, never
     redrawn: the next cells of the same path are appended from the same
-    generator, each time doubling its length.  After ``max_doublings``
+    generator, each time doubling its length.  After ``_MAX_DOUBLINGS``
     extensions InsufficientHorizonError is raised.  (Redrawing such a path
     on a longer horizon would average a mixture of conditional laws, which
     overestimates E{A(tau(t))} for a gamma clock.)
@@ -706,7 +652,7 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int, rng: RngStream,
         gen = rng.child(r).generator()
         da = _one_path(spec, gen, 0, spec.cells).dA[0]
         level = np.cumsum(da)
-        for _ in range(max_doublings):
+        for _ in range(_MAX_DOUBLINGS):
             if level.size and level[-1] > t:
                 break
             more = _one_path(spec, gen, da.size, max(da.size, 1)).dA[0]
@@ -715,7 +661,7 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int, rng: RngStream,
         if not (level.size and level[-1] > t):
             raise timechange.InsufficientHorizonError(
                 f"compensator failed to pass level {t} after "
-                f"{max_doublings} horizon doublings"
+                f"{_MAX_DOUBLINGS} horizon doublings"
             )
         vals[r] = level[np.argmax(level > t)]
     est = float(np.mean(vals))

@@ -260,10 +260,11 @@ def _run_mcleish(samples, seed, array, t, epsilons, threshold):
         t=(1.0, "right time"))
 def _run_rescaling(samples, seed, spec, s, t):
     stat = levy.rescaling_check(spec, s, t, samples, _rng(seed))
+    kind = next(k for k, cls in levy._SPEC_KINDS.items() if type(spec) is cls)
     thr = ks_critical_value(0.01, samples, samples)
     return [CheckEntry(
         check_name="rescaling", n=0,
-        param=f"spec={spec.to_dict()['kind']};s={s};t={t}", statistic=stat,
+        param=f"spec={kind};s={s};t={t}", statistic=stat,
         threshold=thr, passed=stat <= thr, stderr=0.0, seed=seed,
         samples=samples,
     )]

@@ -140,6 +140,9 @@ class ConvergenceReport:
 
 # -- composite tests -------------------------------------------------------
 
+#: level of the two-sample KS tests below
+_ALPHA = 0.01
+
 
 def fdd_test(
     spec: ArraySpec,
@@ -149,7 +152,6 @@ def fdd_test(
     samples: int,
     rng: RngStream,
     which: str = "A",
-    alpha: float = 0.01,
 ) -> CheckEntry:
     """Two-sample KS between a weighted increment combination of the array
     and the same combination under the limit law.
@@ -171,7 +173,7 @@ def fdd_test(
     combo = incs @ np.asarray(weights, dtype=float)
     target = target_sampler(rng.child(1).generator(), samples)
     stat = ks_two_sample(combo, target)
-    thr = ks_critical_value(alpha, samples, len(target))
+    thr = ks_critical_value(_ALPHA, samples, len(target))
     return CheckEntry(
         check_name="fdd", n=spec.n,
         param=f"{which};times={times};weights={weights}",
@@ -185,7 +187,6 @@ def standardization_test(
     t: float,
     samples: int,
     rng: RngStream,
-    alpha: float = 0.01,
 ) -> CheckEntry:
     """KS of M(t)/sqrt(A(t)) (with 0/0 = 0) against standard normal draws."""
     if t <= 0:
@@ -199,7 +200,7 @@ def standardization_test(
     ratio[pos] = m[pos] / np.sqrt(a[pos])
     normal = rng.child(1).generator().normal(0.0, 1.0, size=samples)
     stat = ks_two_sample(ratio, normal)
-    thr = ks_critical_value(alpha, samples, samples)
+    thr = ks_critical_value(_ALPHA, samples, samples)
     return CheckEntry(
         check_name="standardization", n=spec.n, param=f"t={t}",
         statistic=stat, threshold=thr, passed=stat <= thr,

@@ -32,10 +32,11 @@ shape lambda*h^2, the convolution-stable scaling of the IG process).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -97,8 +98,11 @@ def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
     if _MAP_FLAGS is None or not size:
         return np.empty(shape, dtype)
     buf = mmap.mmap(-1, size, flags=_MAP_FLAGS)
+    # the advice is optional: a kernel built without transparent huge
+    # pages rejects it with EINVAL
     if hasattr(mmap, "MADV_HUGEPAGE"):
-        buf.madvise(mmap.MADV_HUGEPAGE)
+        with contextlib.suppress(OSError):
+            buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype).reshape(shape)
 
 
@@ -179,9 +183,6 @@ class SubordinatorSpec:
         """
         return _fill(self.blocks(gen, dl, rows), (rows, dl.size))
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 def _check_positive(name: str, value: float):
     if not value > 0:
@@ -206,9 +207,6 @@ class GammaSpec(SubordinatorSpec):
             yield gen.gamma(np.broadcast_to(shape, (r.stop - r.start, dl.size)),
                             self.scale)
 
-    def to_dict(self):
-        return {"kind": "gamma", "shape_rate": self.shape_rate, "scale": self.scale}
-
 
 @dataclass(frozen=True)
 class InverseGaussianSpec(SubordinatorSpec):
@@ -232,9 +230,6 @@ class InverseGaussianSpec(SubordinatorSpec):
                                    shape)
             yield out
 
-    def to_dict(self):
-        return {"kind": "inverse_gaussian", "mu": self.mu, "lam": self.lam}
-
 
 @dataclass(frozen=True)
 class StableSpec(SubordinatorSpec):
@@ -257,9 +252,6 @@ class StableSpec(SubordinatorSpec):
         factor = (self.scale * dl) ** (1.0 / self.alpha)
         for s in _positive_stable(gen, self.alpha, rows, dl.size):
             yield np.where(dl > 0, factor * s, 0.0)
-
-    def to_dict(self):
-        return {"kind": "stable", "alpha": self.alpha, "scale": self.scale}
 
 
 def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
@@ -312,10 +304,6 @@ class CompoundPoissonSpec(SubordinatorSpec):
             out[jumps] = gen.gamma(n[jumps], self.jump_mean)
             yield out
 
-    def to_dict(self):
-        return {"kind": "compound_poisson", "rate": self.rate,
-                "jump_mean": self.jump_mean}
-
 
 @dataclass(frozen=True)
 class DriftSpec(SubordinatorSpec):
@@ -332,9 +320,6 @@ class DriftSpec(SubordinatorSpec):
         inc = self.slope * dl
         for r in _row_blocks(rows, dl.size):
             yield np.broadcast_to(inc, (r.stop - r.start, dl.size))
-
-    def to_dict(self):
-        return {"kind": "drift", "slope": self.slope}
 
 
 @dataclass(frozen=True)
@@ -378,9 +363,6 @@ class CompositeSpec(SubordinatorSpec):
             total[r] += blk
         return total
 
-    def to_dict(self):
-        return {"kind": "composite", "parts": [p.to_dict() for p in self.parts]}
-
 
 _SPEC_KINDS = {
     "gamma": GammaSpec,
@@ -392,43 +374,64 @@ _SPEC_KINDS = {
 }
 
 
-#: how each type of a config object's value is named in an error
-_TYPE_NAMES = {int: "an int", float: "a number", str: "a string",
-               list: "a list", dict: "an object"}
+#: the JSON types a config value may take, by its field's annotation, and
+#: how an error names them: an int passes for a float, and a bool for
+#: neither.  A tuple is a composite's parts, a list of spec objects.
+_VALUE_TYPES = {"int": ((int,), "an int"), "float": ((int, float), "a number"),
+                "Optional[float]": ((int, float), "a number"),
+                "str": ((str,), "a string"), "tuple": ((list,), "a list")}
+#: each family of config objects, by the annotation of a field that holds
+#: one: its name in errors, and its classes by "kind"
+_FAMILIES = {"SubordinatorSpec": ("spec", _SPEC_KINDS)}
 
 
-def _check_keys(doc: dict, keys: dict, what: str):
-    """Raise on a key of ``doc`` outside ``keys`` and "kind", and on a
-    value whose type is not its key's: an int passes for a float, and a
-    bool passes for neither."""
-    unknown = sorted(set(doc) - set(keys) - {"kind"})
+def _from_config(doc: dict, family: str, families: dict):
+    """The object that config object ``doc`` describes, of the class that
+    its "kind" names in ``families[family]``.
+
+    The other keys of ``doc`` are the class's dataclass fields but
+    ``time_change``, and a field without a default is required.  Each value
+    must have its field annotation's JSON type.  A field annotated with a
+    family of ``families`` holds an object, and a composite's parts a list
+    of spec objects, each read in turn.  An unknown kind, an unknown or
+    missing key and a wrongly typed value raise PathDomainError naming it.
+    """
+    noun, kinds = families[family]
+    kind = doc.get("kind")
+    if kind not in kinds:
+        raise PathDomainError(f"unknown {noun} kind {kind!r}" if "kind" in doc
+                              else f"missing key 'kind' for a {noun}")
+    cls, what = kinds[kind], f"a {kind} {noun}"
+    keys = {f.name for f in fields(cls)} - {"time_change"}
+    unknown = sorted(set(doc) - keys - {"kind"})
     if unknown:
         raise PathDomainError(f"unknown key {unknown[0]!r} for {what}")
-    for key, typ in keys.items():
-        if key in doc and type(doc[key]) not in (
-                (int, float) if typ is float else (typ,)):
-            raise PathDomainError(f"{key} must be {_TYPE_NAMES[typ]}, got "
-                                  f"{json.dumps(doc[key])} in {what}")
-
-
-#: the type a spec field takes in a config object, by its annotation
-_FIELD_TYPES = {"float": float, "tuple": list}
+    params = {}
+    for f in fields(cls):
+        if f.name == "kind":  # a weight's kind is one of its fields
+            params["kind"] = kind
+        elif f.name in doc:
+            value, nested = doc[f.name], f.type in families
+            types, name = (((dict,), "an object") if nested
+                           else _VALUE_TYPES[f.type])
+            if type(value) not in types:
+                raise PathDomainError(f"{f.name} must be {name}, got "
+                                      f"{json.dumps(value)} in {what}")
+            if nested:
+                value = _from_config(value, f.type, families)
+            elif f.type == "tuple":
+                value = tuple(_from_config(p, "SubordinatorSpec", families)
+                              for p in value)
+            params[f.name] = value
+        elif f.default is MISSING:
+            raise PathDomainError(f"missing key {f.name!r} for {what}")
+    return cls(**params)
 
 
 def spec_from_dict(doc: dict) -> SubordinatorSpec:
-    """Spec from its ``to_dict`` form: "kind" plus the spec's fields,
-    ``time_change`` excepted."""
-    kind = doc.get("kind")
-    if kind not in _SPEC_KINDS:
-        raise PathDomainError(f"unknown subordinator kind {kind!r}")
-    cls = _SPEC_KINDS[kind]
-    params = {k: v for k, v in doc.items() if k != "kind"}
-    _check_keys(params, {f.name: _FIELD_TYPES[f.type] for f in fields(cls)
-                         if f.name != "time_change"}, f"a {kind} spec")
-    if kind == "composite":
-        params["parts"] = tuple(spec_from_dict(p)
-                                for p in params.get("parts", ()))
-    return cls(**params)
+    """Spec from its config object: "kind" plus the spec's fields but
+    ``time_change``; see :func:`_from_config`."""
+    return _from_config(doc, "SubordinatorSpec", _FAMILIES)
 
 
 # -- sampling --------------------------------------------------------------

@@ -13,7 +13,7 @@ constant piece needs no interior points, since each of them has the value
 that the piece's start and its left limit at the end already carry, at
 times that are no worse for the window.  So for pure step paths the
 suprema are exact; for piecewise-linear paths they are a certified lower
-bound refinable through the ``refine`` parameter.
+bound, from ``_REFINE - 1`` interior points of each affine piece.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ def triple(kind: TripleKind, x1: float, x2: float, x3: float) -> float:
 # -- candidate enumeration -------------------------------------------------
 
 
-def _candidates(x: CadlagPath, T: float, refine: int) -> list[tuple[float, int, float]]:
+#: an affine piece gets interior candidates at fractions j / _REFINE of it
+_REFINE = 8
+
+
+def _candidates(x: CadlagPath, T: float) -> list[tuple[float, int, float]]:
     """(time, tag, value) candidates on [0, T], sorted.
 
     tag 0 marks a left-limit candidate (value attained just before its
@@ -71,8 +75,8 @@ def _candidates(x: CadlagPath, T: float, refine: int) -> list[tuple[float, int, 
             break
         b_eff = min(b, T)
         pts[(a, 1)] = v
-        for j in range(1, refine if v != w else 0):  # affine pieces only
-            t = a + (b_eff - a) * j / refine
+        for j in range(1, _REFINE if v != w else 0):  # affine pieces only
+            t = a + (b_eff - a) * j / _REFINE
             if a < t < b_eff:
                 pts[(t, 1)] = _piece_value(a, b, v, w, t)
         # left limit entering the piece end (or entering T)
@@ -94,7 +98,6 @@ def modulus(
     kind: TripleKind,
     delta: float,
     T: float,
-    refine: int = 8,
 ) -> float:
     """sup of triple(kind, x(t1), x(t2), x(t3)) over t1 < t2 < t3 <= T
     with t3 - t1 < delta (strict)."""
@@ -105,8 +108,8 @@ def modulus(
     kind = TripleKind(kind)
     if kind is TripleKind.C:
         # the uniform kind is evaluated in its dominating pair form
-        return oscillation(x, delta, T, refine=refine)
-    cand = _candidates(x, T, refine)
+        return oscillation(x, delta, T)
+    cand = _candidates(x, T)
     n = len(cand)
     best = 0.0
     j_start = 0
@@ -123,7 +126,7 @@ def modulus(
     return best
 
 
-def oscillation(x: CadlagPath, delta: float, T: float, refine: int = 8) -> float:
+def oscillation(x: CadlagPath, delta: float, T: float) -> float:
     """Uniform modulus: sup |x(t) - x(s)| over s < t <= T with t - s < delta.
 
     This pair form dominates both printed triple variants of the uniform
@@ -133,7 +136,7 @@ def oscillation(x: CadlagPath, delta: float, T: float, refine: int = 8) -> float
         raise PathDomainError("delta must be > 0")
     if T <= 0 or T > x.horizon:
         raise PathDomainError(f"T={T} outside (0, {x.horizon}]")
-    cand = _candidates(x, T, refine)
+    cand = _candidates(x, T)
     n = len(cand)
     best = 0.0
     for i in range(n):
@@ -232,7 +235,6 @@ def empirical_tightness(
     T: float,
     epsilon: float,
     samples: int,
-    refine: int = 8,
 ) -> ModulusReport:
     """Fraction of sampled paths whose modulus exceeds epsilon.
 
@@ -250,7 +252,7 @@ def empirical_tightness(
             path = sampler(n, r)
             row = []
             for delta in delta_list:
-                row.append(modulus(path, kind, delta, T, refine=refine))
+                row.append(modulus(path, kind, delta, T))
             mods.append(row)
         arr = np.asarray(mods)
         for j, delta in enumerate(delta_list):

@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -144,18 +145,50 @@ def test_drifted_array_components():
                                                abs=1e-12)
 
 
-def test_array_serialization_round_trip():
-    specs = [
-        LinnikArray(n=64, horizon=1.0),
-        PolyaArray(n=100, horizon=1.0),
-        LindebergArray(n=100, alpha=1.0, beta=0.5, horizon=1.0),
-        SubordinatorArray(n=10, spec=GammaSpec(shape_rate=1.0), horizon=1.0),
-        TransformArray(LinnikArray(n=8, horizon=1.0),
-                       deterministic_profile("two_plus_cos")),
-        DriftedArray(LinnikArray(n=8, horizon=1.0), mu=1.5),
+def test_array_from_dict_builds_each_kind():
+    linnik = {"kind": "linnik", "n": 8}
+    cases = [
+        (linnik, LinnikArray(n=8, horizon=1.0)),
+        ({"kind": "polya", "n": 100, "horizon": 2},
+         PolyaArray(n=100, horizon=2.0)),
+        ({"kind": "lindeberg", "n": 100, "alpha": 1.0, "beta": 0.5},
+         LindebergArray(n=100, alpha=1.0, beta=0.5, horizon=1.0)),
+        ({"kind": "subordinator", "n": 10, "horizon": 0.5, "spec": {
+            "kind": "composite", "parts": [
+                {"kind": "gamma", "shape_rate": 1.0},
+                {"kind": "stable", "alpha": 0.6}]}},
+         SubordinatorArray(n=10, horizon=0.5, spec=CompositeSpec(
+             (GammaSpec(shape_rate=1.0), StableSpec(alpha=0.6))))),
+        ({"kind": "transform", "base": linnik,
+          "weight": {"kind": "profile", "name": "two_plus_cos"}},
+         TransformArray(LinnikArray(n=8),
+                        deterministic_profile("two_plus_cos"))),
+        ({"kind": "transform", "base": linnik,
+          "weight": {"kind": "profile", "const": 2}},
+         TransformArray(LinnikArray(n=8), deterministic_profile(const=2.0))),
+        ({"kind": "transform", "base": linnik, "weight": {
+            "kind": "random_walk", "name": "two_plus_cos", "sigma": 0.5}},
+         TransformArray(LinnikArray(n=8),
+                        random_walk_profile("two_plus_cos", sigma=0.5))),
+        ({"kind": "drifted", "mu": 1.5, "base": {"kind": "transform",
+                                                "base": linnik,
+                                                "weight": {"kind": "profile"}}},
+         DriftedArray(TransformArray(LinnikArray(n=8),
+                                     deterministic_profile()), mu=1.5)),
     ]
-    for spec in specs:
-        assert array_from_dict(spec.to_dict()) == spec
+    for doc, spec in cases:
+        assert array_from_dict(doc) == spec
+
+
+def test_batch_draws_survive_a_rejected_hugepage_advice(monkeypatch):
+    # a kernel built without transparent huge pages rejects MADV_HUGEPAGE
+    # with EINVAL, as it rejects any advice it does not know
+    spec = LinnikArray(n=16, horizon=1.0)
+    want = marginal_samples(spec, [1.0], 300, RngStream(SEED, 9),
+                            fields=("M",))
+    monkeypatch.setattr(mmap, "MADV_HUGEPAGE", 12345, raising=False)
+    got = marginal_samples(spec, [1.0], 300, RngStream(SEED, 9), fields=("M",))
+    assert np.array_equal(got["M"], want["M"])
 
 
 def test_realize_staircase_structure():

@@ -280,9 +280,18 @@ LINNIK16 = {"kind": "linnik", "n": 16}
         "kind": "composite",
         "parts": [{"kind": "gamma", "shape_rate": 1.0, "scael": 2.0}]}},
      "spec", "'scael'"),
+    ({"name": "hyp_c", "array": {"kind": "linnik"}}, "array",
+     "missing key 'n' for a linnik array"),
+    ({"name": "rescaling", "spec": {"kind": "composite", "parts": [
+        {"kind": "gamma"}]}}, "spec",
+     "missing key 'shape_rate' for a gamma spec"),
+    ({"name": "mcleish", "array": {
+        "kind": "transform", "base": LINNIK16, "weight": {"name": "one"}}},
+     "array", "missing key 'kind' for a weight"),
     ({"name": "tightness", "kind": "X"}, "kind", '"X"'),
     ({"name": "transform_cf", "profile": "X"}, "profile", '"X"'),
-], ids=["array_key", "array_n", "weight_key", "spec_key", "tightness_kind",
+], ids=["array_key", "array_n", "weight_key", "spec_key", "array_missing",
+        "spec_missing", "weight_missing", "tightness_kind",
         "transform_profile"])
 def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
                                                     word):

@@ -112,17 +112,26 @@ def test_composite_sums_components():
     assert inc.mean() == pytest.approx(0.5, rel=0.03)
 
 
-def test_spec_serialization_round_trip():
-    specs = [
-        GammaSpec(shape_rate=2.0, scale=0.5),
-        InverseGaussianSpec(mu=1.0, lam=2.0),
-        StableSpec(alpha=0.7, scale=1.2),
-        CompoundPoissonSpec(rate=3.0, jump_mean=0.25),
-        DriftSpec(slope=1.0),
-        CompositeSpec((DriftSpec(slope=1.0), GammaSpec(shape_rate=1.0))),
+def test_spec_from_dict_builds_each_kind():
+    gamma = {"kind": "gamma", "shape_rate": 1.0}
+    cases = [
+        ({"kind": "gamma", "shape_rate": 2, "scale": 0.5},
+         GammaSpec(shape_rate=2.0, scale=0.5)),
+        ({"kind": "inverse_gaussian", "mu": 1.0, "lam": 2.0},
+         InverseGaussianSpec(mu=1.0, lam=2.0)),
+        ({"kind": "stable", "alpha": 0.7, "scale": 1.2},
+         StableSpec(alpha=0.7, scale=1.2)),
+        ({"kind": "compound_poisson", "rate": 3.0, "jump_mean": 0.25},
+         CompoundPoissonSpec(rate=3.0, jump_mean=0.25)),
+        ({"kind": "drift", "slope": 1.0}, DriftSpec(slope=1.0)),
+        ({"kind": "composite", "parts": [
+            {"kind": "drift", "slope": 1.0},
+            {"kind": "composite", "parts": [gamma]}]},
+         CompositeSpec((DriftSpec(slope=1.0),
+                        CompositeSpec((GammaSpec(shape_rate=1.0),))))),
     ]
-    for spec in specs:
-        assert spec_from_dict(spec.to_dict()) == spec
+    for doc, spec in cases:
+        assert spec_from_dict(doc) == spec
 
 
 def test_spec_validation():
