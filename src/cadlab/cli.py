@@ -14,6 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import datetime
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -22,13 +23,16 @@ import re
 import resource
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 import numpy as np
 
 from . import arrays, convtest, fixtures, levy, skorohod
+from .arrays import ArraySpec
 from .convtest import CheckEntry, ConvergenceReport, ks_critical_value
-from .levy import RngStream
+from .levy import RngStream, SubordinatorSpec, _read
+from .paths import PathDomainError
 from .skorohod import TripleKind
 
 MASTER_SEED_ENV = "CADLAB_MASTER_SEED"
@@ -53,40 +57,38 @@ def _rng(seed: int) -> RngStream:
     return RngStream(master_seed=seed, stream_index=0)
 
 
-def _lambda_grid(lambda_min: float, lambda_max: float,
-                 lambda_step: float) -> np.ndarray:
-    return np.arange(lambda_min, lambda_max + lambda_step / 2.0, lambda_step)
+#: the lambdas at which the CF checks compare characteristic functions
+_CF_GRID = np.arange(-3, 3.125, 0.25)
 
 
 # -- check runners ---------------------------------------------------------
 #
 # Each runner maps (effective sample count, derived seed, parameters) to a
 # list of CheckEntry rows.  ``_check`` files it in ``_REGISTRY`` with its
-# description and its parameters, each a (default, doc) pair; the config
-# loader checks every key against these rows and passes the runner the
-# values converted to their defaults' types.  A runner's preconditions on
-# its own parameters go to ``_REQUIRES``, so that they too fail at load.
+# description and its parameters after (samples, seed), each an
+# (annotation, default) pair read off its signature; a parameter without a
+# default is required.  The config loader reads every key as its annotation
+# says (``levy._read``).  A runner's preconditions on its own parameters go
+# to ``_REQUIRES``, so that they too fail at load.
 
-#: default of an object parameter that every config must give
-REQUIRED = object()
-_PARSERS = {"array": arrays.array_from_dict, "spec": levy.spec_from_dict}
-#: the values a string parameter may take
-_CHOICES = {"kind": tuple(k.value for k in TripleKind),
-            "profile": tuple(arrays._PROFILES)}
 _REGISTRY: dict[str, tuple] = {}
 #: check name -> (key, condition, message) rows: a condition on the runner's
 #: keywords, the key whose line an error names, and the error's text,
 #: formatted with the keywords
 _REQUIRES: dict[str, tuple] = {}
 _T_POSITIVE = ("t", lambda p: p["t"] > 0, "t must be > 0, got {t}")
-_LAMBDA_GRID = {"lambda_min": (-3.0, "CF grid start"),
-                "lambda_max": (3.0, "CF grid end"),
-                "lambda_step": (0.25, "CF grid step")}
+_N_POSITIVE = ("n", lambda p: p["n"] >= 1, "n must be >= 1, got {n}")
+_LADDER = ("n_ladder", lambda p: all(
+    a < b for a, b in zip([0, *p["n_ladder"]], p["n_ladder"])),
+    "n_ladder must be >= 1 and strictly increasing, got {n_ladder}")
+_KINDS = tuple(k.value for k in TripleKind)
 
 
-def _check(name: str, description: str, requires=(), **params):
+def _check(name: str, description: str, requires=()):
     def register(runner):
-        _REGISTRY[name] = (runner, description, params)
+        rows = list(inspect.signature(runner).parameters.values())[2:]
+        _REGISTRY[name] = (runner, description,
+                           {p.name: (p.annotation, p.default) for p in rows})
         _REQUIRES[name] = requires
         return runner
     return register
@@ -95,10 +97,9 @@ def _check(name: str, description: str, requires=(), **params):
 @_check("counterexample_m1",
         "Exact monotone-kind modulus of the tent/steep-ramp compositions "
         "(= 1 for every ramp) and the failing composition condition of the "
-        "ramp limit.",
-        n_list=([3, 5, 10], "ramp steepness values"),
-        delta=(0.5, "window width"), T=(2.0, "time bound"))
-def _run_counterexample_m1(samples, seed, n_list, delta, T):
+        "ramp limit.")
+def _run_counterexample_m1(samples, seed, n_list: list[int] = [3, 5, 10],
+                           delta: float = 0.5, T: float = 2.0):
     entries = []
     for n in n_list:
         mod = skorohod.modulus(fixtures.composed_ramp(n), TripleKind.M,
@@ -125,12 +126,9 @@ def _run_counterexample_m1(samples, seed, n_list, delta, T):
 @_check("ecf_linnik",
         "Empirical CF of M(t) for the gamma-clock normal array against "
         "(1 + lambda^2/2)^(-t), with a weak-monotonicity trend check over "
-        "the n ladder.",
-        n_ladder=([64, 128, 256], "strictly increasing grid sizes"),
-        t=(1.0, "evaluation time"),
-        threshold=(0.03, "sup-CF distance bound"), **_LAMBDA_GRID)
-def _run_ecf_linnik(samples, seed, n_ladder, t, threshold, **grid):
-    grid = _lambda_grid(**grid)
+        "the n ladder, which must increase strictly.", requires=[_LADDER])
+def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
+                    t: float = 1.0, threshold: float = 0.03):
     se = math.sqrt(2.0 / samples)
     entries = []
     dists = []
@@ -139,7 +137,8 @@ def _run_ecf_linnik(samples, seed, n_ladder, t, threshold, **grid):
         marg = arrays.marginal_samples(spec, [t], samples,
                                        _rng(seed).child(i), fields=("M",))
         d = convtest.ecf_distance(marg["M"][:, 0],
-                                  lambda lam: levy.linnik_cf(t, lam), grid)
+                                  lambda lam: levy.linnik_cf(t, lam),
+                                  _CF_GRID)
         dists.append(d)
         entries.append(CheckEntry(
             check_name="ecf_linnik", n=n, param=f"t={t}", statistic=d,
@@ -160,9 +159,8 @@ def _run_ecf_linnik(samples, seed, n_ladder, t, threshold, **grid):
 
 @_check("fdd_gamma",
         "Two-sample KS of the gamma-clock compensator A(t) against "
-        "Gamma(t, 1) draws at the 1% critical value.",
-        n=(256, "grid size"), t=(1.0, "time"))
-def _run_fdd_gamma(samples, seed, n, t):
+        "Gamma(t, 1) draws at the 1% critical value.", requires=[_N_POSITIVE])
+def _run_fdd_gamma(samples, seed, n: int = 256, t: float = 1.0):
     spec = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.fdd_test(
         spec, [t], [1.0],
@@ -174,17 +172,17 @@ def _run_fdd_gamma(samples, seed, n, t):
 
 @_check("hyp_c",
         "Monte Carlo estimate of E{A(tau(A(t))) - A(t)} (compensator gap at "
-        "the first jump after t), compared with 'expected' within 4 SE.",
+        "the first jump after t), compared with 'expected' within 4 SE; "
+        "null 'expected' reports the estimate only.",
         requires=[("t", lambda p: p["t"] < p["array"].horizon,
-                   "t must be < the array's horizon {array.horizon}, got {t}")],
-        array=(REQUIRED, "array spec object"), t=(0.7, "time"),
-        expected=(None, "target value; null = report only"))
-def _run_hyp_c(samples, seed, array, t, expected):
+                   "t must be < the array's horizon {array.horizon}, got {t}")])
+def _run_hyp_c(samples, seed, array: ArraySpec, t: float = 0.7,
+               expected: Optional[float] = None):
     est = arrays.check_hyp_c(array, t, samples, _rng(seed))
     if expected is None:
         stat, thr, ok = est.estimate, float("inf"), True
     else:
-        stat = abs(est.estimate - float(expected))
+        stat = abs(est.estimate - expected)
         thr = 4.0 * est.stderr
         ok = stat <= thr
     return [CheckEntry(
@@ -198,9 +196,8 @@ def _run_hyp_c(samples, seed, array, t, expected):
         "Monte Carlo estimate of E{A(tau(t))}; must land in [t, t + 1/n] "
         "within 4 SE.  The bracket holds for deterministic clocks; a "
         "jumping clock such as the gamma clock overshoots it by O(1).",
-        requires=[("t", lambda p: p["t"] >= 0, "t must be >= 0, got {t}")],
-        array=(REQUIRED, "array spec object"), t=(1.0, "level"))
-def _run_hyp_d(samples, seed, array, t):
+        requires=[("t", lambda p: p["t"] >= 0, "t must be >= 0, got {t}")])
+def _run_hyp_d(samples, seed, array: ArraySpec, t: float = 1.0):
     est = arrays.check_hyp_d(array, t, samples, _rng(seed))
     lo, hi = t, t + 1.0 / array.n
     stat = max(lo - est.estimate, est.estimate - hi, 0.0)
@@ -214,14 +211,12 @@ def _run_hyp_d(samples, seed, array, t):
 
 @_check("lindeberg",
         "Closed-form truncated-second-moment statistic for the sparse "
-        "two-point array across an n ladder; verdict compared with "
-        "'expect'.",
-        alpha=(1.0, "jump size exponent"), beta=(0.5, "sparsity exponent"),
-        epsilon=(0.1, "truncation level"),
-        n_ladder=([2 ** k for k in range(10, 19, 2)],
-                  "strictly increasing grid sizes"),
-        expect=(True, "whether the condition should hold"))
-def _run_lindeberg(samples, seed, alpha, beta, epsilon, n_ladder, expect):
+        "two-point array across an n ladder, which must increase strictly; "
+        "verdict compared with 'expect'.", requires=[_LADDER])
+def _run_lindeberg(samples, seed, alpha: float = 1.0, beta: float = 0.5,
+                   epsilon: float = 0.1,
+                   n_ladder: list[int] = [2 ** k for k in range(10, 19, 2)],
+                   expect: bool = True):
     report = arrays.check_lindeberg(alpha, beta, epsilon, n_ladder)
     final = report.statistic_by_n[n_ladder[-1]]
     ok = report.holds_in_limit == expect
@@ -235,11 +230,10 @@ def _run_lindeberg(samples, seed, alpha, beta, epsilon, n_ladder, expect):
 
 @_check("mcleish",
         "P{sup_{s<=t} |[M]_s - A_s| > eps} by Monte Carlo, one row per "
-        "epsilon, each below 'threshold'.",
-        array=(REQUIRED, "array spec object"), t=(1.0, "time"),
-        epsilons=([0.05, 0.1, 0.2], "levels"),
-        threshold=(0.05, "max allowed fraction"))
-def _run_mcleish(samples, seed, array, t, epsilons, threshold):
+        "epsilon, each below 'threshold'.")
+def _run_mcleish(samples, seed, array: ArraySpec, t: float = 1.0,
+                 epsilons: list[float] = [0.05, 0.1, 0.2],
+                 threshold: float = 0.05):
     fractions = arrays.check_mcleish(array, t, samples, _rng(seed),
                                      epsilons=epsilons)
     return [CheckEntry(
@@ -255,13 +249,12 @@ def _run_mcleish(samples, seed, array, t, epsilons, threshold):
         "subordinated Brownian increments, at the 1% critical value.",
         requires=[("s", lambda p: p["s"] >= 0, "need 0 <= s < t, got s={s}"),
                   ("t", lambda p: p["s"] < p["t"],
-                   "need 0 <= s < t, got s={s} and t={t}")],
-        spec=(REQUIRED, "subordinator spec object"), s=(0.0, "left time"),
-        t=(1.0, "right time"))
-def _run_rescaling(samples, seed, spec, s, t):
+                   "need 0 <= s < t, got s={s} and t={t}")])
+def _run_rescaling(samples, seed, spec: SubordinatorSpec, s: float = 0.0,
+                   t: float = 1.0):
     stat = levy.rescaling_check(spec, s, t, samples, _rng(seed))
     kind = next(k for k, cls in levy._SPEC_KINDS.items() if type(spec) is cls)
-    thr = ks_critical_value(0.01, samples, samples)
+    thr = ks_critical_value(convtest._ALPHA, samples, samples)
     return [CheckEntry(
         check_name="rescaling", n=0,
         param=f"spec={kind};s={s};t={t}", statistic=stat,
@@ -272,23 +265,25 @@ def _run_rescaling(samples, seed, spec, s, t):
 
 @_check("transform_cf",
         "Empirical CF of the weighted martingale transform at time t "
-        "against the weighted-clock quadrature oracle.",
-        requires=[_T_POSITIVE], n=(128, "grid size"), t=(1.0, "time"),
-        profile=("two_plus_cos", "weight profile name"),
-        threshold=(0.03, "sup-CF distance bound"), **_LAMBDA_GRID)
-def _run_transform_cf(samples, seed, n, t, profile, threshold, **grid):
+        f"against the weighted-clock quadrature oracle; 'profile' is one of "
+        f"{', '.join(arrays._PROFILES)}.",
+        requires=[_T_POSITIVE, _N_POSITIVE, (
+            "profile", lambda p: p["profile"] in arrays._PROFILES,
+            f"key 'profile' must be one of {', '.join(arrays._PROFILES)}, "
+            'not "{profile}"')])
+def _run_transform_cf(samples, seed, n: int = 128, t: float = 1.0,
+                      profile: str = "two_plus_cos", threshold: float = 0.03):
     weight = arrays.deterministic_profile(profile)
     base = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.transform_cf_test(base, weight, t, samples, _rng(seed),
-                                       _lambda_grid(**grid), threshold)
+                                       _CF_GRID, threshold)
     return [entry]
 
 
 @_check("standardization",
         "Two-sample KS of M(t)/sqrt(A(t)) against standard normal draws at "
-        "the 1% critical value.", requires=[_T_POSITIVE],
-        array=(REQUIRED, "array spec object"), t=(1.0, "time"))
-def _run_standardization(samples, seed, array, t):
+        "the 1% critical value.", requires=[_T_POSITIVE])
+def _run_standardization(samples, seed, array: ArraySpec, t: float = 1.0):
     return [convtest.standardization_test(array, t, samples, _rng(seed))]
 
 
@@ -297,21 +292,26 @@ def _run_standardization(samples, seed, array, t):
         "P(A(t) >= eta) within 3 joint SEs.",
         requires=[("epsilon", lambda p: p["epsilon"] > 0,
                    "epsilon must be > 0, got {epsilon}"),
-                  ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}")],
-        array=(REQUIRED, "array spec object"), epsilon=(1.0, "level"),
-        eta=(0.5, "budget"), t=(1.0, "time"))
-def _run_lenglart(samples, seed, array, epsilon, eta, t):
+                  ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}")])
+def _run_lenglart(samples, seed, array: ArraySpec, epsilon: float = 1.0,
+                  eta: float = 0.5, t: float = 1.0):
     return [convtest.lenglart_check(array, epsilon, eta, t, samples,
                                     _rng(seed))]
 
 
 @_check("tightness",
         "Modulus-exceedance table for the deterministic composition family; "
-        "diagnostic rows only, no asymptotic verdict.",
-        kind=("M", "triple kind"), n_list=([3, 5, 10], "family indices"),
-        delta_list=([0.5, 0.25], "window widths"), T=(2.0, "time bound"),
-        epsilon=(0.5, "exceedance level"))
-def _run_tightness(samples, seed, kind, n_list, delta_list, T, epsilon):
+        f"diagnostic rows only, no asymptotic verdict.  'kind' is one of "
+        f"{', '.join(_KINDS)}.",
+        requires=[("kind", lambda p: p["kind"] in _KINDS,
+                   f"key 'kind' must be one of {', '.join(_KINDS)}, "
+                   'not "{kind}"'),
+                  ("delta_list", lambda p: min(p["delta_list"]) > 0,
+                   "delta_list must be > 0, got {delta_list}")])
+def _run_tightness(samples, seed, kind: str = "M",
+                   n_list: list[int] = [3, 5, 10],
+                   delta_list: list[float] = [0.5, 0.25], T: float = 2.0,
+                   epsilon: float = 0.5):
     kind = TripleKind(kind)
     report = skorohod.empirical_tightness(
         lambda n, r: fixtures.composed_ramp(n), kind, n_list, delta_list,
@@ -348,51 +348,27 @@ def _key_lines(raw: str, p: int) -> dict[str, tuple[int, int]]:
     return out
 
 
-def _conform(key: str, value, default, line: int):
-    """``value`` checked against the type of ``default`` and converted to
-    it.  An int passes for a float, a None default takes any number, list
-    items follow the default's first item, a string in ``_CHOICES`` must be
-    one of its values, and REQUIRED objects are parsed."""
-    if default is REQUIRED:
-        try:
-            return _PARSERS[key](value)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {key!r} object: {exc}", line)
-    if isinstance(default, list) and isinstance(value, list):
-        return [_conform(key, v, default[0], line) for v in value]
-    if default is None or type(default) is float:
-        if type(value) in (int, float, type(default)):
-            return value if default is None else float(value)
-    elif type(value) is type(default):
-        if key not in _CHOICES or value in _CHOICES[key]:
-            return value
-        raise ConfigError(f"key {key!r} must be one of "
-                          f"{', '.join(_CHOICES[key])}, not {json.dumps(value)}",
-                          line)
-    raise ConfigError(f"key {key!r} must have the type of its default "
-                      f"{json.dumps(default)}, not {json.dumps(value)}", line)
-
-
 def _params(chk: dict, line=lambda key: 1) -> dict:
-    """Runner keywords for one check: every key checked against the
-    check's row, defaults filled in; ``line(key)`` places an error."""
+    """Runner keywords for one check: every key read as its parameter's
+    annotation says, defaults filled in; ``line(key)`` places an error."""
     name, rows = chk["name"], _REGISTRY[chk["name"]][2]
-    out = {key: default for key, (default, _) in rows.items()}
+    out = {key: default for key, (_, default) in rows.items()}
     for key, value in chk.items():
         if key == "samples" and (type(value) is not int or value < 1):
             raise ConfigError("samples must be an int >= 1", line(key))
         if key in rows:
-            out[key] = _conform(key, value, rows[key][0], line(key))
+            typ = rows[key][0]
+            try:
+                out[key] = _read(value, typ, arrays._FAMILIES, f"key {key!r}")
+            except PathDomainError as exc:
+                bad = f"bad {key!r} object: " if typ in arrays._FAMILIES else ""
+                raise ConfigError(f"{bad}{exc}", line(key))
         elif key not in ("name", "samples"):
             raise ConfigError(f"unknown key {key!r} for check {name!r}",
                               line(key))
     for key, value in out.items():
-        if value is REQUIRED:
+        if value is inspect.Parameter.empty:
             raise ConfigError(f"check {name!r} requires {key!r}", line("name"))
-    ladder = out.get("n_ladder", [])
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("n_ladder must be strictly increasing",
-                          line("n_ladder"))
     for key, holds, message in _REQUIRES[name]:
         if not holds(out):
             raise ConfigError(message.format(**out), line(key))
@@ -582,12 +558,12 @@ def describe(check_name: str):
     click.echo(check_name)
     click.echo(f"  {description}")
     click.echo("  parameters:")
-    for key, (default, doc) in params.items():
-        shown = ("required" if default is REQUIRED
+    for key, (typ, default) in params.items():
+        if typ in arrays._FAMILIES:
+            typ = f"{arrays._FAMILIES[typ][0]} object"
+        shown = ("required" if default is inspect.Parameter.empty
                  else f"default {json.dumps(default)}")
-        if key in _CHOICES:
-            doc = f"{doc}: {' | '.join(_CHOICES[key])}"
-        click.echo(f"    {key}: {doc} ({shown})")
+        click.echo(f"    {key}: {typ} ({shown})")
 
 
 def main():

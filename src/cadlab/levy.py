@@ -374,15 +374,45 @@ _SPEC_KINDS = {
 }
 
 
-#: the JSON types a config value may take, by its field's annotation, and
-#: how an error names them: an int passes for a float, and a bool for
-#: neither.  A tuple is a composite's parts, a list of spec objects.
-_VALUE_TYPES = {"int": ((int,), "an int"), "float": ((int, float), "a number"),
-                "Optional[float]": ((int, float), "a number"),
-                "str": ((str,), "a string"), "tuple": ((list,), "a list")}
-#: each family of config objects, by the annotation of a field that holds
+#: by annotation: the JSON types a config value may take, how an error
+#: names them, and a list's item annotation.  An int passes for a float and
+#: becomes one, and a bool passes for neither.  A tuple is a composite's
+#: parts, a list of spec objects.
+_VALUE_TYPES = {
+    "int": ((int,), "an int", None),
+    "float": ((int, float), "a number", None),
+    "Optional[float]": ((int, float, type(None)), "a number or null", None),
+    "bool": ((bool,), "true or false", None),
+    "str": ((str,), "a string", None),
+    "list[int]": ((list,), "a non-empty list", "int"),
+    "list[float]": ((list,), "a non-empty list", "float"),
+    "tuple": ((list,), "a non-empty list", "SubordinatorSpec"),
+}
+#: each family of config objects, by the annotation of a value that holds
 #: one: its name in errors, and its classes by "kind"
 _FAMILIES = {"SubordinatorSpec": ("spec", _SPEC_KINDS)}
+
+
+def _a(noun: str) -> str:
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
+
+
+def _read(value, annotation: str, families: dict, key: str, where=""):
+    """Config value ``value`` read as annotation ``annotation`` says: an
+    object of a family of ``families`` by :func:`_from_config`, a list item
+    by item, and any other value checked against its ``_VALUE_TYPES`` row.
+    A wrong value raises PathDomainError "``key`` must be ...``where``"."""
+    if annotation in families:
+        return _from_config(value, annotation, families)
+    types, name, item = _VALUE_TYPES[annotation]
+    if type(value) not in types or value == []:
+        raise PathDomainError(f"{key} must be {name}, got "
+                              f"{json.dumps(value)}{where}")
+    if item:
+        value = [_read(v, item, families, f"each item of {key}", where)
+                 for v in value]
+        return tuple(value) if annotation == "tuple" else value
+    return value if value is None or float not in types else float(value)
 
 
 def _from_config(doc: dict, family: str, families: dict):
@@ -391,17 +421,19 @@ def _from_config(doc: dict, family: str, families: dict):
 
     The other keys of ``doc`` are the class's dataclass fields but
     ``time_change``, and a field without a default is required.  Each value
-    must have its field annotation's JSON type.  A field annotated with a
-    family of ``families`` holds an object, and a composite's parts a list
-    of spec objects, each read in turn.  An unknown kind, an unknown or
-    missing key and a wrongly typed value raise PathDomainError naming it.
+    is read by :func:`_read` as its field's annotation says.  A value that
+    is no object, an unknown kind, an unknown or missing key and a wrongly
+    typed value raise PathDomainError naming it.
     """
     noun, kinds = families[family]
+    if type(doc) is not dict:
+        raise PathDomainError(f"{_a(noun)} must be an object, got "
+                              f"{json.dumps(doc)}")
     kind = doc.get("kind")
     if kind not in kinds:
         raise PathDomainError(f"unknown {noun} kind {kind!r}" if "kind" in doc
-                              else f"missing key 'kind' for a {noun}")
-    cls, what = kinds[kind], f"a {kind} {noun}"
+                              else f"missing key 'kind' for {_a(noun)}")
+    cls, what = kinds[kind], _a(f"{kind} {noun}")
     keys = {f.name for f in fields(cls)} - {"time_change"}
     unknown = sorted(set(doc) - keys - {"kind"})
     if unknown:
@@ -411,18 +443,8 @@ def _from_config(doc: dict, family: str, families: dict):
         if f.name == "kind":  # a weight's kind is one of its fields
             params["kind"] = kind
         elif f.name in doc:
-            value, nested = doc[f.name], f.type in families
-            types, name = (((dict,), "an object") if nested
-                           else _VALUE_TYPES[f.type])
-            if type(value) not in types:
-                raise PathDomainError(f"{f.name} must be {name}, got "
-                                      f"{json.dumps(value)} in {what}")
-            if nested:
-                value = _from_config(value, f.type, families)
-            elif f.type == "tuple":
-                value = tuple(_from_config(p, "SubordinatorSpec", families)
-                              for p in value)
-            params[f.name] = value
+            params[f.name] = _read(doc[f.name], f.type, families, f.name,
+                                   f" in {what}")
         elif f.default is MISSING:
             raise PathDomainError(f"missing key {f.name!r} for {what}")
     return cls(**params)

@@ -166,6 +166,11 @@ def test_array_from_dict_builds_each_kind():
         ({"kind": "transform", "base": linnik,
           "weight": {"kind": "profile", "const": 2}},
          TransformArray(LinnikArray(n=8), deterministic_profile(const=2.0))),
+        ({"kind": "transform", "base": linnik,
+          "weight": {"kind": "profile", "name": "two_plus_cos",
+                     "const": None}},
+         TransformArray(LinnikArray(n=8),
+                        deterministic_profile("two_plus_cos"))),
         ({"kind": "transform", "base": linnik, "weight": {
             "kind": "random_walk", "name": "two_plus_cos", "sigma": 0.5}},
          TransformArray(LinnikArray(n=8),
@@ -178,6 +183,8 @@ def test_array_from_dict_builds_each_kind():
     ]
     for doc, spec in cases:
         assert array_from_dict(doc) == spec
+    # an int in a float field becomes a float
+    assert type(array_from_dict(cases[1][0]).horizon) is float
 
 
 def test_batch_draws_survive_a_rejected_hugepage_advice(monkeypatch):

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -13,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import cadlab.cli as cli_mod
+from cadlab import arrays, levy
 from cadlab.cli import cli, derive_seed
 
 CONFIG_DIR = Path(cli_mod.__file__).parent / "configs"
@@ -227,7 +229,12 @@ def last_line_of(path, word):
     ({"name": "fdd_gamma", "samples": 0}, "samples"),
     ({"name": "ecf_linnik", "n_ladder": [128, 64]}, "n_ladder"),
     ({"name": "tightness", "n_list": [3, 5.5]}, "n_list"),
-], ids=["misspelled", "string_bool", "zero_samples", "ladder", "list_item"])
+    ({"name": "lindeberg", "n_ladder": []}, "n_ladder"),
+    ({"name": "mcleish", "array": {"kind": "linnik", "n": 16},
+      "epsilons": []}, "epsilons"),
+    ({"name": "ecf_linnik", "n_ladder": []}, "n_ladder"),
+], ids=["misspelled", "string_bool", "zero_samples", "ladder", "list_item",
+        "lindeberg_empty_ladder", "mcleish_no_epsilons", "ecf_empty_ladder"])
 def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [check]}
@@ -316,7 +323,12 @@ def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
         "kind": "transform", "base": LINNIK16,
         "weight": {"kind": "random_walk", "name": "one", "sigma": True}}},
      "array", "sigma must be a number, got true"),
-], ids=["spec_bool", "array_bool", "array_string", "weight_bool"])
+    ({"name": "hyp_c", "array": 3}, "array",
+     "bad 'array' object: an array must be an object, got 3"),
+    ({"name": "rescaling", "spec": {"kind": "composite", "parts": [3]}},
+     "spec", "bad 'spec' object: a spec must be an object, got 3"),
+], ids=["spec_bool", "array_bool", "array_string", "weight_bool",
+        "array_not_object", "part_not_object"])
 def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [{"name": "lindeberg"}, check]}
@@ -343,8 +355,15 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     ({"name": "standardization", "array": LINNIK16, "t": 0.0}, "t",
      "t must be > 0"),
     ({"name": "transform_cf", "t": 0}, "t", "t must be > 0"),
+    ({"name": "fdd_gamma", "n": 0}, "n", "n must be >= 1"),
+    ({"name": "transform_cf", "n": 0}, "n", "n must be >= 1"),
+    ({"name": "ecf_linnik", "n_ladder": [0, 4]}, "n_ladder",
+     "n_ladder must be >= 1"),
+    ({"name": "tightness", "delta_list": [-0.5]}, "delta_list",
+     "delta_list must be > 0"),
 ], ids=["rescaling_t", "rescaling_s", "hyp_c", "hyp_d", "lenglart_epsilon",
-        "lenglart_eta", "standardization", "transform_cf"])
+        "lenglart_eta", "standardization", "transform_cf", "fdd_gamma_n",
+        "transform_cf_n", "ecf_ladder_n", "tightness_delta"])
 def test_runner_precondition_exits_one_at_load_with_its_line(tmp_path, check,
                                                             key, word):
     # each of these ran the checks before it, then exited 1 with a
@@ -425,10 +444,18 @@ def test_shipped_configs_pass_load_config(path):
     assert all(chk["name"] in cli_mod._REGISTRY for chk in config["checks"])
 
 
+def test_every_check_parameter_has_a_known_annotation_and_typed_default():
+    for name, (_, _, params) in cli_mod._REGISTRY.items():
+        for key, (typ, default) in params.items():
+            assert typ in levy._VALUE_TYPES or typ in arrays._FAMILIES, (
+                name, key, typ)
+            if default is not inspect.Parameter.empty:
+                assert levy._read(default, typ, arrays._FAMILIES,
+                                  key) == default, (name, key)
+
+
 def test_describe_gives_every_key_a_default_or_required():
     assert len(cli_mod._REGISTRY) == 12
-    assert {"lambda_min", "lambda_max", "lambda_step"} <= set(
-        cli_mod._REGISTRY["transform_cf"][2])
     for name, (_, _, params) in cli_mod._REGISTRY.items():
         result, out = invoke(["describe", name])
         assert result.exit_code == 0
