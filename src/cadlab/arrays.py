@@ -23,7 +23,11 @@ whole batch, because a later draw must follow them (the clock when normals
 follow it, the Lindeberg hits or the random-walk steps), are ever held for
 a whole batch.  Each such array lives in its own mapping
 (``levy._batch_array``), filled block by block, so its pages go back to the
-system when the batch is done.  A clock that no normal follows, and the
+system when the batch is done.  Of a clock that its blocks draw from the
+generator alone (Linnik, gamma, inverse Gaussian, drift), at most
+``levy._HELD_CELLS`` cells are held: the batch's earlier rows are drawn
+again, from a copy of the generator, as the normals are read.  No value
+depends on ``levy._HELD_CELLS``.  A clock that no normal follows, and the
 Polya signs, which no draw follows, exist one block at a time.  Single
 realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
 staircases.
@@ -31,6 +35,7 @@ staircases.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,9 +43,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import levy
 from .levy import (_FAMILIES as _SPEC_FAMILIES, RngStream, SubordinatorSpec,
-                   _batched_blocks, _clock_increments, _fill, _from_config,
-                   _row_blocks, _staircase_from_increments)
+                   _batched_blocks, _block_buffers, _block_rows,
+                   _clock_increments, _fill, _from_config, _row_blocks,
+                   _staircase_from_increments)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -174,11 +181,14 @@ class ArraySpec:
         keep its pages after the batch.  Trailing draws that no wanted
         increment needs are skipped, so the generator is left in the state
         of a whole-batch draw only when every field is wanted; a clock that
-        no normal follows is then drawn block by block.  A block holds no
-        view of a batch-sized array: its dA is a fresh array or, for a
-        deterministic compensator, a read-only broadcast of one row, and
-        its other increments are fresh arrays.  So a reader that holds a
-        block does not keep the batch alive.
+        no normal follows is then drawn block by block.
+
+        A yielded block is valid until the next one is asked for: its
+        arrays may be block buffers that the next block overwrites, so a
+        reader consumes or copies a block before it asks for the next.  A
+        block holds no view of a batch-held array (a dA that would be one
+        is copied into a block buffer), so a reader that holds a block
+        does not keep the batch alive.
 
         ``first=0, cells=self.cells`` draws the whole horizon.  Cells past
         the horizon continue the same array on the grid k/n, so a path can
@@ -205,25 +215,69 @@ class IncrementBatch:
     dO: Optional[np.ndarray] = None
 
 
-def _clock_normal_blocks(gen, fields, blocks: Callable[[], Iterator],
-                         batch: Callable[[], np.ndarray]
+def _replayed_rows(samples: int, cells: int) -> int:
+    """Rows of a batch whose clock :func:`_clock_normal_blocks` draws twice
+    rather than hold: all but the last ``levy._HELD_CELLS // cells``,
+    rounded up to whole row blocks."""
+    keep = min(samples, levy._HELD_CELLS // max(cells, 1))
+    rows = _block_rows(cells)
+    return min(samples, -(-(samples - keep) // rows) * rows)
+
+
+def _clock_normal_blocks(gen, samples: int, cells: int, fields,
+                         blocks: Callable[[np.random.Generator], Iterator],
+                         batch: Optional[Callable[[], np.ndarray]] = None
                          ) -> Iterator[IncrementBatch]:
-    """Blocks of sqrt(xi) Z for clock draws xi.  The normals Z are drawn
-    block by block, and only for M or QV.  Without them the clock is read
-    block by block from ``blocks()``; with them it is drawn whole first, by
-    ``batch()``, since they follow it."""
+    """Blocks of sqrt(xi) Z for the clock draws xi that ``blocks(g)``
+    yields from generator ``g``, in the row blocks of
+    ``_row_blocks(samples, cells)``.
+
+    The normals Z are drawn block by block, and only for M or QV.  Without
+    them the clock is read block by block.  With them the clock is drawn
+    whole first, since they follow it, but at most ``levy._HELD_CELLS``
+    cells of it are held: the clock's last rows, from a row-block boundary
+    on (:func:`_replayed_rows`).  The earlier rows are drawn into a reused
+    block buffer and dropped, and read again in the normal phase from a
+    second ``blocks`` call on a copy of ``gen`` taken before the clock: the
+    same call from the same state, so the same bits.  No value depends on
+    ``levy._HELD_CELLS``.  A clock that cannot be drawn twice, because its
+    blocks hold variates for the batch, passes ``batch()``, which draws it
+    whole into one held array.
+    """
     if "M" not in fields and "QV" not in fields:
-        for da in blocks():
+        for da in blocks(gen):
             yield IncrementBatch(dX=None, dA=da, dQV=None)
         return
-    xi = batch()
-    for rows in _row_blocks(*xi.shape):
-        da = xi[rows]
-        z = gen.normal(0.0, 1.0, size=da.shape)
-        yield IncrementBatch(
-            dX=np.sqrt(da) * z if "M" in fields else None,
-            dA=da.copy() if "A" in fields else None,
-            dQV=da * z * z if "QV" in fields else None)
+    start, replay = 0, None
+    if batch is None:
+        start = _replayed_rows(samples, cells)
+        replay = blocks(copy.deepcopy(gen)) if start else None
+        clock = blocks(gen)
+        for _ in range(-(-start // _block_rows(cells))):
+            next(clock)
+        xi = _fill(clock, (samples - start, cells))
+    else:
+        xi = batch()
+    zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
+    for r, z in zip(_row_blocks(samples, cells), zs):
+        da = (next(replay) if r.start < start
+              else xi[r.start - start:r.stop - start])
+        if "A" in fields:
+            # a copy, so that a reader that holds the block does not keep
+            # xi alive while the next batch is drawn
+            copy_ = next(das)
+            copy_[...] = da
+            da = copy_
+        gen.standard_normal(out=z)
+        z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
+        dx = dqv = None
+        if "M" in fields:
+            dx = np.sqrt(da, out=next(xs))
+            dx *= z
+        if "QV" in fields:
+            dqv = np.multiply(da, z, out=next(qs))
+            dqv *= z
+        yield IncrementBatch(dX=dx, dA=da if "A" in fields else None, dQV=dqv)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -234,12 +288,13 @@ class LinnikArray(ArraySpec):
     horizon: float = 1.0
 
     def _draw(self, gen, samples, first, cells, fields):
-        def clock():
-            for r in _row_blocks(samples, cells):
-                yield gen.gamma(1.0 / self.n, 1.0, size=(r.stop - r.start, cells))
+        def clock(g):
+            # gamma(a, 1.0) is 1.0 * standard_gamma(a), the same bits
+            for out in _block_buffers(samples, cells):
+                g.standard_gamma(1.0 / self.n, out=out)
+                yield out
 
-        yield from _clock_normal_blocks(
-            gen, fields, clock, lambda: _fill(clock(), (samples, cells)))
+        yield from _clock_normal_blocks(gen, samples, cells, fields, clock)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -358,8 +413,10 @@ class SubordinatorArray(ArraySpec):
         dl = _clock_increments(self.spec,
                                np.arange(first, first + cells + 1) / self.n)
         yield from _clock_normal_blocks(
-            gen, fields, lambda: self.spec.blocks(gen, dl, samples),
-            lambda: self.spec.increments(gen, dl, samples))
+            gen, samples, cells, fields,
+            lambda g: self.spec.blocks(g, dl, samples),
+            None if self.spec._replays
+            else lambda: self.spec.increments(gen, dl, samples))
 
 
 class _OnBase(ArraySpec):
@@ -535,6 +592,9 @@ def marginal_samples(
     k = int(idx.max(initial=0))
     wanted = set().union(*(_PATH_FIELDS[f] for f in fields))
     out = {f: np.empty((samples, idx.size)) for f in fields}
+    # per path, a block of running sums after a column of zeros, reused
+    sums = {f: np.zeros((min(samples, _block_rows(spec.cells)), k + 1))
+            for f in fields}
     for rows, blk in _stream(spec, rng, samples, wanted):
         for f in out:
             if f == "O" and blk.dO is None:
@@ -544,9 +604,9 @@ def marginal_samples(
                 inc = blk.dX[:, :k] + (0.0 if blk.dO is None else blk.dO[:, :k])
             else:
                 inc = getattr(blk, _INCREMENTS[f])[:, :k]
-            cs = np.cumsum(inc, axis=1)
-            padded = np.concatenate([np.zeros((cs.shape[0], 1)), cs], axis=1)
-            out[f][rows] = padded[:, idx]
+            cs = sums[f][:rows.stop - rows.start]
+            np.cumsum(inc, axis=1, out=cs[:, 1:])
+            out[f][rows] = cs[:, idx]
     return out
 
 

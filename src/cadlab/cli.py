@@ -77,6 +77,13 @@ _REGISTRY: dict[str, tuple] = {}
 #: formatted with the keywords
 _REQUIRES: dict[str, tuple] = {}
 _T_POSITIVE = ("t", lambda p: p["t"] > 0, "t must be > 0, got {t}")
+_T_NONNEGATIVE = ("t", lambda p: p["t"] >= 0, "t must be >= 0, got {t}")
+_T_IN_ARRAY = ("t", lambda p: 0 < p["t"] <= p["array"].horizon,
+               "t must lie in (0, {array.horizon}], got {t}")
+_N_LIST = ("n_list", lambda p: min(p["n_list"]) >= 1,
+           "n_list must be >= 1, got {n_list}")
+_T_FIXTURE = ("T", lambda p: 0 < p["T"] <= fixtures.HORIZON,
+              f"T must lie in (0, {fixtures.HORIZON}], got {{T}}")
 _N_POSITIVE = ("n", lambda p: p["n"] >= 1, "n must be >= 1, got {n}")
 _LADDER = ("n_ladder", lambda p: all(
     a < b for a, b in zip([0, *p["n_ladder"]], p["n_ladder"])),
@@ -97,7 +104,9 @@ def _check(name: str, description: str, requires=()):
 @_check("counterexample_m1",
         "Exact monotone-kind modulus of the tent/steep-ramp compositions "
         "(= 1 for every ramp) and the failing composition condition of the "
-        "ramp limit.")
+        "ramp limit.",
+        requires=[_N_LIST, _T_FIXTURE, ("delta", lambda p: p["delta"] > 0,
+                                        "delta must be > 0, got {delta}")])
 def _run_counterexample_m1(samples, seed, n_list: list[int] = [3, 5, 10],
                            delta: float = 0.5, T: float = 2.0):
     entries = []
@@ -126,7 +135,8 @@ def _run_counterexample_m1(samples, seed, n_list: list[int] = [3, 5, 10],
 @_check("ecf_linnik",
         "Empirical CF of M(t) for the gamma-clock normal array against "
         "(1 + lambda^2/2)^(-t), with a weak-monotonicity trend check over "
-        "the n ladder, which must increase strictly.", requires=[_LADDER])
+        "the n ladder, which must increase strictly.",
+        requires=[_LADDER, _T_POSITIVE])
 def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
                     t: float = 1.0, threshold: float = 0.03):
     se = math.sqrt(2.0 / samples)
@@ -159,7 +169,8 @@ def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
 
 @_check("fdd_gamma",
         "Two-sample KS of the gamma-clock compensator A(t) against "
-        "Gamma(t, 1) draws at the 1% critical value.", requires=[_N_POSITIVE])
+        "Gamma(t, 1) draws at the 1% critical value.",
+        requires=[_N_POSITIVE, _T_POSITIVE])
 def _run_fdd_gamma(samples, seed, n: int = 256, t: float = 1.0):
     spec = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.fdd_test(
@@ -174,7 +185,8 @@ def _run_fdd_gamma(samples, seed, n: int = 256, t: float = 1.0):
         "Monte Carlo estimate of E{A(tau(A(t))) - A(t)} (compensator gap at "
         "the first jump after t), compared with 'expected' within 4 SE; "
         "null 'expected' reports the estimate only.",
-        requires=[("t", lambda p: p["t"] < p["array"].horizon,
+        requires=[_T_NONNEGATIVE,
+                  ("t", lambda p: p["t"] < p["array"].horizon,
                    "t must be < the array's horizon {array.horizon}, got {t}")])
 def _run_hyp_c(samples, seed, array: ArraySpec, t: float = 0.7,
                expected: Optional[float] = None):
@@ -196,7 +208,7 @@ def _run_hyp_c(samples, seed, array: ArraySpec, t: float = 0.7,
         "Monte Carlo estimate of E{A(tau(t))}; must land in [t, t + 1/n] "
         "within 4 SE.  The bracket holds for deterministic clocks; a "
         "jumping clock such as the gamma clock overshoots it by O(1).",
-        requires=[("t", lambda p: p["t"] >= 0, "t must be >= 0, got {t}")])
+        requires=[_T_NONNEGATIVE])
 def _run_hyp_d(samples, seed, array: ArraySpec, t: float = 1.0):
     est = arrays.check_hyp_d(array, t, samples, _rng(seed))
     lo, hi = t, t + 1.0 / array.n
@@ -230,7 +242,7 @@ def _run_lindeberg(samples, seed, alpha: float = 1.0, beta: float = 0.5,
 
 @_check("mcleish",
         "P{sup_{s<=t} |[M]_s - A_s| > eps} by Monte Carlo, one row per "
-        "epsilon, each below 'threshold'.")
+        "epsilon, each below 'threshold'.", requires=[_T_IN_ARRAY])
 def _run_mcleish(samples, seed, array: ArraySpec, t: float = 1.0,
                  epsilons: list[float] = [0.05, 0.1, 0.2],
                  threshold: float = 0.05):
@@ -292,7 +304,8 @@ def _run_standardization(samples, seed, array: ArraySpec, t: float = 1.0):
         "P(A(t) >= eta) within 3 joint SEs.",
         requires=[("epsilon", lambda p: p["epsilon"] > 0,
                    "epsilon must be > 0, got {epsilon}"),
-                  ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}")])
+                  ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}"),
+                  _T_IN_ARRAY])
 def _run_lenglart(samples, seed, array: ArraySpec, epsilon: float = 1.0,
                   eta: float = 0.5, t: float = 1.0):
     return [convtest.lenglart_check(array, epsilon, eta, t, samples,
@@ -307,7 +320,10 @@ def _run_lenglart(samples, seed, array: ArraySpec, epsilon: float = 1.0,
                    f"key 'kind' must be one of {', '.join(_KINDS)}, "
                    'not "{kind}"'),
                   ("delta_list", lambda p: min(p["delta_list"]) > 0,
-                   "delta_list must be > 0, got {delta_list}")])
+                   "delta_list must be > 0, got {delta_list}"),
+                  _N_LIST, _T_FIXTURE,
+                  ("epsilon", lambda p: p["epsilon"] > 0,
+                   "epsilon must be > 0, got {epsilon}")])
 def _run_tightness(samples, seed, kind: str = "M",
                    n_list: list[int] = [3, 5, 10],
                    delta_list: list[float] = [0.5, 0.25], T: float = 2.0,

@@ -47,16 +47,27 @@ def ecf_distance(
 ) -> float:
     """sup over the grid of |empirical CF - model CF|.
 
-    The empirical CF is computed from explicit cosine and sine means.
+    The empirical CF is computed from explicit cosine and sine means, once
+    per |lambda|: cos is even, sin is odd and (-lambda) x = -(lambda x), so
+    at -lambda it is the conjugate, bit for bit.  The model CF is evaluated
+    at every lambda.
     """
     x = np.asarray(samples, dtype=float)
     grid = np.asarray(lambda_grid, dtype=float)
     if x.size == 0 or grid.size == 0:
         raise PathDomainError("samples and lambda grid must be non-empty")
+    sides = {}
+    ax, trig = np.empty_like(x), np.empty_like(x)
     best = 0.0
     for lam in grid:
-        re = float(np.mean(np.cos(lam * x)))
-        im = float(np.mean(np.sin(lam * x)))
+        a = abs(float(lam))
+        if a not in sides:
+            np.multiply(a, x, out=ax)
+            sides[a] = (float(np.mean(np.cos(ax, out=trig))),
+                        float(np.mean(np.sin(ax, out=trig))))
+        re, im = sides[a]
+        if lam < 0:
+            im = -im
         model = complex(cf(float(lam)))
         best = max(best, math.hypot(re - model.real, im - model.imag))
     return best

@@ -15,8 +15,14 @@ order of a whole-batch draw.  Only the variates that a later draw must
 follow are held for the whole batch: the stable sampler's uniforms, the
 compound Poisson counts (one byte a cell at small rates) and the running
 sum of a composite's parts but the last.  The last-drawn variate, and every
-array formed from it, exists one block at a time.  The batch and block
-sizes that the array layer shares live here.
+array formed from it, exists one block at a time, drawn where numpy allows
+into one buffer reused from block to block (:func:`_block_buffers`).  The batch and
+block sizes that the array layer shares live here, and ``_HELD_CELLS``, the
+most cells of a clock that the array layer holds for a batch.  A spec whose
+blocks come from the generator alone (``_replays``: gamma, inverse
+Gaussian, drift) can be drawn a second time from a copy of the generator,
+with the same bits, so the array layer holds only the last rows of its
+clock and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`) and is filled row block by row block.  Freeing it
@@ -83,6 +89,10 @@ class RngStream:
 
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
+#: cells of a batch's clock that the array layer holds at most (64 MiB);
+#: a replayable clock's earlier rows are drawn twice instead.  It bounds
+#: memory only: the streams are fixed by _BATCH_CELLS.
+_HELD_CELLS = 2**23
 
 #: a private anonymous mapping, None where mmap lacks the flags.  A shared
 #: one gets 4 KiB pages: 25 times the page faults on a 100 MB array.
@@ -133,12 +143,27 @@ def _batched_blocks(samples: int, cells: int,
             yield slice(r0 + r.start, r0 + r.stop), blk
 
 
+def _block_rows(cells: int) -> int:
+    """Rows of a row block of ``cells`` cells a row: about _BLOCK_CELLS
+    cells."""
+    return max(1, _BLOCK_CELLS // max(cells, 1))
+
+
 def _row_blocks(samples: int, cells: int) -> Iterator[slice]:
-    """Row slices of about _BLOCK_CELLS cells that cover ``samples`` rows;
-    a single empty slice when there are none."""
-    rows = max(1, _BLOCK_CELLS // max(cells, 1))
+    """Row slices of ``_block_rows(cells)`` rows that cover ``samples``
+    rows; a single empty slice when there are none."""
+    rows = _block_rows(cells)
     for r0 in range(0, max(samples, 1), rows):
         yield slice(r0, min(r0 + rows, samples))
+
+
+def _block_buffers(samples: int, cells: int) -> Iterator[np.ndarray]:
+    """For each slice of ``_row_blocks(samples, cells)``, a view of its
+    rows of one reused zeroed buffer of a block's shape.  A view is
+    overwritten by the next one."""
+    buf = np.zeros((min(samples, _block_rows(cells)), cells))
+    for r in _row_blocks(samples, cells):
+        yield buf[:r.stop - r.start]
 
 
 # -- specs -----------------------------------------------------------------
@@ -148,6 +173,7 @@ class SubordinatorSpec:
     """Base class: a parametric nondecreasing Levy process description."""
 
     time_change: Optional[CadlagPath] = None
+    _replays = False
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -164,8 +190,14 @@ class SubordinatorSpec:
 
         ``gen`` is consumed in the order of a whole-batch draw: a variate
         that a later draw must follow is drawn for all ``rows`` first, and
-        the last-drawn variate block by block.  Each block is a fresh array
-        or a read-only broadcast of one row.
+        the last-drawn variate block by block.  A block is valid until the
+        next one is asked for: it may be a reused buffer (see
+        :func:`_block_buffers`), a fresh array or a read-only broadcast of
+        one row.
+
+        A kind whose ``_replays`` is true draws its blocks from ``gen``
+        alone and holds nothing for the batch, so a second call from a
+        copy of the same generator state yields the same bits.
         """
         raise NotImplementedError
 
@@ -201,11 +233,15 @@ class GammaSpec(SubordinatorSpec):
         _check_positive("shape_rate", self.shape_rate)
         _check_positive("scale", self.scale)
 
+    _replays = True
+
     def blocks(self, gen, dl, rows):
+        # gamma(a, scale) is scale * standard_gamma(a), the same bits
         shape = self.shape_rate * dl
-        for r in _row_blocks(rows, dl.size):
-            yield gen.gamma(np.broadcast_to(shape, (r.stop - r.start, dl.size)),
-                            self.scale)
+        for out in _block_buffers(rows, dl.size):
+            gen.standard_gamma(np.broadcast_to(shape, out.shape), out=out)
+            out *= self.scale
+            yield out
 
 
 @dataclass(frozen=True)
@@ -220,12 +256,14 @@ class InverseGaussianSpec(SubordinatorSpec):
         _check_positive("mu", self.mu)
         _check_positive("lam", self.lam)
 
+    _replays = True
+
     def blocks(self, gen, dl, rows):
-        # only cells of positive clock length draw, in row-major order
+        # only cells of positive clock length draw, in row-major order; the
+        # others stay 0 in the zeroed buffer
         pos = dl > 0
         mean, shape = self.mu * dl[pos], self.lam * dl[pos] ** 2
-        for r in _row_blocks(rows, dl.size):
-            out = np.zeros((r.stop - r.start, dl.size))
+        for out in _block_buffers(rows, dl.size):
             out[:, pos] = gen.wald(np.broadcast_to(mean, (len(out), mean.size)),
                                    shape)
             yield out
@@ -315,6 +353,8 @@ class DriftSpec(SubordinatorSpec):
     def __post_init__(self):
         if self.slope < 0:
             raise PathDomainError(f"drift slope must be >= 0, got {self.slope}")
+
+    _replays = True
 
     def blocks(self, gen, dl, rows):
         inc = self.slope * dl

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from cadlab import levy
+from cadlab import arrays, levy
 from cadlab.arrays import (
     DriftedArray,
     LindebergArray,
@@ -547,26 +547,62 @@ def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
     _assert_streams_match_reference(spec, 3000)
 
 
+@pytest.mark.parametrize("held", [500, 10_000], ids=["below_a_block",
+                                                     "mid_batch"])
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
+                                                           monkeypatch):
+    # the clock rows before the last levy._HELD_CELLS cells are drawn
+    # again, not held: all but at most a partial last block, or the rows
+    # before a row block mid-batch.  The default cap, under which the test
+    # above holds every row, is that test.
+    monkeypatch.setattr(levy, "_BATCH_CELLS", 20_011)
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
+    monkeypatch.setattr(levy, "_HELD_CELLS", held)
+    rows = levy._BATCH_CELLS // spec.cells
+    replayed = arrays._replayed_rows(rows, spec.cells)
+    assert 0 < replayed and (rows - replayed) * spec.cells <= held
+    assert held < 1_000 or replayed < rows
+    _assert_streams_match_reference(spec, 3000)
+
+
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_sample_increments_of_no_replicates(spec):
     batch = sample_increments(spec, RngStream(SEED, 27), 0)
     assert batch.dX.shape == batch.dA.shape == (0, spec.cells)
 
 
-def test_marginal_samples_memory_is_one_batch_of_clock_draws(malloc_batches):
+def test_marginal_samples_memory_is_capped_clock_draws(malloc_batches,
+                                                       monkeypatch):
     # the whole-batch code held five or six batch-sized arrays (~489 MiB
-    # here); streaming keeps one batch of gamma clock draws plus blocks.
-    # A gamma subordinator used to hold a second batch, its shape array.
+    # here).  A clock that its normals follow is held, but of a gamma,
+    # inverse Gaussian or Linnik clock at most levy._HELD_CELLS cells: the
+    # earlier rows of the batch (97.7 MiB here) are drawn again instead.
     # The other levy specs held two to six batches (IG 403 MiB, stable
-    # 586 MiB).  Now each holds only what a later draw must follow: the
-    # stable uniforms, the compound Poisson counts (one byte a cell), and a
-    # composite's first part, into which the others are added in place.
+    # 586 MiB).  Now each holds its clock batch and only what a later draw
+    # must follow: the stable uniforms, the compound Poisson counts (one
+    # byte a cell), and a composite's first part, into which the others
+    # are added in place.
     samples = 50_000
+    held = levy._HELD_CELLS * 8
+    for spec in (LinnikArray(n=256, horizon=1.0),
+                 SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0)),
+                 SubordinatorArray(n=256, spec=InverseGaussianSpec(
+                     mu=1.0, lam=2.0))):
+        assert samples * spec.cells * 8 > held
+        peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
+                           RngStream(SEED, 26), fields=("M",))
+        assert held <= peak <= 1.25 * held, (spec, peak / 2**20)
+    # a reader holds each block until it asks for the next, which draws the
+    # next batch's clock; a block that viewed the held clock kept two
+    with monkeypatch.context() as m:
+        m.setattr(levy, "_BATCH_CELLS", 30_000 * 256)
+        batch = 30_000 * 256 * 8
+        peak = _peak_bytes(marginal_samples, LinnikArray(n=256, horizon=1.0),
+                           [1.0], samples, RngStream(SEED, 26),
+                           fields=("M", "A"))
+        assert batch <= peak <= 1.25 * batch, peak / 2**20
     for spec, budget in (
-            (LinnikArray(n=256, horizon=1.0), 1.25),
-            (SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0)), 1.25),
-            (SubordinatorArray(n=256, spec=InverseGaussianSpec(mu=1.0, lam=2.0)),
-             1.25),
             (SubordinatorArray(n=256, spec=StableSpec(alpha=0.6)), 2.25),
             (SubordinatorArray(n=256, spec=CompoundPoissonSpec(
                 rate=3.0, jump_mean=0.5)), 1.25),

@@ -131,10 +131,19 @@ def test_run_failing_check_exits_two(tmp_path):
     assert "FAIL lindeberg" in out
 
 
-def test_reports_byte_identical_across_reruns_and_jobs(tmp_path):
-    p = write_config(tmp_path, small_stochastic_config())
+def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
+                                                      monkeypatch):
+    doc = small_stochastic_config()
+    # reads M, whose normals follow the clock: at levy._HELD_CELLS = 1000
+    # every clock row is drawn again rather than held
+    doc["checks"].append({"name": "standardization", "array": {
+        "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000})
+    p = write_config(tmp_path, doc)
     outs = []
-    for i, jobs in enumerate(("1", "1", "4")):
+    held = levy._HELD_CELLS
+    for i, (jobs, cap) in enumerate((("1", held), ("1", held), ("4", held),
+                                     ("1", 1_000))):
+        monkeypatch.setattr(levy, "_HELD_CELLS", cap)
         d = tmp_path / f"run{i}"
         result, out = invoke(["run", str(p), "--jobs", jobs,
                               "--output-dir", str(d)])
@@ -142,6 +151,7 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path):
         outs.append((d / "smoke" / "report.json").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+    assert outs[0] == outs[3]
 
 
 def test_samples_scale_changes_effective_samples(tmp_path):
@@ -361,13 +371,36 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
      "n_ladder must be >= 1"),
     ({"name": "tightness", "delta_list": [-0.5]}, "delta_list",
      "delta_list must be > 0"),
+    ({"name": "counterexample_m1", "n_list": [0]}, "n_list",
+     "n_list must be >= 1, got [0]"),
+    ({"name": "tightness", "n_list": [3, 0]}, "n_list",
+     "n_list must be >= 1, got [3, 0]"),
+    ({"name": "counterexample_m1", "T": 0.0}, "T",
+     "T must lie in (0, 2.0], got 0.0"),
+    ({"name": "tightness", "T": 2.5}, "T", "T must lie in (0, 2.0], got 2.5"),
+    ({"name": "counterexample_m1", "delta": 0.0}, "delta",
+     "delta must be > 0, got 0.0"),
+    ({"name": "ecf_linnik", "t": 0.0}, "t", "t must be > 0, got 0.0"),
+    ({"name": "fdd_gamma", "t": 0.0}, "t", "t must be > 0, got 0.0"),
+    ({"name": "hyp_c", "array": LINNIK16, "t": -1.0}, "t",
+     "t must be >= 0, got -1.0"),
+    ({"name": "mcleish", "array": LINNIK16, "t": 0.0}, "t",
+     "t must lie in (0, 1.0], got 0.0"),
+    ({"name": "lenglart", "array": LINNIK16, "t": 2.0}, "t",
+     "t must lie in (0, 1.0], got 2.0"),
+    ({"name": "tightness", "epsilon": -1.0}, "epsilon",
+     "epsilon must be > 0, got -1.0"),
 ], ids=["rescaling_t", "rescaling_s", "hyp_c", "hyp_d", "lenglart_epsilon",
         "lenglart_eta", "standardization", "transform_cf", "fdd_gamma_n",
-        "transform_cf_n", "ecf_ladder_n", "tightness_delta"])
+        "transform_cf_n", "ecf_ladder_n", "tightness_delta",
+        "counterexample_n_list", "tightness_n_list", "counterexample_T",
+        "tightness_T", "counterexample_delta", "ecf_linnik_t", "fdd_gamma_t",
+        "hyp_c_negative_t", "mcleish_t", "lenglart_t", "tightness_epsilon"])
 def test_runner_precondition_exits_one_at_load_with_its_line(tmp_path, check,
                                                             key, word):
     # each of these ran the checks before it, then exited 1 with a
-    # "runtime error" and no line
+    # "runtime error" and no line, or (mcleish_t, tightness_epsilon) passed
+    # with a verdict that checks nothing
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [{"name": "lindeberg"}, check]}
     p = write_config(tmp_path, doc)

@@ -31,6 +31,33 @@ def test_ecf_distance_exact_point_mass():
     assert d == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
 
 
+def _ecf_distance_per_lambda(samples, cf, grid):
+    """ecf_distance with the sample side computed at every lambda."""
+    best = 0.0
+    for lam in np.asarray(grid, dtype=float):
+        re = float(np.mean(np.cos(lam * samples)))
+        im = float(np.mean(np.sin(lam * samples)))
+        model = complex(cf(float(lam)))
+        best = max(best, math.hypot(re - model.real, im - model.imag))
+    return best
+
+
+@pytest.mark.parametrize("grid", [
+    np.arange(-3, 3.125, 0.25),
+    [2.0, -0.5, 0.0, 0.5, -1.25, 1.0, 3.0, -2.0, 0.75],
+], ids=["symmetric", "asymmetric"])
+def test_ecf_distance_reuses_the_sample_side_at_minus_lambda_exactly(grid):
+    x = np.random.default_rng(SEED).standard_t(3, size=5000) + 0.3
+
+    def cf(lam):  # complex valued, so the sign of the sine side matters
+        return complex(math.exp(-lam * lam / 2.0), 0.2 * math.sin(lam))
+
+    # every prefix, so each lambda that raises the sup is compared
+    for k in range(1, len(grid) + 1):
+        assert (ecf_distance(x, cf, grid[:k])
+                == _ecf_distance_per_lambda(x, cf, grid[:k]))
+
+
 def test_ecf_distance_validation():
     with pytest.raises(PathDomainError):
         ecf_distance(np.array([]), lambda lam: 1.0, [1.0])
