@@ -21,9 +21,9 @@ Batch sampling is vectorized over replicates and streamed: each kind's
 keep only the values they need.  So only the variates a kind draws for a
 whole batch, because a later draw must follow them (the clock when normals
 follow it, the Lindeberg hits or the random-walk steps), are ever held for
-a whole batch.  Each such array lives in its own mapping
-(``levy._batch_array``), filled block by block, so its pages go back to the
-system when the batch is done.  Of a clock that its blocks draw from the
+a whole batch.  Each such array of at least one row block lives in its
+own mapping (``levy._batch_array``), filled block by block, so its pages go
+back to the system when the batch is done.  Of a clock that its blocks draw from the
 generator alone (Linnik, gamma, inverse Gaussian, drift), at most
 ``levy._HELD_CELLS`` cells are held: the batch's earlier rows are drawn
 again, from a copy of the generator, as the normals are read.  No value
@@ -45,9 +45,8 @@ import numpy as np
 
 from . import levy
 from .levy import (_FAMILIES as _SPEC_FAMILIES, RngStream, SubordinatorSpec,
-                   _batched_blocks, _block_buffers, _block_rows,
-                   _clock_increments, _fill, _from_config, _row_blocks,
-                   _staircase_from_increments)
+                   _batched_blocks, _block_buffers, _block_rows, _fill,
+                   _from_config, _row_blocks, _staircase_from_increments)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -410,8 +409,7 @@ class SubordinatorArray(ArraySpec):
     horizon: float = 1.0
 
     def _draw(self, gen, samples, first, cells, fields):
-        dl = _clock_increments(self.spec,
-                               np.arange(first, first + cells + 1) / self.n)
+        dl = np.diff(np.arange(first, first + cells + 1) / self.n)
         yield from _clock_normal_blocks(
             gen, samples, cells, fields,
             lambda g: self.spec.blocks(g, dl, samples),

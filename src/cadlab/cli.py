@@ -174,10 +174,8 @@ def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
 def _run_fdd_gamma(samples, seed, n: int = 256, t: float = 1.0):
     spec = arrays.LinnikArray(n=n, horizon=t)
     entry = convtest.fdd_test(
-        spec, [t], [1.0],
-        lambda gen, size: gen.gamma(t, 1.0, size=size),
-        samples, _rng(seed), which="A",
-    )
+        spec, [t], [1.0], lambda gen, size: gen.gamma(t, 1.0, size=size),
+        samples, _rng(seed))
     return [entry]
 
 
@@ -391,6 +389,12 @@ def _params(chk: dict, line=lambda key: 1) -> dict:
     return out
 
 
+#: the top-level config keys and their JSON types; all but output_dir
+#: are required
+_TOP_KEYS = {"experiment_id": str, "seed": int, "samples": int,
+             "checks": list, "output_dir": str}
+
+
 def load_config(path: Path) -> dict:
     """Read a config and check it whole, every key of every check against
     its registry row, before anything runs."""
@@ -405,13 +409,22 @@ def load_config(path: Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     top = _key_lines(raw, _GAP.match(raw).end())
-    for key, typ in (("experiment_id", str), ("seed", int),
-                     ("samples", int), ("checks", list)):
-        if key not in doc:
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"key {key!r} is unknown; the keys are "
+                              f"{', '.join(_TOP_KEYS)}", line=top[key][0])
+    for key, typ in _TOP_KEYS.items():
+        if key not in doc and key != "output_dir":
             raise ConfigError(f"missing required key {key!r}")
-        if type(doc[key]) is not typ:  # a bool is no int
+        if key in doc and type(doc[key]) is not typ:  # a bool is no int
             raise ConfigError(f"key {key!r} must be {typ.__name__}",
                               line=top[key][0])
+    # the report is written to <output dir>/<experiment_id>
+    if (doc["experiment_id"] in ("", ".", "..")
+            or any(c in doc["experiment_id"] for c in "/\\\0")):
+        raise ConfigError("key 'experiment_id' must be one path component: "
+                          "not empty, '.' or '..', and no '/', '\\' or NUL",
+                          line=top["experiment_id"][0])
     if doc["samples"] < 1:
         raise ConfigError("samples must be >= 1", line=top["samples"][0])
     if not doc["checks"]:

@@ -162,10 +162,9 @@ def fdd_test(
     target_sampler: Callable[[np.random.Generator, int], np.ndarray],
     samples: int,
     rng: RngStream,
-    which: str = "A",
 ) -> CheckEntry:
-    """Two-sample KS between a weighted increment combination of the array
-    and the same combination under the limit law.
+    """Two-sample KS between a weighted increment combination of the
+    array's compensator A and the same combination under the limit law.
 
     ``target_sampler(gen, size)`` must draw the limit combination; the two
     sides use independent streams.
@@ -177,8 +176,8 @@ def fdd_test(
     if len(weights) != len(times):
         raise PathDomainError("need one weight per increment")
     marg = arrays.marginal_samples(spec, times, samples, rng.child(0),
-                                   fields=(which,))
-    vals = marg[which]
+                                   fields=("A",))
+    vals = marg["A"]
     incs = np.diff(np.concatenate(
         [np.zeros((vals.shape[0], 1)), vals], axis=1), axis=1)
     combo = incs @ np.asarray(weights, dtype=float)
@@ -187,7 +186,7 @@ def fdd_test(
     thr = ks_critical_value(_ALPHA, samples, len(target))
     return CheckEntry(
         check_name="fdd", n=spec.n,
-        param=f"{which};times={times};weights={weights}",
+        param=f"A;times={times};weights={weights}",
         statistic=stat, threshold=thr, passed=stat <= thr,
         stderr=0.0, seed=rng.master_seed, samples=samples,
     )

@@ -6,8 +6,6 @@ Subordinators are sampled by exact increment laws on a uniform grid: each
 grid cell receives an independent draw from the increment distribution of
 the process over that cell, so every sampled path is a nondecreasing
 staircase starting at 0 (a pure drift gives an exact linear path instead).
-An optional deterministic nondecreasing clock ell(t) makes the increments
-inhomogeneous in time.
 
 Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
@@ -25,10 +23,11 @@ with the same bits, so the array layer holds only the last rows of its
 clock and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
-(:func:`_batch_array`) and is filled row block by row block.  Freeing it
-returns its pages to the system at once.  From malloc, a batch of 20 to 30
-MiB would instead raise glibc's mmap threshold once freed, and the next
-batches would come from the heap, which does not shrink.
+(:func:`_batch_array`), unless it is smaller than one row block, and is
+filled row block by row block.  Freeing it returns its pages to the system
+at once.  From malloc, a batch of 20 to 30 MiB would instead raise glibc's
+mmap threshold once freed, and the next batches would come from the heap,
+which does not shrink.
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
 exp(-u^alpha); the inverse Gaussian parameters follow the mean/shape
@@ -103,11 +102,13 @@ _MAP_FLAGS = (mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
 
 def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array in its own anonymous mapping, unmapped when
-    the last view of it is gone; ``np.empty`` without ``_MAP_FLAGS``."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if _MAP_FLAGS is None or not size:
+    the last view of it is gone.  ``np.empty`` below one row block
+    (_BLOCK_CELLS cells), where a mapping costs more than the draw, as
+    for a one-row path, and without ``_MAP_FLAGS``."""
+    cells = math.prod(shape)
+    if _MAP_FLAGS is None or cells < _BLOCK_CELLS:
         return np.empty(shape, dtype)
-    buf = mmap.mmap(-1, size, flags=_MAP_FLAGS)
+    buf = mmap.mmap(-1, cells * np.dtype(dtype).itemsize, flags=_MAP_FLAGS)
     # the advice is optional: a kernel built without transparent huge
     # pages rejects it with EINVAL
     if hasattr(mmap, "MADV_HUGEPAGE"):
@@ -172,7 +173,6 @@ def _block_buffers(samples: int, cells: int) -> Iterator[np.ndarray]:
 class SubordinatorSpec:
     """Base class: a parametric nondecreasing Levy process description."""
 
-    time_change: Optional[CadlagPath] = None
     _replays = False
 
     def __init_subclass__(cls, **kwargs):
@@ -227,7 +227,6 @@ class GammaSpec(SubordinatorSpec):
 
     shape_rate: float
     scale: float = 1.0
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         _check_positive("shape_rate", self.shape_rate)
@@ -250,7 +249,6 @@ class InverseGaussianSpec(SubordinatorSpec):
 
     mu: float
     lam: float
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         _check_positive("mu", self.mu)
@@ -259,14 +257,11 @@ class InverseGaussianSpec(SubordinatorSpec):
     _replays = True
 
     def blocks(self, gen, dl, rows):
-        # only cells of positive clock length draw, in row-major order; the
-        # others stay 0 in the zeroed buffer
-        pos = dl > 0
-        mean, shape = self.mu * dl[pos], self.lam * dl[pos] ** 2
-        for out in _block_buffers(rows, dl.size):
-            out[:, pos] = gen.wald(np.broadcast_to(mean, (len(out), mean.size)),
-                                   shape)
-            yield out
+        # wald has no out=, so each block is its own array
+        mean, shape = self.mu * dl, self.lam * dl ** 2
+        for r in _row_blocks(rows, dl.size):
+            yield gen.wald(np.broadcast_to(mean, (r.stop - r.start, dl.size)),
+                           shape)
 
 
 @dataclass(frozen=True)
@@ -278,7 +273,6 @@ class StableSpec(SubordinatorSpec):
 
     alpha: float
     scale: float = 1.0
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -289,7 +283,7 @@ class StableSpec(SubordinatorSpec):
         # self-similarity: A(h) = (scale * h)^(1/alpha) * S
         factor = (self.scale * dl) ** (1.0 / self.alpha)
         for s in _positive_stable(gen, self.alpha, rows, dl.size):
-            yield np.where(dl > 0, factor * s, 0.0)
+            yield factor * s
 
 
 def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
@@ -320,7 +314,6 @@ class CompoundPoissonSpec(SubordinatorSpec):
 
     rate: float
     jump_mean: float
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         _check_positive("rate", self.rate)
@@ -348,7 +341,6 @@ class DriftSpec(SubordinatorSpec):
     """Deterministic drift component with slope >= 0."""
 
     slope: float
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         if self.slope < 0:
@@ -367,7 +359,6 @@ class CompositeSpec(SubordinatorSpec):
     """Independent sum of component subordinators."""
 
     parts: tuple
-    time_change: Optional[CadlagPath] = None
 
     def __post_init__(self):
         if not self.parts:
@@ -459,11 +450,11 @@ def _from_config(doc: dict, family: str, families: dict):
     """The object that config object ``doc`` describes, of the class that
     its "kind" names in ``families[family]``.
 
-    The other keys of ``doc`` are the class's dataclass fields but
-    ``time_change``, and a field without a default is required.  Each value
-    is read by :func:`_read` as its field's annotation says.  A value that
-    is no object, an unknown kind, an unknown or missing key and a wrongly
-    typed value raise PathDomainError naming it.
+    The other keys of ``doc`` are the class's dataclass fields, and a
+    field without a default is required.  Each value is read by
+    :func:`_read` as its field's annotation says.  A value that is no
+    object, an unknown kind, an unknown or missing key and a wrongly typed
+    value raise PathDomainError naming it.
     """
     noun, kinds = families[family]
     if type(doc) is not dict:
@@ -474,7 +465,7 @@ def _from_config(doc: dict, family: str, families: dict):
         raise PathDomainError(f"unknown {noun} kind {kind!r}" if "kind" in doc
                               else f"missing key 'kind' for {_a(noun)}")
     cls, what = kinds[kind], _a(f"{kind} {noun}")
-    keys = {f.name for f in fields(cls)} - {"time_change"}
+    keys = {f.name for f in fields(cls)}
     unknown = sorted(set(doc) - keys - {"kind"})
     if unknown:
         raise PathDomainError(f"unknown key {unknown[0]!r} for {what}")
@@ -491,31 +482,19 @@ def _from_config(doc: dict, family: str, families: dict):
 
 
 def spec_from_dict(doc: dict) -> SubordinatorSpec:
-    """Spec from its config object: "kind" plus the spec's fields but
-    ``time_change``; see :func:`_from_config`."""
+    """Spec from its config object: "kind" plus the spec's fields; see
+    :func:`_from_config`."""
     return _from_config(doc, "SubordinatorSpec", _FAMILIES)
 
 
 # -- sampling --------------------------------------------------------------
 
 
-def _clock_increments(spec: SubordinatorSpec, pts: np.ndarray) -> np.ndarray:
-    """Clock length of each cell between consecutive time points ``pts``."""
-    if spec.time_change is None:
-        return np.diff(pts)
-    ell = spec.time_change
-    vals = ell.eval_many(np.minimum(pts, ell.horizon))
-    d = np.diff(vals)
-    if np.any(d < 0):
-        raise PathDomainError("time change must be nondecreasing")
-    return d
-
-
 def sample_subordinator_increments(
     spec: SubordinatorSpec, grid: TimeGrid, rng: RngStream, samples: int = 1
 ) -> np.ndarray:
     """(samples, cells) array of independent grid-cell increments."""
-    dl = _clock_increments(spec, grid.points())
+    dl = np.diff(grid.points())
     return spec.increments(rng.generator(), dl, samples)
 
 
@@ -531,7 +510,7 @@ def sample_subordinator(
 ) -> CadlagPath:
     """One nondecreasing path: staircase for random specs, exact linear
     segments for a pure drift."""
-    if isinstance(spec, DriftSpec) and spec.time_change is None:
+    if isinstance(spec, DriftSpec):
         return piecewise_linear([0.0, grid.horizon],
                                 [0.0, spec.slope * grid.horizon])
     inc = sample_subordinator_increments(spec, grid, rng, samples=1)[0]
@@ -639,7 +618,7 @@ def rescaling_check(
     k_s = grid.index_at(s)
     k_t = grid.index_at(t)
 
-    dl = _clock_increments(spec, grid.points())
+    dl = np.diff(grid.points())
 
     def window_gaps(gen, count):
         # clock increase over [s, t], summed block by block; every batch

@@ -31,7 +31,7 @@ from cadlab.arrays import (
 from cadlab.levy import (CompositeSpec, CompoundPoissonSpec, DriftSpec,
                          GammaSpec, InverseGaussianSpec, RngStream, StableSpec,
                          _staircase_from_increments)
-from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
+from cadlab.paths import PathDomainError, TimeGrid
 from cadlab.timechange import InsufficientHorizonError, inverse
 from test_levy import _peak_bytes, _reference_increments, malloc_batches  # noqa: F401
 
@@ -92,15 +92,6 @@ def test_subordinator_array_uses_clock_increments():
     spec = SubordinatorArray(n=20, spec=DriftSpec(slope=1.0), horizon=1.0)
     batch = sample_increments(spec, RngStream(SEED, 4), 5)
     assert np.allclose(batch.dA, 1.0 / 20)
-
-
-def test_subordinator_array_rejects_decreasing_time_change():
-    # the array's clock cells come from levy._clock_increments, so a
-    # decreasing clock fails as it does in sample_subordinator_increments
-    ramp = piecewise_linear([0.0, 1.0], [1.0, 0.0])
-    spec = SubordinatorArray(n=10, spec=DriftSpec(1.0, time_change=ramp))
-    with pytest.raises(PathDomainError, match="nondecreasing"):
-        sample_increments(spec, RngStream(SEED, 4), 3)
 
 
 def test_transform_array_scales_compensator_by_squared_weight():
@@ -187,15 +178,41 @@ def test_array_from_dict_builds_each_kind():
     assert type(array_from_dict(cases[1][0]).horizon) is float
 
 
-def test_batch_draws_survive_a_rejected_hugepage_advice(monkeypatch):
+@pytest.fixture
+def mmap_calls(monkeypatch):
+    """The sizes of the ``mmap.mmap`` calls made while the test runs."""
+    calls, real = [], mmap.mmap
+
+    def counted(fileno, size, *args, **kwargs):
+        calls.append(size)
+        return real(fileno, size, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+    return calls
+
+
+def test_batch_draws_survive_a_rejected_hugepage_advice(monkeypatch,
+                                                        mmap_calls):
     # a kernel built without transparent huge pages rejects MADV_HUGEPAGE
-    # with EINVAL, as it rejects any advice it does not know
+    # with EINVAL, as it rejects any advice it does not know.  3000 x 16
+    # clock cells are more than a row block, so they are mapped and advised
     spec = LinnikArray(n=16, horizon=1.0)
-    want = marginal_samples(spec, [1.0], 300, RngStream(SEED, 9),
+    want = marginal_samples(spec, [1.0], 3000, RngStream(SEED, 9),
                             fields=("M",))
     monkeypatch.setattr(mmap, "MADV_HUGEPAGE", 12345, raising=False)
-    got = marginal_samples(spec, [1.0], 300, RngStream(SEED, 9), fields=("M",))
+    got = marginal_samples(spec, [1.0], 3000, RngStream(SEED, 9),
+                           fields=("M",))
     assert np.array_equal(got["M"], want["M"])
+    assert mmap_calls or levy._MAP_FLAGS is None
+
+
+def test_one_row_draws_map_no_memory(mmap_calls):
+    # linnik.json's hyp_d array: each replicate draws one row of 200 cells,
+    # less than a row block, which np.empty serves far faster than a mapping
+    spec = SubordinatorArray(n=100, spec=DriftSpec(slope=1.0), horizon=2.0)
+    est = check_hyp_d(spec, 1.0, 50, RngStream(SEED, 12))
+    assert est.estimate == pytest.approx(1.01)
+    assert mmap_calls == []
 
 
 def test_realize_staircase_structure():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +15,6 @@ from cadlab.levy import (
     InverseGaussianSpec,
     RngStream,
     StableSpec,
-    _clock_increments,
     gamma_subordinated_cf,
     linnik_cf,
     rescaling_check,
@@ -25,7 +23,7 @@ from cadlab.levy import (
     spec_from_dict,
     weighted_gamma_subordinated_cf,
 )
-from cadlab.paths import PathDomainError, TimeGrid, piecewise_linear
+from cadlab.paths import PathDomainError, TimeGrid
 
 SEED = 20260824
 
@@ -267,7 +265,7 @@ def _reference_rescaling(spec, s, t, samples, rng, grid_n):
 
     grid = TimeGrid(grid_n, t)
     k_s, k_t = grid.index_at(s), grid.index_at(t)
-    dl = _clock_increments(spec, grid.points())
+    dl = np.diff(grid.points())
     rows = max(1, levy._BATCH_CELLS // dl.size)
 
     def gaps(gen):
@@ -284,8 +282,6 @@ def _reference_rescaling(spec, s, t, samples, rng, grid_n):
     return ks_two_sample(side1, w_inc * np.sqrt(a_gap / (t - s)))
 
 
-#: a clock that stops on [0.3, 0.6], so some cells have length 0
-FLAT = piecewise_linear([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.4, 1.0])
 ORACLE_SPECS = [
     GammaSpec(shape_rate=1.3, scale=0.7),
     InverseGaussianSpec(mu=1.0, lam=2.0),
@@ -300,19 +296,11 @@ ORACLE_SPECS = [
 ORACLE_IDS = ["gamma", "ig", "stable", "cp", "cp_wide", "drift", "composite"]
 
 
-def _with_clock(spec, clock):
-    return spec if clock is None else dataclasses.replace(spec,
-                                                          time_change=clock)
-
-
 @pytest.mark.parametrize("rows", [1, 7, 3000])
-@pytest.mark.parametrize("clock", [None, FLAT], ids=["plain", "flat_spot"])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
-def test_increments_match_whole_batch_reference(spec, clock, rows):
-    spec = _with_clock(spec, clock)
+def test_increments_match_whole_batch_reference(spec, rows):
     grid = TimeGrid(64, 1.0)
-    dl = _clock_increments(spec, grid.points())
-    assert clock is None or np.any(dl == 0.0)
+    dl = np.diff(grid.points())
     inc = sample_subordinator_increments(spec, grid, RngStream(SEED, 30), rows)
     gen = RngStream(SEED, 30).generator()
     ref = _reference_increments(spec, gen, np.broadcast_to(dl, (rows, dl.size)))
@@ -323,11 +311,8 @@ def test_increments_match_whole_batch_reference(spec, clock, rows):
     assert np.array_equal(got.random(4), gen.random(4))
 
 
-@pytest.mark.parametrize("clock", [None, FLAT], ids=["plain", "flat_spot"])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
-def test_rescaling_check_matches_whole_batch_reference(spec, clock,
-                                                       monkeypatch):
-    spec = _with_clock(spec, clock)
+def test_rescaling_check_matches_whole_batch_reference(spec, monkeypatch):
     args = (spec, 0.25, 1.0, 600, RngStream(SEED, 31))
     assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
     # several batches per side, each read in several blocks, with partial
@@ -340,7 +325,7 @@ def test_rescaling_check_matches_whole_batch_reference(spec, clock,
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
 def test_increments_across_blocks_match_reference(spec, monkeypatch):
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 100)
-    dl = _clock_increments(spec, TimeGrid(64, 1.0).points())
+    dl = np.diff(TimeGrid(64, 1.0).points())
     got = RngStream(SEED, 32).generator()
     gen = RngStream(SEED, 32).generator()
     assert np.array_equal(spec.increments(got, dl, 301),
@@ -353,7 +338,8 @@ def test_increments_across_blocks_match_reference(spec, monkeypatch):
 def malloc_batches(monkeypatch):
     """Batch-held arrays from ``np.empty``, which tracemalloc sees; it does
     not see the mappings of ``levy._batch_array``, which every batch-held
-    array of ``levy`` and ``arrays`` comes from."""
+    array of ``levy`` and ``arrays`` of at least one row block comes
+    from."""
     monkeypatch.setattr(levy, "_batch_array", np.empty)
 
 
