@@ -256,16 +256,7 @@ def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("seed", True), ("samples", True), ("sede", 3), ("output_dir", 5),
-    ("experiment_id", "../escaped"), ("experiment_id", ".."),
-    ("experiment_id", "."), ("experiment_id", ""), ("experiment_id", "a/b"),
-    ("experiment_id", "a\\b"), ("experiment_id", "a\0b"),
-], ids=["seed", "samples", "unknown", "output_dir_int", "id_escapes",
-        "id_dotdot", "id_dot", "id_empty", "id_slash", "id_backslash",
-        "id_nul"])
-def test_bad_top_level_key_exits_one_at_load_with_its_line(tmp_path, key,
-                                                            value):
+def _bad_top_level_key_exits_one_at_load(tmp_path, key, value):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [{"name": "counterexample_m1"}], key: value}
     p = write_config(tmp_path, doc)
@@ -274,6 +265,23 @@ def test_bad_top_level_key_exits_one_at_load_with_its_line(tmp_path, key,
     assert f"{p}:{last_line_of(p, key)}: config error: key '{key}'" in out
     # nothing is written, inside the output directory or beside it
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key", ["seed", "samples"])
+def test_bool_seed_or_samples_exits_one_at_load_with_its_line(tmp_path, key):
+    _bad_top_level_key_exits_one_at_load(tmp_path, key, True)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sede", 3), ("output_dir", 5),
+    ("experiment_id", "../escaped"), ("experiment_id", ".."),
+    ("experiment_id", "."), ("experiment_id", ""), ("experiment_id", "a/b"),
+    ("experiment_id", "a\\b"), ("experiment_id", "a\0b"),
+], ids=["unknown", "output_dir_int", "id_escapes", "id_dotdot", "id_dot",
+        "id_empty", "id_slash", "id_backslash", "id_nul"])
+def test_bad_top_level_key_exits_one_at_load_with_its_line(tmp_path, key,
+                                                            value):
+    _bad_top_level_key_exits_one_at_load(tmp_path, key, value)
 
 
 @pytest.mark.parametrize("option", [["--jobs", "0"], ["--jobs", "-1"],

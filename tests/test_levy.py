@@ -294,10 +294,12 @@ ORACLE_SPECS = [
                    CompoundPoissonSpec(rate=3.0, jump_mean=0.5))),
 ]
 ORACLE_IDS = ["gamma", "ig", "stable", "cp", "cp_wide", "drift", "composite"]
+#: ids of the cases drawn on the plain grid k/n
+PLAIN_IDS = [f"{i}-plain" for i in ORACLE_IDS]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 3000])
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=PLAIN_IDS)
 def test_increments_match_whole_batch_reference(spec, rows):
     grid = TimeGrid(64, 1.0)
     dl = np.diff(grid.points())
@@ -311,7 +313,7 @@ def test_increments_match_whole_batch_reference(spec, rows):
     assert np.array_equal(got.random(4), gen.random(4))
 
 
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=ORACLE_IDS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=PLAIN_IDS)
 def test_rescaling_check_matches_whole_batch_reference(spec, monkeypatch):
     args = (spec, 0.25, 1.0, 600, RngStream(SEED, 31))
     assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
