@@ -38,7 +38,6 @@ from .levy import (
     RngStream,
     StableSpec,
     SubordinatorSpec,
-    gamma_subordinated_cf,
     linnik_cf,
     rescaling_check,
     sample_subordinator,

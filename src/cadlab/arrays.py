@@ -4,8 +4,9 @@ Every array kind produces staircase trajectories on the grid k/n together
 with closed-form compensator increments, so the compensator is never
 estimated numerically:
 
-* gamma-clock arrays: increments sqrt(xi_k) Z_k with xi_k ~ Gamma(1/n, 1)
-  (or any subordinator's grid increments), compensator increment xi_k;
+* subordinator arrays: increments sqrt(xi_k) Z_k for a subordinator's
+  grid-cell increments xi_k, compensator increment xi_k; the Linnik array
+  is the one of the unit gamma clock, xi_k ~ Gamma(1/n, 1);
 * the signed-harmonic (Polya-type) array: increments Y_i Z_{i-1}/sqrt(n)
   built from a Rademacher sequence, compensator increment Z_{i-1}^2/n,
   which here coincides exactly with the quadratic variation increment;
@@ -23,14 +24,15 @@ whole batch, because a later draw must follow them (the clock when normals
 follow it, the Lindeberg hits or the random-walk steps), are ever held for
 a whole batch.  Each such array of at least one row block lives in its
 own mapping (``levy._batch_array``), filled block by block, so its pages go
-back to the system when the batch is done.  Of a clock that its blocks draw from the
-generator alone (Linnik, gamma, inverse Gaussian, drift), at most
-``levy._HELD_CELLS`` cells are held: the batch's earlier rows are drawn
-again, from a copy of the generator, as the normals are read.  No value
-depends on ``levy._HELD_CELLS``.  A clock that no normal follows, and the
-Polya signs, which no draw follows, exist one block at a time.  Single
-realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
-staircases.
+back to the system when the batch is done.  Every clock is drawn by its
+subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
+its blocks draw from the generator alone (gamma, inverse Gaussian, drift),
+at most ``levy._HELD_CELLS`` cells are held: the batch's earlier rows are
+drawn again, from a copy of the generator, as the normals are read.  No
+value depends on ``levy._HELD_CELLS``.  A clock that no normal follows,
+and the Polya signs, which no draw follows, exist one block at a time.
+Single realizations are materialized as exact
+:class:`~cadlab.paths.CadlagPath` staircases.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -214,88 +216,6 @@ class IncrementBatch:
     dO: Optional[np.ndarray] = None
 
 
-def _replayed_rows(samples: int, cells: int) -> int:
-    """Rows of a batch whose clock :func:`_clock_normal_blocks` draws twice
-    rather than hold: all but the last ``levy._HELD_CELLS // cells``,
-    rounded up to whole row blocks."""
-    keep = min(samples, levy._HELD_CELLS // max(cells, 1))
-    rows = _block_rows(cells)
-    return min(samples, -(-(samples - keep) // rows) * rows)
-
-
-def _clock_normal_blocks(gen, samples: int, cells: int, fields,
-                         blocks: Callable[[np.random.Generator], Iterator],
-                         batch: Optional[Callable[[], np.ndarray]] = None
-                         ) -> Iterator[IncrementBatch]:
-    """Blocks of sqrt(xi) Z for the clock draws xi that ``blocks(g)``
-    yields from generator ``g``, in the row blocks of
-    ``_row_blocks(samples, cells)``.
-
-    The normals Z are drawn block by block, and only for M or QV.  Without
-    them the clock is read block by block.  With them the clock is drawn
-    whole first, since they follow it, but at most ``levy._HELD_CELLS``
-    cells of it are held: the clock's last rows, from a row-block boundary
-    on (:func:`_replayed_rows`).  The earlier rows are drawn into a reused
-    block buffer and dropped, and read again in the normal phase from a
-    second ``blocks`` call on a copy of ``gen`` taken before the clock: the
-    same call from the same state, so the same bits.  No value depends on
-    ``levy._HELD_CELLS``.  A clock that cannot be drawn twice, because its
-    blocks hold variates for the batch, passes ``batch()``, which draws it
-    whole into one held array.
-    """
-    if "M" not in fields and "QV" not in fields:
-        for da in blocks(gen):
-            yield IncrementBatch(dX=None, dA=da, dQV=None)
-        return
-    start, replay = 0, None
-    if batch is None:
-        start = _replayed_rows(samples, cells)
-        replay = blocks(copy.deepcopy(gen)) if start else None
-        clock = blocks(gen)
-        for _ in range(-(-start // _block_rows(cells))):
-            next(clock)
-        xi = _fill(clock, (samples - start, cells))
-    else:
-        xi = batch()
-    zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
-    for r, z in zip(_row_blocks(samples, cells), zs):
-        da = (next(replay) if r.start < start
-              else xi[r.start - start:r.stop - start])
-        if "A" in fields:
-            # a copy, so that a reader that holds the block does not keep
-            # xi alive while the next batch is drawn
-            copy_ = next(das)
-            copy_[...] = da
-            da = copy_
-        gen.standard_normal(out=z)
-        z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
-        dx = dqv = None
-        if "M" in fields:
-            dx = np.sqrt(da, out=next(xs))
-            dx *= z
-        if "QV" in fields:
-            dqv = np.multiply(da, z, out=next(qs))
-            dqv *= z
-        yield IncrementBatch(dX=dx, dA=da if "A" in fields else None, dQV=dqv)
-
-
-@dataclass(frozen=True, kw_only=True)
-class LinnikArray(ArraySpec):
-    """Gamma(1/n, 1) clock increments times independent standard normals."""
-
-    n: int
-    horizon: float = 1.0
-
-    def _draw(self, gen, samples, first, cells, fields):
-        def clock(g):
-            # gamma(a, 1.0) is 1.0 * standard_gamma(a), the same bits
-            for out in _block_buffers(samples, cells):
-                g.standard_gamma(1.0 / self.n, out=out)
-                yield out
-
-        yield from _clock_normal_blocks(gen, samples, cells, fields, clock)
-
-
 @dataclass(frozen=True, kw_only=True)
 class PolyaArray(ArraySpec):
     """Signed-harmonic array: increments Y_i Z_{i-1} / sqrt(n).
@@ -400,21 +320,86 @@ class LindebergArray(ArraySpec):
                 dQV=dx * dx if "QV" in fields else None)
 
 
+def _replayed_rows(samples: int, cells: int) -> int:
+    """Rows of a batch whose clock :meth:`SubordinatorArray._draw` draws
+    twice rather than hold: all but the last ``levy._HELD_CELLS // cells``,
+    rounded up to whole row blocks."""
+    keep = min(samples, levy._HELD_CELLS // max(cells, 1))
+    rows = _block_rows(cells)
+    return min(samples, -(-(samples - keep) // rows) * rows)
+
+
 @dataclass(frozen=True, kw_only=True)
 class SubordinatorArray(ArraySpec):
-    """Clock increments from an arbitrary subordinator spec."""
+    """Increments sqrt(xi_k) Z_k for the grid-cell increments xi_k of the
+    subordinator ``spec`` and independent standard normals Z_k; the
+    compensator increment is xi_k."""
 
     n: int
     spec: SubordinatorSpec
     horizon: float = 1.0
 
     def _draw(self, gen, samples, first, cells, fields):
+        """Blocks of sqrt(xi) Z for the clock xi that ``spec.blocks`` draws
+        over cells whose lengths are ``np.diff`` of their grid points.
+
+        The normals Z are drawn block by block, and only for M or QV;
+        without them the clock is read block by block.  With them the clock
+        is drawn whole first, since they follow it.  Of a clock that
+        ``_replays`` only the last rows are held, at most
+        ``levy._HELD_CELLS`` cells from a row-block boundary on
+        (:func:`_replayed_rows`): the earlier rows are drawn and dropped,
+        then drawn again with the normals from a copy of ``gen`` taken
+        before the clock, with the same bits.  Any other clock holds
+        variates for the batch: ``spec.increments`` draws it whole.
+        """
         dl = np.diff(np.arange(first, first + cells + 1) / self.n)
-        yield from _clock_normal_blocks(
-            gen, samples, cells, fields,
-            lambda g: self.spec.blocks(g, dl, samples),
-            None if self.spec._replays
-            else lambda: self.spec.increments(gen, dl, samples))
+        if "M" not in fields and "QV" not in fields:
+            for da in self.spec.blocks(gen, dl, samples):
+                yield IncrementBatch(dX=None, dA=da, dQV=None)
+            return
+        start, replay = 0, None
+        if self.spec._replays:
+            start = _replayed_rows(samples, cells)
+            if start:
+                replay = self.spec.blocks(copy.deepcopy(gen), dl, samples)
+            clock = self.spec.blocks(gen, dl, samples)
+            for _ in range(-(-start // _block_rows(cells))):
+                next(clock)
+            xi = _fill(clock, (samples - start, cells))
+        else:
+            xi = self.spec.increments(gen, dl, samples)
+        zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
+        for r, z in zip(_row_blocks(samples, cells), zs):
+            da = (next(replay) if r.start < start
+                  else xi[r.start - start:r.stop - start])
+            if "A" in fields:
+                # a copy, so that a reader that holds the block does not
+                # keep xi alive while the next batch is drawn
+                copy_ = next(das)
+                copy_[...] = da
+                da = copy_
+            gen.standard_normal(out=z)
+            z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
+            dx = dqv = None
+            if "M" in fields:
+                dx = np.sqrt(da, out=next(xs))
+                dx *= z
+            if "QV" in fields:
+                dqv = np.multiply(da, z, out=next(qs))
+                dqv *= z
+            yield IncrementBatch(dX=dx, dA=da if "A" in fields else None,
+                                 dQV=dqv)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinnikArray(SubordinatorArray):
+    """The subordinator array of the unit gamma clock: Gamma(1/n, 1) clock
+    increments times independent standard normals.  Its clock is fixed, so
+    ``spec`` is neither an argument nor a config key."""
+
+    spec: SubordinatorSpec = field(default=levy.GammaSpec(1.0), init=False,
+                                   repr=False)
 
 
 class _OnBase(ArraySpec):

@@ -538,6 +538,16 @@ def run(config_path: Path, jobs: int, samples_scale: float,
             f"warning: master seed overridden to {master_seed} via "
             f"{MASTER_SEED_ENV}; golden reports will not match", err=True)
 
+    # made before any check runs, so that an unwritable one fails at once
+    out_base = output_dir or Path(config.get("output_dir", "runs"))
+    out = out_base / config["experiment_id"]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"cannot write report to '{out}': {exc.strerror or exc}",
+                   err=True)
+        sys.exit(1)
+
     try:
         report = run_experiment(config, jobs=jobs,
                                 samples_scale=samples_scale,
@@ -546,7 +556,6 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)
 
-    out_base = output_dir or Path(config.get("output_dir", "runs"))
     metadata = {
         "config_path": str(config_path),
         "jobs": jobs,
@@ -558,7 +567,12 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
     }
-    out = write_report(report, out_base, metadata)
+    try:
+        write_report(report, out_base, metadata)
+    except OSError as exc:
+        click.echo(f"cannot write report to '{out}': {exc.strerror or exc}",
+                   err=True)
+        sys.exit(1)
 
     for e in report.entries:
         status = "PASS" if e.passed else "FAIL"

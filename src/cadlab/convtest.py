@@ -129,15 +129,21 @@ class ConvergenceReport:
         return all(e.passed for e in self.entries)
 
     def to_dict(self) -> dict:
+        """The report as JSON values; strict JSON has no infinity, so a
+        non-finite float, such as a threshold of inf, is None."""
         return {
             "experiment_id": self.experiment_id,
             "seed": self.seed,
             "samples": self.samples,
-            "entries": [vars(e) for e in self.entries],
+            "entries": [{k: None if isinstance(v, float)
+                         and not math.isfinite(v) else v
+                         for k, v in vars(e).items()}
+                        for e in self.entries],
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
+                          allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

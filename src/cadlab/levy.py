@@ -9,10 +9,11 @@ staircase starting at 0 (a pure drift gives an exact linear path instead).
 
 Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
-order of a whole-batch draw.  Only the variates that a later draw must
-follow are held for the whole batch: the stable sampler's uniforms, the
-compound Poisson counts (one byte a cell at small rates) and the running
-sum of a composite's parts but the last.  The last-drawn variate, and every
+order of a whole-batch draw; they are the only clock samplers, the
+Linnik array's unit gamma clock included.  Only the variates that a later
+draw must follow are held for the whole batch: the stable sampler's
+uniforms, the compound Poisson counts (one byte a cell at small rates) and
+the running sum of a composite's parts but the last.  The last-drawn variate, and every
 array formed from it, exists one block at a time, drawn where numpy allows
 into one buffer reused from block to block (:func:`_block_buffers`).  The batch and
 block sizes that the array layer shares live here, and ``_HELD_CELLS``, the
@@ -62,7 +63,6 @@ __all__ = [
     "sample_subordinator",
     "sample_subordinator_increments",
     "linnik_cf",
-    "gamma_subordinated_cf",
     "weighted_gamma_subordinated_cf",
     "rescaling_check",
 ]
@@ -235,11 +235,15 @@ class GammaSpec(SubordinatorSpec):
     _replays = True
 
     def blocks(self, gen, dl, rows):
-        # gamma(a, scale) is scale * standard_gamma(a), the same bits
+        # gamma(a, scale) is scale * standard_gamma(a), the same bits; one
+        # scalar shape for equal cells gives them too, and draws faster
         shape = self.shape_rate * dl
+        if shape.size and (shape == shape[0]).all():
+            shape = shape[0]
         for out in _block_buffers(rows, dl.size):
-            gen.standard_gamma(np.broadcast_to(shape, out.shape), out=out)
-            out *= self.scale
+            gen.standard_gamma(shape, out=out)
+            if self.scale != 1.0:
+                out *= self.scale
             yield out
 
 
@@ -450,7 +454,7 @@ def _from_config(doc: dict, family: str, families: dict):
     """The object that config object ``doc`` describes, of the class that
     its "kind" names in ``families[family]``.
 
-    The other keys of ``doc`` are the class's dataclass fields, and a
+    The other keys of ``doc`` are the class's dataclass init fields, and a
     field without a default is required.  Each value is read by
     :func:`_read` as its field's annotation says.  A value that is no
     object, an unknown kind, an unknown or missing key and a wrongly typed
@@ -465,7 +469,7 @@ def _from_config(doc: dict, family: str, families: dict):
         raise PathDomainError(f"unknown {noun} kind {kind!r}" if "kind" in doc
                               else f"missing key 'kind' for {_a(noun)}")
     cls, what = kinds[kind], _a(f"{kind} {noun}")
-    keys = {f.name for f in fields(cls)}
+    keys = {f.name for f in fields(cls) if f.init}
     unknown = sorted(set(doc) - keys - {"kind"})
     if unknown:
         raise PathDomainError(f"unknown key {unknown[0]!r} for {what}")
@@ -521,26 +525,15 @@ def sample_subordinator(
 
 
 def linnik_cf(t: float, lam: float) -> complex:
-    """E exp(i lam M(t)) for the gamma-subordinated Brownian limit."""
-    return gamma_subordinated_cf(t, lam)
-
-
-def gamma_subordinated_cf(
-    t: float, lam: float, shape_rate: float = 1.0, scale: float = 1.0
-) -> complex:
+    """E exp(i lam M(t)) = (1 + lam^2/2)^(-t) for Brownian motion M run on
+    the unit gamma clock, the Linnik process."""
     if t <= 0:
         raise PathDomainError("t must be > 0")
-    return complex((1.0 + scale * lam * lam / 2.0) ** (-shape_rate * t))
+    return complex((1.0 + lam * lam / 2.0) ** (-t))
 
 
-def weighted_gamma_subordinated_cf(
-    t: float,
-    lam: float,
-    Q,
-    shape_rate: float = 1.0,
-    scale: float = 1.0,
-) -> complex:
-    """CF of W composed with the weighted gamma clock int_0^t Q^2 dA.
+def weighted_gamma_subordinated_cf(t: float, lam: float, Q) -> complex:
+    """CF of W composed with the weighted unit gamma clock int_0^t Q^2 dA.
 
     ``Q`` is a callable deterministic weight profile on [0, t].  The log-CF
     integral is evaluated by adaptive quadrature to absolute tolerance 1e-10.
@@ -550,10 +543,10 @@ def weighted_gamma_subordinated_cf(
 
     def integrand(u):
         q = Q(u)
-        return math.log1p(scale * lam * lam * q * q / 2.0)
+        return math.log1p(lam * lam * q * q / 2.0)
 
     val = _adaptive_gauss_legendre(integrand, 0.0, t, 1e-10)
-    return complex(math.exp(-shape_rate * val))
+    return complex(math.exp(-val))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)

@@ -112,7 +112,6 @@ def modulus(
     cand = _candidates(x, T)
     n = len(cand)
     best = 0.0
-    j_start = 0
     for i in range(n):
         t1, _, v1 = cand[i]
         for k in range(i + 2, n):

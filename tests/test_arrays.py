@@ -331,6 +331,19 @@ def test_check_hyp_d_extension_continues_the_same_path(short, long_, t):
     assert extended.stderr == 0.0
 
 
+def test_linnik_array_is_the_unit_gamma_subordinator_array():
+    # at n = 100 the np.diff cells differ from 1/n by an ulp, and level 2
+    # lies past most paths' horizon, so check_hyp_d extends them
+    linnik = LinnikArray(n=100, horizon=1.0)
+    gamma = SubordinatorArray(n=100, spec=GammaSpec(shape_rate=1.0))
+    got = sample_increments(linnik, RngStream(SEED, 29), 50)
+    want = sample_increments(gamma, RngStream(SEED, 29), 50)
+    for a, b in zip(vars(got).values(), vars(want).values()):
+        assert (a is None and b is None) or np.array_equal(a, b)
+    assert (check_hyp_d(linnik, 2.0, 20, RngStream(SEED, 30))
+            == check_hyp_d(gamma, 2.0, 20, RngStream(SEED, 30)))
+
+
 def test_check_hyp_d_raises_where_extension_needs_the_prefix():
     # a Polya path (|Z| <= H_16 < 3.4, so A(1) < 12) and a random-walk
     # transform carry state from their prefix: they cannot be extended
@@ -432,13 +445,10 @@ def _reference_draw(spec, gen, samples):
     """(dX, dA, dQV, dO) of ``samples`` whole paths, each variate drawn
     for the whole batch at once."""
     m = spec.cells
-    if isinstance(spec, (LinnikArray, SubordinatorArray)):
-        if isinstance(spec, LinnikArray):
-            xi = gen.gamma(1.0 / spec.n, 1.0, size=(samples, m))
-        else:
-            dl = np.diff(np.arange(m + 1) / spec.n)
-            xi = _reference_increments(spec.spec, gen,
-                                       np.broadcast_to(dl, (samples, m)))
+    if isinstance(spec, SubordinatorArray):  # the Linnik array among them
+        dl = np.diff(np.arange(m + 1) / spec.n)
+        xi = _reference_increments(spec.spec, gen,
+                                   np.broadcast_to(dl, (samples, m)))
         z = gen.normal(0.0, 1.0, size=(samples, m))
         return np.sqrt(xi) * z, xi, xi * z * z, None
     if isinstance(spec, PolyaArray):

@@ -192,8 +192,15 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     assert meta["numpy_version"] == np.__version__
     # report.json is what the run's report serializes to, nothing more
     report = cli_mod.run_experiment(cli_mod.load_config(p))
-    assert (tmp_path / "smoke" / "report.json").read_text() == (
-        report.to_json() + "\n")
+    text = (tmp_path / "smoke" / "report.json").read_text()
+    assert text == report.to_json() + "\n"
+
+    def no_constant(name):
+        raise ValueError(f"report.json holds {name}, which JSON has not")
+
+    # strict JSON: hyp_c without 'expected' has no threshold
+    hyp_c = json.loads(text, parse_constant=no_constant)["entries"][0]
+    assert hyp_c["check_name"] == "hyp_c" and hyp_c["threshold"] is None
     for key in ("peak_rss_mb", "python_version", "numpy_version"):
         assert key not in report.to_json()
 
@@ -324,9 +331,13 @@ LINNIK16 = {"kind": "linnik", "n": 16}
      "array", "missing key 'kind' for a weight"),
     ({"name": "tightness", "kind": "X"}, "kind", '"X"'),
     ({"name": "transform_cf", "profile": "X"}, "profile", '"X"'),
+    # the Linnik array's clock is fixed
+    ({"name": "hyp_c", "array": {**LINNIK16, "spec": {
+        "kind": "gamma", "shape_rate": 1.0}}}, "array",
+     "unknown key 'spec' for a linnik array"),
 ], ids=["array_key", "array_n", "weight_key", "spec_key", "array_missing",
         "spec_missing", "weight_missing", "tightness_kind",
-        "transform_profile"])
+        "transform_profile", "linnik_spec"])
 def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
                                                     word):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
@@ -477,6 +488,24 @@ def test_missing_array_fails_at_its_check_before_any_check_runs(
     assert result.exit_code == 1, out
     assert f"{p}:{last_line_of(p, 'hyp_c')}: config error" in out
     assert "'array'" in out
+    assert calls == []
+
+
+def test_unwritable_output_dir_exits_one_before_any_check_runs(
+        tmp_path, monkeypatch):
+    calls = []
+    runner, *rest = cli_mod._REGISTRY["lindeberg"]
+    monkeypatch.setitem(cli_mod._REGISTRY, "lindeberg",
+                        (lambda *a, **k: calls.append(a) or runner(*a, **k),
+                         *rest))
+    p = write_config(tmp_path, {"experiment_id": "w", "seed": 1,
+                                "samples": 10, "checks": [{"name": "lindeberg"}]})
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    result, out = invoke(["run", str(p), "--output-dir", str(blocker)])
+    assert result.exit_code == 1, out
+    assert f"cannot write report to '{blocker / 'w'}': " in out
+    assert "Traceback" not in out
     assert calls == []
 
 

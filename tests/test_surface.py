@@ -56,3 +56,39 @@ def test_no_module_imports_a_name_it_never_uses():
         unused = sorted((line, name) for name, line in imported.items()
                         if name not in used)
         assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _own_scope(fn):
+    """The nodes of function ``fn`` outside the functions, lambdas and
+    classes nested in it."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a name read anywhere in the function, nested scopes included, or
+    # declared nonlocal or global there, is read; "_" is meant to be unread
+    for path in sorted((ROOT / "src" / "cadlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        unread = []
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {"_"}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                                 ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                    read.update(node.names)
+            unread += [(node.lineno, fn.name, node.id)
+                       for node in _own_scope(fn)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)
+                       and node.id not in read]
+        assert not unread, f"{path.name} assigns but never reads {unread}"
