@@ -27,10 +27,14 @@ own mapping (``levy._batch_array``), filled block by block, so its pages go
 back to the system when the batch is done.  Every clock is drawn by its
 subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
 its blocks draw from the generator alone (gamma, inverse Gaussian, drift),
-at most ``levy._HELD_CELLS`` cells are held: the batch's earlier rows are
-drawn again, from a copy of the generator, as the normals are read.  No
-value depends on ``levy._HELD_CELLS``.  A clock that no normal follows,
-and the Polya signs, which no draw follows, exist one block at a time.
+the draws of the whole run hold at most ``levy._HELD_CELLS`` cells at
+once, whatever the number of ``--jobs`` workers (:class:`_ClockBudget`):
+each draw holds the last rows of its batch that fit in what the others
+leave free, gives each row block back once its normals are drawn, and
+draws the earlier rows again, from a copy of the generator, as the
+normals are read.  No value depends on ``levy._HELD_CELLS`` or on the
+other draws.  A clock that no normal follows, and the Polya signs, which
+no draw follows, exist one block at a time.
 Single realizations are materialized as exact
 :class:`~cadlab.paths.CadlagPath` staircases.
 """
@@ -38,7 +42,9 @@ Single realizations are materialized as exact
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -320,13 +326,45 @@ class LindebergArray(ArraySpec):
                 dQV=dx * dx if "QV" in fields else None)
 
 
-def _replayed_rows(samples: int, cells: int) -> int:
-    """Rows of a batch whose clock :meth:`SubordinatorArray._draw` draws
-    twice rather than hold: all but the last ``levy._HELD_CELLS // cells``,
-    rounded up to whole row blocks."""
-    keep = min(samples, levy._HELD_CELLS // max(cells, 1))
-    rows = _block_rows(cells)
-    return min(samples, -(-(samples - keep) // rows) * rows)
+class _ClockBudget:
+    """The cells of clock that :meth:`SubordinatorArray._draw` holds, summed
+    over every draw of the run, on any thread: at most ``levy._HELD_CELLS``,
+    read at each grant.  It counts the clock cells drawn twice, too."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.held = 0  # cells held now
+        self.peak = 0  # most cells held at once
+        self.replayed = 0  # cells drawn a second time
+
+    def grant(self, cells: int) -> bool:
+        """Hold ``cells`` more if they fit in what the draws leave free."""
+        with self._lock:
+            if self.held + cells > levy._HELD_CELLS:
+                return False
+            self.held += cells
+            self.peak = max(self.peak, self.held)
+            return True
+
+    def release(self, cells: int, replayed: int = 0):
+        """Give back ``cells`` held cells; count ``replayed`` cells drawn
+        twice."""
+        with self._lock:
+            self.held -= cells
+            self.replayed += replayed
+
+
+#: the one budget of the run's held clocks
+_BUDGET = _ClockBudget()
+
+
+@functools.lru_cache
+def _cell_lengths(n: int, first: int, cells: int) -> np.ndarray:
+    """Lengths of grid cells first+1 .. first+cells of the grid k/n, the
+    ``np.diff`` of their points; read-only, as it is shared."""
+    dl = np.diff(np.arange(first, first + cells + 1) / n)
+    dl.flags.writeable = False
+    return dl
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -345,51 +383,83 @@ class SubordinatorArray(ArraySpec):
 
         The normals Z are drawn block by block, and only for M or QV;
         without them the clock is read block by block.  With them the clock
-        is drawn whole first, since they follow it.  Of a clock that
-        ``_replays`` only the last rows are held, at most
-        ``levy._HELD_CELLS`` cells from a row-block boundary on
-        (:func:`_replayed_rows`): the earlier rows are drawn and dropped,
-        then drawn again with the normals from a copy of ``gen`` taken
-        before the clock, with the same bits.  Any other clock holds
-        variates for the batch: ``spec.increments`` draws it whole.
+        is drawn whole first, since they follow it.  A clock that
+        ``_replays`` is held from the first row-block boundary whose
+        remaining cells fit in the cells of ``levy._HELD_CELLS`` that the
+        run's other draws leave free (:data:`_BUDGET`), at that moment; the
+        earlier rows are drawn and dropped, then drawn again with the
+        normals from a copy of ``gen`` taken before the clock, with the
+        same bits.  Each held row block goes back to the budget, and its
+        pages to the system, once its normals are drawn, and the rest when
+        the draw ends, is closed or raises.  Any other clock holds variates
+        for the batch: ``spec.increments`` draws it whole, outside the
+        budget.  A single row, as ``check_hyp_c`` and ``check_hyp_d`` draw,
+        is drawn whole.
         """
-        dl = np.diff(np.arange(first, first + cells + 1) / self.n)
+        dl = _cell_lengths(self.n, first, cells)
         if "M" not in fields and "QV" not in fields:
             for da in self.spec.blocks(gen, dl, samples):
                 yield IncrementBatch(dX=None, dA=da, dQV=None)
             return
-        start, replay = 0, None
-        if self.spec._replays:
-            start = _replayed_rows(samples, cells)
-            if start:
-                replay = self.spec.blocks(copy.deepcopy(gen), dl, samples)
-            clock = self.spec.blocks(gen, dl, samples)
-            for _ in range(-(-start // _block_rows(cells))):
-                next(clock)
-            xi = _fill(clock, (samples - start, cells))
-        else:
-            xi = self.spec.increments(gen, dl, samples)
-        zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
-        for r, z in zip(_row_blocks(samples, cells), zs):
-            da = (next(replay) if r.start < start
-                  else xi[r.start - start:r.stop - start])
-            if "A" in fields:
-                # a copy, so that a reader that holds the block does not
-                # keep xi alive while the next batch is drawn
-                copy_ = next(das)
-                copy_[...] = da
-                da = copy_
-            gen.standard_normal(out=z)
-            z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
-            dx = dqv = None
-            if "M" in fields:
-                dx = np.sqrt(da, out=next(xs))
-                dx *= z
-            if "QV" in fields:
-                dqv = np.multiply(da, z, out=next(qs))
-                dqv *= z
-            yield IncrementBatch(dX=dx, dA=da if "A" in fields else None,
-                                 dQV=dqv)
+        if samples == 1:
+            da = self.spec.increments(gen, dl, 1)
+            z = gen.standard_normal((1, cells))
+            z += 0.0  # as below
+            yield IncrementBatch(dX=np.sqrt(da) * z if "M" in fields else None,
+                                 dA=da if "A" in fields else None,
+                                 dQV=da * z * z if "QV" in fields else None)
+            return
+        # rows start.. of the clock are held in xi, ``held`` cells of them
+        # still in the budget
+        start, xi, replay, held, replayed = samples, None, None, 0, 0
+        try:
+            if self.spec._replays:
+                clock = self.spec.blocks(gen, dl, samples)
+                for r in _row_blocks(samples, cells):
+                    tail = (samples - r.start) * cells
+                    if xi is None and _BUDGET.grant(tail):
+                        start, held = r.start, tail
+                        xi = levy._batch_array((samples - start, cells))
+                    elif r.start == 0:
+                        replay = self.spec.blocks(copy.deepcopy(gen), dl,
+                                                  samples)
+                    blk = next(clock)
+                    if xi is not None:
+                        xi[r.start - start:r.stop - start] = blk
+            else:
+                start, xi = 0, self.spec.increments(gen, dl, samples)
+            zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
+            for r, z in zip(_row_blocks(samples, cells), zs):
+                if r.start < start:
+                    da = next(replay)
+                    replayed += da.size
+                else:
+                    da = xi[r.start - start:r.stop - start]
+                if "A" in fields:
+                    # a copy, so that a reader that holds the block does not
+                    # keep xi alive while the next batch is drawn
+                    copy_ = next(das)
+                    copy_[...] = da
+                    da = copy_
+                gen.standard_normal(out=z)
+                z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
+                dx = dqv = None
+                if "M" in fields:
+                    dx = np.sqrt(da, out=next(xs))
+                    dx *= z
+                if "QV" in fields:
+                    dqv = np.multiply(da, z, out=next(qs))
+                    dqv *= z
+                if held and r.start >= start:
+                    # its normals are drawn: the block goes back
+                    levy._release_rows(xi, slice(r.start - start,
+                                                 r.stop - start))
+                    held -= da.size
+                    _BUDGET.release(da.size)
+                yield IncrementBatch(dX=dx, dA=da if "A" in fields else None,
+                                     dQV=dqv)
+        finally:
+            _BUDGET.release(held, replayed)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -548,6 +548,7 @@ def run(config_path: Path, jobs: int, samples_scale: float,
                    err=True)
         sys.exit(1)
 
+    replayed = arrays._BUDGET.replayed
     try:
         report = run_experiment(config, jobs=jobs,
                                 samples_scale=samples_scale,
@@ -564,6 +565,8 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         # byte-identical reports are promised for one numpy version only
         "peak_rss_mb": _peak_rss_mb(),
+        # clock cells drawn twice: the CPU paid for levy._HELD_CELLS's cap
+        "clock_cells_replayed": arrays._BUDGET.replayed - replayed,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
     }

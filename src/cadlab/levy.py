@@ -17,17 +17,19 @@ the running sum of a composite's parts but the last.  The last-drawn variate, an
 array formed from it, exists one block at a time, drawn where numpy allows
 into one buffer reused from block to block (:func:`_block_buffers`).  The batch and
 block sizes that the array layer shares live here, and ``_HELD_CELLS``, the
-most cells of a clock that the array layer holds for a batch.  A spec whose
-blocks come from the generator alone (``_replays``: gamma, inverse
-Gaussian, drift) can be drawn a second time from a copy of the generator,
-with the same bits, so the array layer holds only the last rows of its
-clock and draws the others again.
+most cells of clock that the array layer holds at once in the whole run:
+one budget that every draw shares, on whichever ``--jobs`` worker it
+runs.  A spec whose blocks come from the generator alone (``_replays``:
+gamma, inverse Gaussian, drift) can be drawn a second time from a copy of
+the generator, with the same bits, so the array layer holds only the last
+rows of its clock that fit in the budget and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`), unless it is smaller than one row block, and is
 filled row block by row block.  Freeing it returns its pages to the system
-at once.  From malloc, a batch of 20 to 30 MiB would instead raise glibc's
-mmap threshold once freed, and the next batches would come from the heap,
+at once, and so does :func:`_release_rows` for the rows already read.
+From malloc, a batch of 20 to 30 MiB would instead raise glibc's mmap
+threshold once freed, and the next batches would come from the heap,
 which does not shrink.
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
@@ -88,9 +90,10 @@ class RngStream:
 
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
-#: cells of a batch's clock that the array layer holds at most (64 MiB);
-#: a replayable clock's earlier rows are drawn twice instead.  It bounds
-#: memory only: the streams are fixed by _BATCH_CELLS.
+#: cells of clock that the array layer holds at most at once, summed over
+#: every draw of the run (64 MiB); a replayable clock's earlier rows are
+#: drawn twice instead.  It bounds memory only: the streams are fixed by
+#: _BATCH_CELLS.
 _HELD_CELLS = 2**23
 
 #: a private anonymous mapping, None where mmap lacks the flags.  A shared
@@ -115,6 +118,26 @@ def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
         with contextlib.suppress(OSError):
             buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _release_rows(a: np.ndarray, rows: slice):
+    """Give the system back the pages of :func:`_batch_array` ``a`` that
+    end by row ``rows.stop``, from the page that holds row ``rows.start``
+    on.  Every row before ``rows.stop`` must have been read: the pages read
+    as zeros from then on.  An array without a mapping of its own keeps
+    its memory, and so does one where ``madvise`` fails."""
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    # np.frombuffer sees the mapping through a memoryview
+    mapping = getattr(base, "obj", None)
+    page, row = mmap.PAGESIZE, a.strides[0]
+    lo = rows.start * row // page * page
+    hi = rows.stop * row // page * page
+    if (hi > lo and hasattr(mapping, "madvise")
+            and hasattr(mmap, "MADV_DONTNEED")):
+        with contextlib.suppress(OSError):
+            mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _fill(blocks: Iterable[np.ndarray], shape: tuple,
@@ -238,7 +261,7 @@ class GammaSpec(SubordinatorSpec):
         # gamma(a, scale) is scale * standard_gamma(a), the same bits; one
         # scalar shape for equal cells gives them too, and draws faster
         shape = self.shape_rate * dl
-        if shape.size and (shape == shape[0]).all():
+        if shape.size and not np.count_nonzero(shape != shape[0]):
             shape = shape[0]
         for out in _block_buffers(rows, dl.size):
             gen.standard_gamma(shape, out=out)

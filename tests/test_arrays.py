@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import mmap
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -559,7 +562,7 @@ def _assert_streams_match_reference(spec, samples):
         e: float(np.mean(sup > e)) for e in eps}
 
 
-@pytest.mark.parametrize("samples", [7, 3000])
+@pytest.mark.parametrize("samples", [1, 7, 3000])
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_streamed_samplers_match_whole_batch_reference(spec, samples):
     _assert_streams_match_reference(spec, samples)
@@ -574,11 +577,30 @@ def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
     _assert_streams_match_reference(spec, 3000)
 
 
+def _replays(spec) -> bool:
+    """Whether ``spec`` draws its normals after a clock that it can draw
+    twice."""
+    while not isinstance(spec, SubordinatorArray):
+        spec = getattr(spec, "base", None)
+        if spec is None:
+            return False
+    return spec.spec._replays
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """A run-wide clock budget of the test's own, with nothing held."""
+    fresh = arrays._ClockBudget()
+    monkeypatch.setattr(arrays, "_BUDGET", fresh)
+    return fresh
+
+
 @pytest.mark.parametrize("held", [500, 10_000], ids=["below_a_block",
                                                      "mid_batch"])
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           budget):
     # the clock rows before the last levy._HELD_CELLS cells are drawn
     # again, not held: all but at most a partial last block, or the rows
     # before a row block mid-batch.  The default cap, under which the test
@@ -587,10 +609,87 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     monkeypatch.setattr(levy, "_HELD_CELLS", held)
     rows = levy._BATCH_CELLS // spec.cells
-    replayed = arrays._replayed_rows(rows, spec.cells)
-    assert 0 < replayed and (rows - replayed) * spec.cells <= held
-    assert held < 1_000 or replayed < rows
+    marginal_samples(spec, [1.0], rows, RngStream(SEED, 25), fields=("M",))
+    replayed, kept = budget.replayed // spec.cells, budget.peak // spec.cells
+    if _replays(spec):
+        # with the budget free, the held rows start at the first row-block
+        # boundary whose remaining cells fit in it
+        assert 0 < replayed and replayed + kept == rows
+        assert kept * spec.cells <= held
+        assert (kept + levy._block_rows(spec.cells)) * spec.cells > held
+        assert held < 1_000 or replayed < rows
+    else:
+        assert replayed == kept == 0
     _assert_streams_match_reference(spec, 3000)
+    assert budget.held == 0
+
+
+def test_concurrent_draws_share_one_clock_budget(monkeypatch, budget):
+    # at most levy._HELD_CELLS clock cells held at once by all draws
+    # together, each draw holding what the others leave free, and the same
+    # values whatever they hold
+    monkeypatch.setattr(levy, "_HELD_CELLS", 3 * levy._BLOCK_CELLS)
+    specs = (LinnikArray(n=64), LinnikArray(n=128)) * 2
+
+    def draw(i):
+        return marginal_samples(specs[i], [0.5, 1.0], 20_000,
+                                RngStream(SEED, 40 + i), fields=("M",))["M"]
+
+    serial = [draw(0)]
+    alone = budget.replayed
+    serial += [draw(i) for i in range(1, len(specs))]
+    assert 0 < budget.peak <= levy._HELD_CELLS
+    # with two row blocks held elsewhere, one is left: more is replayed
+    assert budget.grant(2 * levy._BLOCK_CELLS)
+    before = budget.replayed
+    assert np.array_equal(draw(0), serial[0])
+    assert budget.replayed - before > alone > 0
+    budget.release(2 * levy._BLOCK_CELLS)
+    # four threads, more than a two-core host runs at once, switching
+    # often, so that a lost update of the budget would leave cells held
+    budget.peak = 0
+    start = threading.Barrier(len(specs), timeout=60)
+
+    def contend(i):
+        start.wait()
+        return draw(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(specs)) as pool:
+            futures = [pool.submit(contend, i) for i in range(len(specs))]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for g, want in zip(got, serial):
+        assert np.array_equal(g, want)
+    assert 0 < budget.peak <= levy._HELD_CELLS
+    assert budget.held == 0
+
+
+def test_clock_budget_is_free_after_a_draw_is_closed_or_raises(monkeypatch,
+                                                               budget):
+    monkeypatch.setattr(levy, "_HELD_CELLS", 3 * levy._BLOCK_CELLS)
+    # 40 row blocks, of which the last three are held
+    spec, samples = LinnikArray(n=64), 40 * levy._block_rows(64)
+    blocks = spec._draw(np.random.default_rng(1), samples, 0, spec.cells,
+                        {"M"})
+    next(blocks)
+    assert budget.held == 3 * levy._BLOCK_CELLS
+    blocks.close()
+    assert budget.held == 0
+
+    class FailingNormals(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            raise RuntimeError("no normals")
+
+    gen = FailingNormals(np.random.PCG64(1))
+    budget.peak = 0
+    with pytest.raises(RuntimeError, match="no normals"):
+        next(spec._draw(gen, samples, 0, spec.cells, {"M"}))
+    assert budget.peak == 3 * levy._BLOCK_CELLS
+    assert budget.held == 0
 
 
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)

@@ -134,24 +134,35 @@ def test_run_failing_check_exits_two(tmp_path):
 def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
                                                       monkeypatch):
     doc = small_stochastic_config()
-    # reads M, whose normals follow the clock: at levy._HELD_CELLS = 1000
-    # every clock row is drawn again rather than held
-    doc["checks"].append({"name": "standardization", "array": {
-        "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000})
+    # each reads M, whose normals follow the clock, 2000 x 16 cells: at
+    # levy._HELD_CELLS = 1000 every clock row is drawn again rather than
+    # held, and at 40 000 the two checks contend for the one budget of the
+    # run when they overlap at --jobs 2
+    standardization = {"name": "standardization", "array": {
+        "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000}
+    doc["checks"] += [standardization, standardization]
     p = write_config(tmp_path, doc)
     outs = []
     held = levy._HELD_CELLS
     for i, (jobs, cap) in enumerate((("1", held), ("1", held), ("4", held),
-                                     ("1", 1_000))):
+                                     ("1", 1_000), ("2", held),
+                                     ("2", 40_000))):
         monkeypatch.setattr(levy, "_HELD_CELLS", cap)
         d = tmp_path / f"run{i}"
         result, out = invoke(["run", str(p), "--jobs", jobs,
                               "--output-dir", str(d)])
         assert result.exit_code == 0, out
         outs.append((d / "smoke" / "report.json").read_bytes())
+        meta = json.loads((d / "smoke" / "metadata.json").read_text())
+        if cap == 1_000:
+            assert meta["clock_cells_replayed"] == 2 * 2000 * 16
+        elif cap == held:
+            assert meta["clock_cells_replayed"] == 0
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
     assert outs[0] == outs[3]
+    assert outs[0] == outs[4]
+    assert outs[0] == outs[5]
 
 
 def test_samples_scale_changes_effective_samples(tmp_path):
@@ -190,6 +201,8 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     assert meta["peak_rss_mb"] > 1.0
     assert meta["python_version"] == platform.python_version()
     assert meta["numpy_version"] == np.__version__
+    # no draw of this config holds a clock for normals
+    assert meta["clock_cells_replayed"] == 0
     # report.json is what the run's report serializes to, nothing more
     report = cli_mod.run_experiment(cli_mod.load_config(p))
     text = (tmp_path / "smoke" / "report.json").read_text()
@@ -201,7 +214,8 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     # strict JSON: hyp_c without 'expected' has no threshold
     hyp_c = json.loads(text, parse_constant=no_constant)["entries"][0]
     assert hyp_c["check_name"] == "hyp_c" and hyp_c["threshold"] is None
-    for key in ("peak_rss_mb", "python_version", "numpy_version"):
+    for key in ("peak_rss_mb", "python_version", "numpy_version",
+                "clock_cells_replayed"):
         assert key not in report.to_json()
 
 
