@@ -19,22 +19,16 @@ estimated numerically:
 
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
-keep only the values they need.  So only the variates a kind draws for a
-whole batch, because a later draw must follow them (the clock when normals
-follow it, the Lindeberg hits or the random-walk steps), are ever held for
-a whole batch.  Each such array of at least one row block lives in its
-own mapping (``levy._batch_array``), filled block by block, so its pages go
-back to the system when the batch is done.  Every clock is drawn by its
+keep only the values they need.  A batch holds only what ``levy`` lists:
+a replayable clock's tail, under the budget; the compound Poisson counts;
+a composite's earlier parts; the random-walk steps.  Uniforms that a later
+draw follows, the Lindeberg hits among them, are jumped past
+(``levy._jump``) and drawn block by block.  Every clock is drawn by its
 subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
-its blocks draw from the generator alone (gamma, inverse Gaussian, drift),
-the draws of the whole run hold at most ``levy._HELD_CELLS`` cells at
-once, whatever the number of ``--jobs`` workers (:class:`_ClockBudget`):
-each draw holds the last rows of its batch that fit in what the others
-leave free, gives each row block back once its normals are drawn, and
-draws the earlier rows again, from a copy of the generator, as the
-normals are read.  No value depends on ``levy._HELD_CELLS`` or on the
-other draws.  A clock that no normal follows, and the Polya signs, which
-no draw follows, exist one block at a time.
+``_replays``, the draws of the whole run hold at most ``levy._HELD_CELLS``
+cells at once, whatever the number of ``--jobs`` workers
+(:class:`_ClockBudget`, :meth:`SubordinatorArray._draw`), and no value
+depends on the cap or on the other draws.
 Single realizations are materialized as exact
 :class:`~cadlab.paths.CadlagPath` staircases.
 """
@@ -181,11 +175,12 @@ class ArraySpec:
 
         ``fields`` names the increments wanted, among "M", "A", "QV" and
         "O"; the others may be None.  The generator is consumed in the
-        order of a whole-batch draw: variates that a later draw must follow
-        are drawn for the whole batch first, into a ``levy._batch_array``
-        filled block by block, and the last-drawn variate block by block.
-        A batch-sized array thus never comes from malloc, whose heap would
-        keep its pages after the batch.  Trailing draws that no wanted
+        order of a whole-batch draw.  A batch holds only what the module
+        docstring lists, each in a ``levy._batch_array`` filled block by
+        block, never from malloc, whose heap would keep its pages after the
+        batch; uniforms that a later draw follows are jumped past
+        (``levy._jump``).  Everything else is drawn block by block.
+        Trailing draws that no wanted
         increment needs are skipped, so the generator is left in the state
         of a whole-batch draw only when every field is wanted; a clock that
         no normal follows is then drawn block by block.
@@ -309,18 +304,18 @@ class LindebergArray(ArraySpec):
         da = self.compensator_increments(first, cells)
         jumps = "M" in fields or "QV" in fields
         if jumps:
+            # the signs follow the batch's hit uniforms, which gen jumps
+            hits = levy._jump(gen, samples * cells)
+            u = _block_buffers(samples, cells)
             p = 1.0 / k**self.beta
-            hit = _fill((gen.uniform(0.0, 1.0, size=(r.stop - r.start, cells)) < p
-                         for r in _row_blocks(samples, cells)),
-                        (samples, cells), bool)
             size = k ** (self.alpha / 2.0)
             a_n = math.sqrt(self.a_n_sq)
         for rows in _row_blocks(samples, cells):
             dx = None
             if jumps:
-                sign = np.where(gen.uniform(size=hit[rows].shape) < 0.5,
-                                -1.0, 1.0)
-                dx = np.where(hit[rows], sign * size, 0.0) / a_n
+                hit = hits.random(out=next(u)) < p  # uniform(0, 1)'s bits
+                sign = np.where(gen.uniform(size=hit.shape) < 0.5, -1.0, 1.0)
+                dx = np.where(hit, sign * size, 0.0) / a_n
             yield IncrementBatch(
                 dX=dx, dA=np.broadcast_to(da, (rows.stop - rows.start, cells)),
                 dQV=dx * dx if "QV" in fields else None)
@@ -391,23 +386,15 @@ class SubordinatorArray(ArraySpec):
         normals from a copy of ``gen`` taken before the clock, with the
         same bits.  Each held row block goes back to the budget, and its
         pages to the system, once its normals are drawn, and the rest when
-        the draw ends, is closed or raises.  Any other clock holds variates
-        for the batch: ``spec.increments`` draws it whole, outside the
-        budget.  A single row, as ``check_hyp_c`` and ``check_hyp_d`` draw,
-        is drawn whole.
+        the draw ends, is closed or raises.  Any other clock (compound
+        Poisson, or a composite, which holds its earlier parts) holds
+        variates for the batch: ``spec.increments`` draws it whole, outside
+        the budget.  A single row is one block of the same path.
         """
         dl = _cell_lengths(self.n, first, cells)
         if "M" not in fields and "QV" not in fields:
             for da in self.spec.blocks(gen, dl, samples):
                 yield IncrementBatch(dX=None, dA=da, dQV=None)
-            return
-        if samples == 1:
-            da = self.spec.increments(gen, dl, 1)
-            z = gen.standard_normal((1, cells))
-            z += 0.0  # as below
-            yield IncrementBatch(dX=np.sqrt(da) * z if "M" in fields else None,
-                                 dA=da if "A" in fields else None,
-                                 dQV=da * z * z if "QV" in fields else None)
             return
         # rows start.. of the clock are held in xi, ``held`` cells of them
         # still in the budget

@@ -22,6 +22,7 @@ import platform
 import re
 import resource
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -446,8 +447,11 @@ def load_config(path: Path) -> dict:
 
 def run_experiment(config: dict, jobs: int = 1,
                    samples_scale: float = 1.0,
-                   master_seed: int | None = None) -> ConvergenceReport:
-    """Execute all checks of a config and assemble the report in config order."""
+                   master_seed: int | None = None,
+                   check_s: list | None = None) -> ConvergenceReport:
+    """Execute all checks of a config and assemble the report in config
+    order.  ``check_s``, if given, gets each check's wall time in seconds
+    appended, in config order."""
     seed = config["seed"] if master_seed is None else master_seed
     experiment_id = config["experiment_id"]
     report = ConvergenceReport(experiment_id=experiment_id, seed=seed,
@@ -459,7 +463,9 @@ def run_experiment(config: dict, jobs: int = 1,
         eff = max(10, int(round(base * samples_scale)))
         chk_seed = derive_seed(seed, experiment_id, cfg["name"], index)
         runner = _REGISTRY[cfg["name"]][0]
-        return runner(eff, chk_seed, **_params(cfg))
+        start = time.perf_counter()
+        entries = runner(eff, chk_seed, **_params(cfg))
+        return entries, time.perf_counter() - start
 
     items = list(enumerate(config["checks"]))
     if jobs <= 1:
@@ -467,9 +473,11 @@ def run_experiment(config: dict, jobs: int = 1,
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(one, items))
-    for entries in results:
+    for entries, seconds in results:
         for entry in entries:
             report.add(entry)
+        if check_s is not None:
+            check_s.append(seconds)
     return report
 
 
@@ -492,6 +500,22 @@ def _peak_rss_mb() -> float:
     ``ru_maxrss`` counts KiB on Linux and bytes on macOS."""
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _git_revision() -> Optional[str]:
+    """The HEAD commit of the git checkout that holds this package; None
+    outside git or without a git command."""
+    # imported here, where only ``run`` pays for it: the import costs about
+    # 2.6 ms of each process's start
+    import subprocess
+
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"],
+                              cwd=Path(__file__).parent, capture_output=True,
+                              text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 @click.group()
@@ -548,11 +572,11 @@ def run(config_path: Path, jobs: int, samples_scale: float,
                    err=True)
         sys.exit(1)
 
-    replayed = arrays._BUDGET.replayed
+    replayed, check_s = arrays._BUDGET.replayed, []
     try:
         report = run_experiment(config, jobs=jobs,
                                 samples_scale=samples_scale,
-                                master_seed=master_seed)
+                                master_seed=master_seed, check_s=check_s)
     except Exception as exc:  # noqa: BLE001 - runtime errors map to exit 1
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)
@@ -569,6 +593,10 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "clock_cells_replayed": arrays._BUDGET.replayed - replayed,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "git_revision": _git_revision(),
+        # wall seconds per check, in config order; under --jobs > 1 the
+        # checks overlap, so these may sum to more than the run took
+        "check_s": check_s,
     }
     try:
         write_report(report, out_base, metadata)

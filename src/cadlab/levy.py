@@ -10,19 +10,20 @@ staircase starting at 0 (a pure drift gives an exact linear path instead).
 Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
 order of a whole-batch draw; they are the only clock samplers, the
-Linnik array's unit gamma clock included.  Only the variates that a later
-draw must follow are held for the whole batch: the stable sampler's
-uniforms, the compound Poisson counts (one byte a cell at small rates) and
-the running sum of a composite's parts but the last.  The last-drawn variate, and every
-array formed from it, exists one block at a time, drawn where numpy allows
-into one buffer reused from block to block (:func:`_block_buffers`).  The batch and
-block sizes that the array layer shares live here, and ``_HELD_CELLS``, the
-most cells of clock that the array layer holds at once in the whole run:
-one budget that every draw shares, on whichever ``--jobs`` worker it
-runs.  A spec whose blocks come from the generator alone (``_replays``:
-gamma, inverse Gaussian, drift) can be drawn a second time from a copy of
-the generator, with the same bits, so the array layer holds only the last
-rows of its clock that fit in the budget and draws the others again.
+Linnik array's unit gamma clock included.  A batch holds only: the tail
+of a replayable clock that normals follow, under the budget below; the
+compound Poisson counts (one byte a cell at small rates); the sum of a
+composite's parts but the last; the steps of a random-walk transform.
+Uniforms that a later draw follows are jumped past (:func:`_jump`) and
+drawn block by block, as the last-drawn variate and every array formed
+from it are, where numpy allows into buffers reused from block to block
+(:func:`_block_buffers`).  ``_HELD_CELLS`` is the most cells of clock that
+the array layer holds at once, summed over every draw of the run, on
+whichever ``--jobs`` worker.  A spec whose blocks come from the generator
+alone (``_replays``: gamma, inverse Gaussian, stable, drift) can be drawn
+a second time from a copy of the generator, with the same bits, so the
+array layer holds only the last rows of its clock that fit in the budget
+and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`), unless it is smaller than one row block, and is
@@ -41,6 +42,7 @@ shape lambda*h^2, the convolution-stable scaling of the IG process).
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import math
 import mmap
@@ -140,14 +142,26 @@ def _release_rows(a: np.ndarray, rows: slice):
             mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
-def _fill(blocks: Iterable[np.ndarray], shape: tuple,
-          dtype=np.float64) -> np.ndarray:
+def _fill(blocks: Iterable[np.ndarray], shape: tuple) -> np.ndarray:
     """A :func:`_batch_array` of ``shape`` filled from ``blocks``, in the
     row blocks of ``_row_blocks(*shape)``."""
-    out = _batch_array(shape, dtype)
+    out = _batch_array(shape)
     for r, blk in zip(_row_blocks(*shape), blocks):
         out[r] = blk
     return out
+
+
+def _jump(gen: np.random.Generator, k: int) -> np.random.Generator:
+    """A copy of ``gen`` for its next ``k`` 64-bit draws, as many uniforms,
+    and ``gen`` moved past them in O(log k) steps.  ``advance`` clears the
+    32-bit half that PCG64 keeps for the next 32-bit draw, so it is put
+    back: ``gen`` ends as if it had drawn the ``k`` values."""
+    ahead = copy.deepcopy(gen)
+    bits = gen.bit_generator
+    half = {key: bits.state[key] for key in ("has_uint32", "uinteger")}
+    bits.advance(k)
+    bits.state = {**bits.state, **half}
+    return ahead
 
 
 def _batched_blocks(samples: int, cells: int,
@@ -212,11 +226,11 @@ class SubordinatorSpec:
         ``_row_blocks(rows, dl.size)``.
 
         ``gen`` is consumed in the order of a whole-batch draw: a variate
-        that a later draw must follow is drawn for all ``rows`` first, and
-        the last-drawn variate block by block.  A block is valid until the
-        next one is asked for: it may be a reused buffer (see
-        :func:`_block_buffers`), a fresh array or a read-only broadcast of
-        one row.
+        that a later draw follows is drawn for all ``rows`` first (the
+        compound Poisson counts) or jumped past (the stable uniforms, see
+        :func:`_jump`), and the rest block by block.  A block is valid
+        until the next one is asked for: it may be a reused buffer (see
+        :func:`_block_buffers`), a fresh array or a read-only broadcast.
 
         A kind whose ``_replays`` is true draws its blocks from ``gen``
         alone and holds nothing for the batch, so a second call from a
@@ -226,16 +240,10 @@ class SubordinatorSpec:
 
     def increments(self, gen: np.random.Generator, dl: np.ndarray,
                    rows: int) -> np.ndarray:
-        """(rows, dl.size) independent increments for cells of clock length
-        ``dl``, one clock row shared by every replicate: the blocks of
-        :meth:`blocks` in one array.
-
-        The result is a :func:`_batch_array`, filled block by block, so no
-        batch-sized temporary comes from malloc.  Besides it, only the
-        variates that a later draw must follow are held for all ``rows``:
-        the stable uniforms and the compound Poisson counts.  A composite
-        sums its parts into the first part's array.
-        """
+        """(rows, dl.size) increments: the blocks of :meth:`blocks` in one
+        :func:`_batch_array`, filled block by block, so no batch-sized
+        temporary comes from malloc.  A composite sums its parts into the
+        first part's array."""
         return _fill(self.blocks(gen, dl, rows), (rows, dl.size))
 
 
@@ -306,6 +314,8 @@ class StableSpec(SubordinatorSpec):
             raise PathDomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         _check_positive("scale", self.scale)
 
+    _replays = True
+
     def blocks(self, gen, dl, rows):
         # self-similarity: A(h) = (scale * h)^(1/alpha) * S
         factor = (self.scale * dl) ** (1.0 / self.alpha)
@@ -318,14 +328,15 @@ def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
     """Kanter sampler for the one-sided stable law with E e^{-uS} = e^{-u^alpha},
     (rows, cells) draws in the row blocks of ``_row_blocks(rows, cells)``.
 
-    The uniforms are drawn for the whole batch, since the exponentials
-    follow them; the exponentials and the rest are formed block by block.
+    The exponentials follow the uniforms of the whole batch, so ``gen``
+    jumps past the uniforms (:func:`_jump`) and a copy of it draws them
+    block by block, into one reused buffer; nothing is held for the batch.
     """
-    u = _fill((gen.uniform(0.0, 1.0, size=(r.stop - r.start, cells))
-               for r in _row_blocks(rows, cells)), (rows, cells))
-    for r in _row_blocks(rows, cells):
-        e = gen.exponential(1.0, size=u[r].shape)
-        pu = np.pi * u[r]
+    ahead = _jump(gen, rows * cells)
+    for u in _block_buffers(rows, cells):
+        ahead.random(out=u)  # uniform(0, 1), the same bits
+        e = gen.exponential(1.0, size=u.shape)
+        pu = np.pi * u
         a = (
             np.sin(alpha * pu) ** (alpha / (1.0 - alpha))
             * np.sin((1.0 - alpha) * pu)

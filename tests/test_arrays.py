@@ -624,6 +624,23 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
     assert budget.held == 0
 
 
+def test_lindeberg_jump_keeps_a_buffered_32_bit_half(monkeypatch):
+    # the hit uniforms are jumped past; integers(0, 2) leaves half of a
+    # 64-bit draw buffered, which the jump must keep, as a whole-batch
+    # draw of the uniforms does
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
+    spec, samples = LindebergArray(n=64, alpha=1.0, beta=0.5), 301
+    got, gen = RngStream(SEED, 36).generator(), RngStream(SEED, 36).generator()
+    assert np.array_equal(got.integers(0, 2, size=3), gen.integers(0, 2, size=3))
+    assert got.bit_generator.state["has_uint32"]
+    blocks = [(b.dX.copy(), b.dA.copy(), b.dQV.copy()) for b in spec._draw(
+        got, samples, 0, spec.cells, arrays._FIELDS)]
+    assert len(blocks) > 1
+    for inc, want in zip(zip(*blocks), _reference_draw(spec, gen, samples)):
+        assert np.array_equal(np.concatenate(inc), want)
+    assert got.bit_generator.state == gen.bit_generator.state
+
+
 def test_concurrent_draws_share_one_clock_budget(monkeypatch, budget):
     # at most levy._HELD_CELLS clock cells held at once by all draws
     # together, each draw holding what the others leave free, and the same
@@ -702,19 +719,21 @@ def test_marginal_samples_memory_is_capped_clock_draws(malloc_batches,
                                                        monkeypatch):
     # the whole-batch code held five or six batch-sized arrays (~489 MiB
     # here).  A clock that its normals follow is held, but of a gamma,
-    # inverse Gaussian or Linnik clock at most levy._HELD_CELLS cells: the
-    # earlier rows of the batch (97.7 MiB here) are drawn again instead.
-    # The other levy specs held two to six batches (IG 403 MiB, stable
-    # 586 MiB).  Now each holds its clock batch and only what a later draw
-    # must follow: the stable uniforms, the compound Poisson counts (one
-    # byte a cell), and a composite's first part, into which the others
-    # are added in place.
+    # inverse Gaussian, stable or Linnik clock at most levy._HELD_CELLS
+    # cells: the earlier rows of the batch (97.7 MiB here) are drawn again
+    # instead.  The stable clock held its batch and its uniforms outside
+    # the cap (2.25 batches allowed) until the generator jumped past them.
+    # The other levy specs held two to six batches (IG 403 MiB).  Now each
+    # holds its clock batch and only what a later draw must follow: the
+    # compound Poisson counts (one byte a cell), and a composite's first
+    # part, into which the others are added in place.
     samples = 50_000
     held = levy._HELD_CELLS * 8
     for spec in (LinnikArray(n=256, horizon=1.0),
                  SubordinatorArray(n=256, spec=GammaSpec(shape_rate=1.0)),
                  SubordinatorArray(n=256, spec=InverseGaussianSpec(
-                     mu=1.0, lam=2.0))):
+                     mu=1.0, lam=2.0)),
+                 SubordinatorArray(n=256, spec=StableSpec(alpha=0.6))):
         assert samples * spec.cells * 8 > held
         peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
                            RngStream(SEED, 26), fields=("M",))
@@ -729,7 +748,6 @@ def test_marginal_samples_memory_is_capped_clock_draws(malloc_batches,
                            fields=("M", "A"))
         assert batch <= peak <= 1.25 * batch, peak / 2**20
     for spec, budget in (
-            (SubordinatorArray(n=256, spec=StableSpec(alpha=0.6)), 2.25),
             (SubordinatorArray(n=256, spec=CompoundPoissonSpec(
                 rate=3.0, jump_mean=0.5)), 1.25),
             (SubordinatorArray(n=256, spec=CompositeSpec((
@@ -745,6 +763,17 @@ def test_marginal_samples_memory_is_capped_clock_draws(malloc_batches,
         # the clock is held, since the normals follow it
         assert clock_bytes <= peak <= budget * clock_bytes, (
             spec, peak / 2**20, clock_bytes / 2**20)
+
+
+def test_lindeberg_array_holds_no_batch(malloc_batches):
+    # the hit uniforms, which the signs follow, were a (samples, cells)
+    # bool batch (12.2 MiB here); the generator now jumps past them and a
+    # copy of it draws them block by block
+    spec, samples = LindebergArray(n=256, alpha=1.0, beta=0.5), 50_000
+    peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
+                       RngStream(SEED, 29), fields=("M",))
+    # a few row blocks of 256 KiB and the (samples, 1) result: about 2 MiB
+    assert peak <= 10 * levy._BLOCK_CELLS * 8, peak / 2**20
 
 
 def test_check_mcleish_polya_memory_is_below_one_batch_of_signs(

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -165,6 +166,38 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
     assert outs[0] == outs[5]
 
 
+#: the Python and numpy versions that REPORT_DIGESTS were recorded with;
+#: numpy does not promise its streams across versions
+DIGEST_VERSIONS = ("3.11.7", "2.4.6")
+#: (config, --samples-scale, exit status, sha256 of report.json) at --jobs 1.
+#: A change that keeps the random streams keeps these bytes; one that
+#: changes a stream on purpose records the new digests and says so.
+REPORT_DIGESTS = [
+    (CONFIG_DIR / "counterexample.json", "1.0", 0,
+     "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
+    (CONFIG_DIR / "linnik.json", "0.05", 0,
+     "433812549dcbde2092c56cbf3706616f4feea78deb07057dc598199b36cbfe88"),
+    (BENCH_DIR / "mix.json", "0.1", 2,
+     "eb0aa719b75dcb9145174d0cf92c655ee2614f627f2d951c519a6e0cc1cca4f4"),
+]
+
+
+@pytest.mark.skipif(
+    (platform.python_version(), np.__version__) != DIGEST_VERSIONS,
+    reason="report digests were recorded on Python %s with numpy %s"
+           % DIGEST_VERSIONS)
+@pytest.mark.parametrize("config, scale, status, digest", REPORT_DIGESTS,
+                         ids=["counterexample", "linnik", "mix"])
+def test_report_bytes_match_recorded_digests(tmp_path, config, scale, status,
+                                             digest):
+    result, out = invoke(["run", str(config), "--jobs", "1",
+                          "--samples-scale", scale,
+                          "--output-dir", str(tmp_path)])
+    assert result.exit_code == status, out
+    [report] = tmp_path.glob("*/report.json")
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 def test_samples_scale_changes_effective_samples(tmp_path):
     p = write_config(tmp_path, small_stochastic_config())
     d = tmp_path / "scaled"
@@ -203,6 +236,13 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     assert meta["numpy_version"] == np.__version__
     # no draw of this config holds a clock for normals
     assert meta["clock_cells_replayed"] == 0
+    # wall seconds per check, in config order, and the checkout's HEAD
+    assert len(meta["check_s"]) == 2
+    assert all(s > 0 for s in meta["check_s"])
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                          capture_output=True, text=True)
+    assert meta["git_revision"] == (head.stdout.strip() if head.returncode == 0
+                                    else None)
     # report.json is what the run's report serializes to, nothing more
     report = cli_mod.run_experiment(cli_mod.load_config(p))
     text = (tmp_path / "smoke" / "report.json").read_text()
@@ -215,7 +255,7 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     hyp_c = json.loads(text, parse_constant=no_constant)["entries"][0]
     assert hyp_c["check_name"] == "hyp_c" and hyp_c["threshold"] is None
     for key in ("peak_rss_mb", "python_version", "numpy_version",
-                "clock_cells_replayed"):
+                "clock_cells_replayed", "check_s", "git_revision"):
         assert key not in report.to_json()
 
 

@@ -328,10 +328,17 @@ def test_increments_across_blocks_match_reference(spec, monkeypatch):
     dl = np.diff(TimeGrid(64, 1.0).points())
     got = RngStream(SEED, 32).generator()
     gen = RngStream(SEED, 32).generator()
+    # integers(0, 2) draws 32 bits and buffers the other half of its
+    # 64-bit draw, which the jump past the stable uniforms must keep; the
+    # whole state is compared, since random(4) draws 64 bits and cannot
+    # see the buffered half
+    assert np.array_equal(got.integers(0, 2, size=3),
+                          gen.integers(0, 2, size=3))
+    assert got.bit_generator.state["has_uint32"]
     assert np.array_equal(spec.increments(got, dl, 301),
                           _reference_increments(spec, gen, np.broadcast_to(
                               dl, (301, dl.size))))
-    assert np.array_equal(got.random(4), gen.random(4))
+    assert got.bit_generator.state == gen.bit_generator.state
 
 
 @pytest.fixture
@@ -353,19 +360,19 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("spec, budget", [
-    (StableSpec(alpha=0.6), 1.5),
-    (ORACLE_SPECS[-1], 1.25),
+@pytest.mark.parametrize("spec, least, most", [
+    (StableSpec(alpha=0.6), 0.0, 0.25),
+    (ORACLE_SPECS[-1], 1.0, 1.25),
 ], ids=["stable", "composite"])
-def test_rescaling_check_memory_at_mix_scale(spec, budget, malloc_batches):
+def test_rescaling_check_memory_at_mix_scale(spec, least, most,
+                                             malloc_batches):
     # mix's rescaling checks: 3000 samples on a grid of 1000.  The whole-
     # batch samplers held five or six (samples, 1000) arrays (138 and
-    # 117 MiB).  Streamed, the stable sampler holds its uniforms and the
-    # composite its inverse Gaussian part and its Poisson counts, one byte
-    # a cell.
+    # 117 MiB).  Streamed, the composite holds its inverse Gaussian part
+    # and its Poisson counts, one byte a cell.  The stable sampler held its
+    # uniforms until the generator jumped past them: it holds no batch.
     batch_bytes = 3000 * 1000 * 8
     peak = _peak_bytes(rescaling_check, spec, 0.25, 1.0, 3000,
                        RngStream(SEED, 33))
-    # at least the one batch each holds, so the budget measures something
-    assert batch_bytes <= peak <= budget * batch_bytes, (peak / 2**20,
-                                                         batch_bytes / 2**20)
+    assert least * batch_bytes <= peak <= most * batch_bytes, (
+        peak / 2**20, batch_bytes / 2**20)
