@@ -25,11 +25,9 @@ a composite's earlier parts; the random-walk steps.  Uniforms that a later
 draw follows, the Lindeberg hits among them, are jumped past
 (``levy._jump``) and drawn block by block.  Every clock is drawn by its
 subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
-``_replays``, the draws of the whole run hold at most ``levy._HELD_CELLS``
-cells at once, whatever the number of ``--jobs`` workers
-(:class:`_ClockBudget`, :meth:`SubordinatorArray._draw`), and no value
-depends on the cap or on the other draws.
-Single realizations are materialized as exact
+``_replays``, the draws of a run hold at most ``levy._HELD_CELLS // jobs``
+cells at once (:class:`_ClockBudget`); no value depends on the cap or on
+the other draws.  Single realizations are materialized as exact
 :class:`~cadlab.paths.CadlagPath` staircases.
 """
 
@@ -323,19 +321,22 @@ class LindebergArray(ArraySpec):
 
 class _ClockBudget:
     """The cells of clock that :meth:`SubordinatorArray._draw` holds, summed
-    over every draw of the run, on any thread: at most ``levy._HELD_CELLS``,
-    read at each grant.  It counts the clock cells drawn twice, too."""
+    over the run's draws on its ``workers`` threads: at most
+    ``levy._HELD_CELLS // workers``, read at each grant, all of which the
+    first draw to find none held may take, whatever the thread schedule.
+    It counts the clock cells drawn twice, too."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.held = 0  # cells held now
         self.peak = 0  # most cells held at once
         self.replayed = 0  # cells drawn a second time
+        self.workers = 1  # threads that draw at once
 
     def grant(self, cells: int) -> bool:
         """Hold ``cells`` more if they fit in what the draws leave free."""
         with self._lock:
-            if self.held + cells > levy._HELD_CELLS:
+            if self.held + cells > levy._HELD_CELLS // self.workers:
                 return False
             self.held += cells
             self.peak = max(self.peak, self.held)
@@ -380,8 +381,8 @@ class SubordinatorArray(ArraySpec):
         without them the clock is read block by block.  With them the clock
         is drawn whole first, since they follow it.  A clock that
         ``_replays`` is held from the first row-block boundary whose
-        remaining cells fit in the cells of ``levy._HELD_CELLS`` that the
-        run's other draws leave free (:data:`_BUDGET`), at that moment; the
+        remaining cells fit in the cells of the run's clock budget that its
+        other draws leave free (:data:`_BUDGET`), at that moment; the
         earlier rows are drawn and dropped, then drawn again with the
         normals from a copy of ``gen`` taken before the clock, with the
         same bits.  Each held row block goes back to the budget, and its

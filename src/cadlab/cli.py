@@ -471,8 +471,13 @@ def run_experiment(config: dict, jobs: int = 1,
     if jobs <= 1:
         results = [one(item) for item in items]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, items))
+        # the workers share a jobs-th of the clock budget (_ClockBudget)
+        arrays._BUDGET.workers = jobs
+        try:
+            with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+                results = list(pool.map(one, items))
+        finally:
+            arrays._BUDGET.workers = 1
     for entries, seconds in results:
         for entry in entries:
             report.add(entry)

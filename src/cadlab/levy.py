@@ -18,12 +18,12 @@ Uniforms that a later draw follows are jumped past (:func:`_jump`) and
 drawn block by block, as the last-drawn variate and every array formed
 from it are, where numpy allows into buffers reused from block to block
 (:func:`_block_buffers`).  ``_HELD_CELLS`` is the most cells of clock that
-the array layer holds at once, summed over every draw of the run, on
-whichever ``--jobs`` worker.  A spec whose blocks come from the generator
-alone (``_replays``: gamma, inverse Gaussian, stable, drift) can be drawn
-a second time from a copy of the generator, with the same bits, so the
-array layer holds only the last rows of its clock that fit in the budget
-and draws the others again.
+the array layer holds at once, summed over every draw of the run; the
+``--jobs`` workers of a run share ``_HELD_CELLS // jobs`` of them.  A spec
+whose blocks come from the generator alone (``_replays``: gamma, inverse
+Gaussian, stable, drift) can be drawn a second time from a copy of the
+generator, with the same bits, so the array layer holds only the last rows
+of its clock that fit in the budget and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`), unless it is smaller than one row block, and is
@@ -93,9 +93,9 @@ class RngStream:
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
 #: cells of clock that the array layer holds at most at once, summed over
-#: every draw of the run (64 MiB); a replayable clock's earlier rows are
-#: drawn twice instead.  It bounds memory only: the streams are fixed by
-#: _BATCH_CELLS.
+#: every draw of the run (64 MiB; a k-th of it at --jobs k); a replayable
+#: clock's earlier rows are drawn twice instead.  It bounds memory only:
+#: the streams are fixed by _BATCH_CELLS.
 _HELD_CELLS = 2**23
 
 #: a private anonymous mapping, None where mmap lacks the flags.  A shared

@@ -709,6 +709,33 @@ def test_clock_budget_is_free_after_a_draw_is_closed_or_raises(monkeypatch,
     assert budget.held == 0
 
 
+def test_split_clock_budget_peak_does_not_follow_the_schedule(monkeypatch,
+                                                             budget):
+    # two workers share half of levy._HELD_CELLS: whichever draw grants
+    # first finds nothing held and holds exactly that half, the other what
+    # it leaves free, so the most held is the same in every schedule; the
+    # whole cap would let the first hold six blocks alone
+    monkeypatch.setattr(levy, "_HELD_CELLS", 6 * levy._BLOCK_CELLS)
+    specs = (LinnikArray(n=64), LinnikArray(n=128))
+    # 40 row blocks of either, so that every tail is whole blocks
+    samples = 40 * levy._block_rows(128)
+
+    def draw(i):
+        return marginal_samples(specs[i], [1.0], samples,
+                                RngStream(SEED, 50 + i), fields=("M",))["M"]
+
+    serial = [draw(i) for i in range(len(specs))]
+    monkeypatch.setattr(budget, "workers", 2)
+    for _ in range(3):
+        budget.peak = 0
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(draw, range(len(specs))))
+        for g, want in zip(got, serial):
+            assert np.array_equal(g, want)
+        assert budget.peak == 3 * levy._BLOCK_CELLS
+        assert budget.held == 0
+
+
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_sample_increments_of_no_replicates(spec):
     batch = sample_increments(spec, RngStream(SEED, 27), 0)

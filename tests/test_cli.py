@@ -166,6 +166,25 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
     assert outs[0] == outs[5]
 
 
+def test_jobs_workers_share_a_jobs_th_of_the_clock_budget(tmp_path,
+                                                          monkeypatch):
+    # 2000 x 16 clock cells read with M, one row block: they fit in a
+    # 40 000-cell budget at --jobs 1, not in the 20 000 two workers share
+    doc = {"experiment_id": "smoke", "seed": 123, "samples": 50, "checks": [
+        {"name": "standardization", "array": {"kind": "linnik", "n": 16},
+         "t": 1.0, "samples": 2000}]}
+    p = write_config(tmp_path, doc)
+    monkeypatch.setattr(levy, "_HELD_CELLS", 40_000)
+    for jobs, replayed in (("1", 0), ("2", 2000 * 16)):
+        d = tmp_path / jobs
+        result, out = invoke(["run", str(p), "--jobs", jobs,
+                              "--output-dir", str(d)])
+        assert result.exit_code == 0, out
+        meta = json.loads((d / "smoke" / "metadata.json").read_text())
+        assert meta["clock_cells_replayed"] == replayed
+        assert arrays._BUDGET.workers == 1
+
+
 #: the Python and numpy versions that REPORT_DIGESTS were recorded with;
 #: numpy does not promise its streams across versions
 DIGEST_VERSIONS = ("3.11.7", "2.4.6")
