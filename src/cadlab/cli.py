@@ -4,7 +4,9 @@ A config names an experiment, a master seed, a default sample count and a
 list of check descriptors.  Every check derives its own random stream by
 stable hashing of (master seed, experiment id, check name, position), so
 reports are byte-identical across reruns and across ``--jobs`` settings;
-wall-clock metadata goes to a sidecar file, never into the report.
+wall-clock metadata goes to a sidecar file, never into the report.  The
+``--jobs`` workers run the checks and also take ``ecf_linnik``'s n-ladder
+rungs, largest n first (:func:`_spread`).
 Every key of every check is checked against the check's declared
 parameters when the config is loaded, before any check runs.
 """
@@ -60,6 +62,34 @@ def _rng(seed: int) -> RngStream:
 
 #: the lambdas at which the CF checks compare characteristic functions
 _CF_GRID = np.arange(-3, 3.125, 0.25)
+
+#: the thread pool of the run_experiment call under way with --jobs > 1
+_POOL: Optional[concurrent.futures.ThreadPoolExecutor] = None
+
+
+def _spread(fn, items) -> list:
+    """``[fn(x) for x in items]``, in item order.
+
+    Without a pool this is that loop.  Under :data:`_POOL` every item is
+    submitted, last first, so the costliest should come last; this thread
+    then runs, last first, each item that no worker has started, and only
+    after that waits for those that workers took.  It only ever waits for
+    an item that is already running, so nested calls cannot deadlock.
+    """
+    if _POOL is None:
+        return [fn(x) for x in items]
+    order = items[::-1]
+    futures = [_POOL.submit(fn, x) for x in order]
+    mine = {}
+    try:
+        for i, x in enumerate(order):
+            if futures[i].cancel():  # no worker has started it
+                mine[i] = fn(x)
+        return [mine[i] if i in mine else futures[i].result()
+                for i in reversed(range(len(order)))]
+    finally:
+        for future in futures:  # after a raise, no worker starts the rest
+            future.cancel()
 
 
 # -- check runners ---------------------------------------------------------
@@ -141,16 +171,19 @@ def _run_counterexample_m1(samples, seed, n_list: list[int] = [3, 5, 10],
 def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
                     t: float = 1.0, threshold: float = 0.03):
     se = math.sqrt(2.0 / samples)
-    entries = []
-    dists = []
-    for i, n in enumerate(n_ladder):
-        spec = arrays.LinnikArray(n=n, horizon=t)
+
+    def rung(i):
+        spec = arrays.LinnikArray(n=n_ladder[i], horizon=t)
         marg = arrays.marginal_samples(spec, [t], samples,
                                        _rng(seed).child(i), fields=("M",))
-        d = convtest.ecf_distance(marg["M"][:, 0],
-                                  lambda lam: levy.linnik_cf(t, lam),
-                                  _CF_GRID)
-        dists.append(d)
+        return convtest.ecf_distance(marg["M"][:, 0],
+                                     lambda lam: levy.linnik_cf(t, lam),
+                                     _CF_GRID)
+
+    # the ladder increases strictly, so the costliest rung comes last
+    dists = _spread(rung, range(len(n_ladder)))
+    entries = []
+    for n, d in zip(n_ladder, dists):
         entries.append(CheckEntry(
             check_name="ecf_linnik", n=n, param=f"t={t}", statistic=d,
             threshold=threshold, passed=d <= threshold, stderr=se,
@@ -451,7 +484,8 @@ def run_experiment(config: dict, jobs: int = 1,
                    check_s: list | None = None) -> ConvergenceReport:
     """Execute all checks of a config and assemble the report in config
     order.  ``check_s``, if given, gets each check's wall time in seconds
-    appended, in config order."""
+    appended, in config order; a check's time includes the items of its
+    :func:`_spread` calls that other workers ran."""
     seed = config["seed"] if master_seed is None else master_seed
     experiment_id = config["experiment_id"]
     report = ConvergenceReport(experiment_id=experiment_id, seed=seed,
@@ -467,16 +501,20 @@ def run_experiment(config: dict, jobs: int = 1,
         entries = runner(eff, chk_seed, **_params(cfg))
         return entries, time.perf_counter() - start
 
+    global _POOL
     items = list(enumerate(config["checks"]))
     if jobs <= 1:
         results = [one(item) for item in items]
     else:
-        # the workers share a jobs-th of the clock budget (_ClockBudget)
+        # the workers share a jobs-th of the clock budget (_ClockBudget),
+        # and take the items of the checks' _spread calls too
         arrays._BUDGET.workers = jobs
         try:
             with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+                _POOL = pool
                 results = list(pool.map(one, items))
         finally:
+            _POOL = None
             arrays._BUDGET.workers = 1
     for entries, seconds in results:
         for entry in entries:
@@ -531,7 +569,8 @@ def cli():
 @cli.command()
 @click.argument("config_path", type=click.Path(path_type=Path))
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Concurrent checks; does not affect any statistic.")
+              help="Concurrent checks; the workers also take ecf_linnik's "
+                   "n-ladder rungs.  Does not affect any statistic.")
 @click.option("--samples-scale", type=float, default=1.0, show_default=True,
               help="Multiplier on every sample count (0.1 for a fast pass).")
 @click.option("--output-dir", type=click.Path(path_type=Path), default=None,
@@ -599,8 +638,9 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "git_revision": _git_revision(),
-        # wall seconds per check, in config order; under --jobs > 1 the
-        # checks overlap, so these may sum to more than the run took
+        # wall seconds per check, in config order, each with its rungs run
+        # on other workers; under --jobs > 1 the checks overlap, so these
+        # may sum to more than the run took
         "check_s": check_s,
     }
     try:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import importlib.util
 import inspect
@@ -7,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -141,7 +143,11 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
     # run when they overlap at --jobs 2
     standardization = {"name": "standardization", "array": {
         "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000}
-    doc["checks"] += [standardization, standardization]
+    # its rungs read M too, 400 x 8, 16 and 32 cells, and at --jobs 2 and
+    # 4 they are spread over the workers
+    ladder = {"name": "ecf_linnik", "n_ladder": [8, 16, 32], "t": 1.0,
+              "threshold": 0.5, "samples": 400}
+    doc["checks"] = [ladder, *doc["checks"], standardization, standardization]
     p = write_config(tmp_path, doc)
     outs = []
     held = levy._HELD_CELLS
@@ -156,7 +162,8 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
         outs.append((d / "smoke" / "report.json").read_bytes())
         meta = json.loads((d / "smoke" / "metadata.json").read_text())
         if cap == 1_000:
-            assert meta["clock_cells_replayed"] == 2 * 2000 * 16
+            assert meta["clock_cells_replayed"] == (2 * 2000 * 16
+                                                    + 400 * (8 + 16 + 32))
         elif cap == held:
             assert meta["clock_cells_replayed"] == 0
     assert outs[0] == outs[1]
@@ -188,16 +195,20 @@ def test_jobs_workers_share_a_jobs_th_of_the_clock_budget(tmp_path,
 #: the Python and numpy versions that REPORT_DIGESTS were recorded with;
 #: numpy does not promise its streams across versions
 DIGEST_VERSIONS = ("3.11.7", "2.4.6")
-#: (config, --samples-scale, exit status, sha256 of report.json) at --jobs 1.
+#: (config, --samples-scale, --jobs, exit status, sha256 of report.json).
 #: A change that keeps the random streams keeps these bytes; one that
-#: changes a stream on purpose records the new digests and says so.
+#: changes a stream on purpose records the new digests and says so.  The
+#: --jobs 2 linnik run, whose ecf_linnik rungs run on both workers, has
+#: the --jobs 1 run's digest.
+LINNIK_DIGEST = (
+    "433812549dcbde2092c56cbf3706616f4feea78deb07057dc598199b36cbfe88")
 REPORT_DIGESTS = [
-    (CONFIG_DIR / "counterexample.json", "1.0", 0,
+    (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
-    (CONFIG_DIR / "linnik.json", "0.05", 0,
-     "433812549dcbde2092c56cbf3706616f4feea78deb07057dc598199b36cbfe88"),
-    (BENCH_DIR / "mix.json", "0.1", 2,
+    (CONFIG_DIR / "linnik.json", "0.05", "1", 0, LINNIK_DIGEST),
+    (BENCH_DIR / "mix.json", "0.1", "1", 2,
      "eb0aa719b75dcb9145174d0cf92c655ee2614f627f2d951c519a6e0cc1cca4f4"),
+    (CONFIG_DIR / "linnik.json", "0.05", "2", 0, LINNIK_DIGEST),
 ]
 
 
@@ -205,16 +216,120 @@ REPORT_DIGESTS = [
     (platform.python_version(), np.__version__) != DIGEST_VERSIONS,
     reason="report digests were recorded on Python %s with numpy %s"
            % DIGEST_VERSIONS)
-@pytest.mark.parametrize("config, scale, status, digest", REPORT_DIGESTS,
-                         ids=["counterexample", "linnik", "mix"])
-def test_report_bytes_match_recorded_digests(tmp_path, config, scale, status,
-                                             digest):
-    result, out = invoke(["run", str(config), "--jobs", "1",
+@pytest.mark.parametrize("config, scale, jobs, status, digest",
+                         REPORT_DIGESTS,
+                         ids=["counterexample", "linnik", "mix",
+                              "linnik_jobs2"])
+def test_report_bytes_match_recorded_digests(tmp_path, config, scale, jobs,
+                                             status, digest):
+    result, out = invoke(["run", str(config), "--jobs", jobs,
                           "--samples-scale", scale,
                           "--output-dir", str(tmp_path)])
     assert result.exit_code == status, out
     [report] = tmp_path.glob("*/report.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+def ladder_config(n_ladder=(8, 16, 32)):
+    return {"experiment_id": "ladder", "seed": 5, "samples": 300, "checks": [
+        {"name": "ecf_linnik", "n_ladder": list(n_ladder), "t": 1.0,
+         "threshold": 0.5},
+        {"name": "fdd_gamma", "n": 16, "t": 1.0}]}
+
+
+def test_spread_returns_results_in_item_order(monkeypatch):
+    def square(x):
+        time.sleep(0.01 * (x % 3))
+        return x * x
+    assert cli_mod._spread(square, range(7)) == [x * x for x in range(7)]
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(cli_mod, "_POOL", pool)
+        assert cli_mod._spread(square, range(7)) == [x * x for x in range(7)]
+
+
+def test_spread_runs_the_items_no_worker_started_last_first(monkeypatch):
+    started, free = [], threading.Event()
+
+    def start(x):
+        started.append((x, threading.get_ident()))
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        # the only worker is taken; the timeout ends a wait for it
+        busy = pool.submit(free.wait, 30)
+        monkeypatch.setattr(cli_mod, "_POOL", pool)
+        assert cli_mod._spread(start, range(4)) == [None] * 4
+        free.set()
+        busy.result()
+    assert started == [(x, threading.get_ident()) for x in (3, 2, 1, 0)]
+
+
+NESTED_SPREAD_SCRIPT = """
+import concurrent.futures, threading
+from cadlab import cli
+both_in = threading.Barrier(2)
+def check(k):
+    both_in.wait()  # each worker is inside a check when it spreads
+    return cli._spread(lambda x: (k, x), list(range(5)))
+with concurrent.futures.ThreadPoolExecutor(2) as pool:
+    cli._POOL = pool
+    print(list(pool.map(check, range(2))))
+"""
+
+
+def test_spread_nested_on_both_workers_of_a_pool_finishes():
+    # in a child process with a timeout, so that a deadlock fails this test
+    # rather than hanging the suite on threads that never end
+    src = str(Path(cli_mod.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", NESTED_SPREAD_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == str([[(k, x) for x in range(5)] for k in range(2)])
+
+
+def test_spread_raises_an_items_exception(monkeypatch):
+    def fail_on_two(x):
+        if x == 2:
+            raise ValueError("item 2")
+        return x
+    with pytest.raises(ValueError, match="item 2"):
+        cli_mod._spread(fail_on_two, range(4))
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(cli_mod, "_POOL", pool)
+        for _ in range(5):
+            with pytest.raises(ValueError, match="item 2"):
+                cli_mod._spread(fail_on_two, range(4))
+
+
+def test_a_raising_rung_leaves_no_pool_budget_share_or_thread(monkeypatch):
+    marginal_samples = arrays.marginal_samples
+
+    def fail_at_16(spec, *args, **kwargs):
+        if spec.n == 16:
+            raise RuntimeError("rung n=16")
+        return marginal_samples(spec, *args, **kwargs)
+    monkeypatch.setattr(arrays, "marginal_samples", fail_at_16)
+    threads = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="rung n=16"):
+        cli_mod.run_experiment(ladder_config(), jobs=2)
+    assert cli_mod._POOL is None
+    assert arrays._BUDGET.workers == 1
+    assert arrays._BUDGET.held == 0
+    assert set(threading.enumerate()) == threads
+
+
+def test_jobs_1_runs_the_ladder_in_order_on_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("--jobs 1 started a thread")
+    started = []
+    marginal_samples = arrays.marginal_samples
+
+    def record(spec, *args, **kwargs):
+        started.append(spec.n)
+        return marginal_samples(spec, *args, **kwargs)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(arrays, "marginal_samples", record)
+    report = cli_mod.run_experiment(ladder_config(), jobs=1)
+    assert started == [8, 16, 32, 16]  # the ladder, then fdd_gamma's n
+    assert [e.n for e in report.entries] == [8, 16, 32, 16, 32, 16]
 
 
 def test_samples_scale_changes_effective_samples(tmp_path):
