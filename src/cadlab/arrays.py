@@ -20,15 +20,16 @@ estimated numerically:
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
 keep only the values they need.  A batch holds only what ``levy`` lists:
-a replayable clock's tail, under the budget; the compound Poisson counts;
+a replayable clock's tail, under the cap; the compound Poisson counts;
 a composite's earlier parts; the random-walk steps.  Uniforms that a later
 draw follows, the Lindeberg hits among them, are jumped past
 (``levy._jump``) and drawn block by block.  Every clock is drawn by its
 subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
-``_replays``, the draws of a run hold at most ``levy._HELD_CELLS // jobs``
-cells at once (:class:`_ClockBudget`); no value depends on the cap or on
-the other draws.  Single realizations are materialized as exact
-:class:`~cadlab.paths.CadlagPath` staircases.
+``_replays``, a draw holds at most ``levy._HELD_CELLS // jobs**2`` cells,
+so the ``jobs`` workers of a run hold at most ``levy._HELD_CELLS // jobs``
+(:meth:`SubordinatorArray._draw`); no value depends on the cap.  Single
+realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
+staircases.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -319,39 +319,11 @@ class LindebergArray(ArraySpec):
                 dQV=dx * dx if "QV" in fields else None)
 
 
-class _ClockBudget:
-    """The cells of clock that :meth:`SubordinatorArray._draw` holds, summed
-    over the run's draws on its ``workers`` threads: at most
-    ``levy._HELD_CELLS // workers``, read at each grant, all of which the
-    first draw to find none held may take, whatever the thread schedule.
-    It counts the clock cells drawn twice, too."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.held = 0  # cells held now
-        self.peak = 0  # most cells held at once
-        self.replayed = 0  # cells drawn a second time
-        self.workers = 1  # threads that draw at once
-
-    def grant(self, cells: int) -> bool:
-        """Hold ``cells`` more if they fit in what the draws leave free."""
-        with self._lock:
-            if self.held + cells > levy._HELD_CELLS // self.workers:
-                return False
-            self.held += cells
-            self.peak = max(self.peak, self.held)
-            return True
-
-    def release(self, cells: int, replayed: int = 0):
-        """Give back ``cells`` held cells; count ``replayed`` cells drawn
-        twice."""
-        with self._lock:
-            self.held -= cells
-            self.replayed += replayed
-
-
-#: the one budget of the run's held clocks
-_BUDGET = _ClockBudget()
+#: the threads that draw at once: ``run_experiment``'s ``--jobs`` workers
+_workers = 1
+#: the clock cells that each replaying draw draws twice, one entry a draw;
+#: ``list.append`` is atomic under the GIL, so concurrent draws need no lock
+_replayed: list = []
 
 
 @functools.lru_cache
@@ -381,73 +353,64 @@ class SubordinatorArray(ArraySpec):
         without them the clock is read block by block.  With them the clock
         is drawn whole first, since they follow it.  A clock that
         ``_replays`` is held from the first row-block boundary whose
-        remaining cells fit in the cells of the run's clock budget that its
-        other draws leave free (:data:`_BUDGET`), at that moment; the
+        remaining cells fit in ``levy._HELD_CELLS // _workers**2``; the
         earlier rows are drawn and dropped, then drawn again with the
         normals from a copy of ``gen`` taken before the clock, with the
-        same bits.  Each held row block goes back to the budget, and its
-        pages to the system, once its normals are drawn, and the rest when
-        the draw ends, is closed or raises.  Any other clock (compound
-        Poisson, or a composite, which holds its earlier parts) holds
-        variates for the batch: ``spec.increments`` draws it whole, outside
-        the budget.  A single row is one block of the same path.
+        same bits.  Each of the ``_workers`` threads runs one draw at a
+        time, so the run holds at most ``levy._HELD_CELLS // _workers``
+        cells of clock at once, and what is held and drawn twice follows
+        from the draw's size and ``_workers`` alone, never from the other
+        draws or the thread schedule.  Any other clock (compound Poisson,
+        or a composite, which holds its earlier parts) holds variates for
+        the batch: ``spec.increments`` draws it whole, outside the cap.  A
+        single row is one block of the same path.
         """
         dl = _cell_lengths(self.n, first, cells)
         if "M" not in fields and "QV" not in fields:
             for da in self.spec.blocks(gen, dl, samples):
                 yield IncrementBatch(dX=None, dA=da, dQV=None)
             return
-        # rows start.. of the clock are held in xi, ``held`` cells of them
-        # still in the budget
-        start, xi, replay, held, replayed = samples, None, None, 0, 0
-        try:
-            if self.spec._replays:
-                clock = self.spec.blocks(gen, dl, samples)
-                for r in _row_blocks(samples, cells):
-                    tail = (samples - r.start) * cells
-                    if xi is None and _BUDGET.grant(tail):
-                        start, held = r.start, tail
-                        xi = levy._batch_array((samples - start, cells))
-                    elif r.start == 0:
-                        replay = self.spec.blocks(copy.deepcopy(gen), dl,
-                                                  samples)
-                    blk = next(clock)
-                    if xi is not None:
-                        xi[r.start - start:r.stop - start] = blk
+        # rows start.. of the clock are held in xi, the rows before replayed
+        start, xi, replay = samples, None, None
+        if self.spec._replays:
+            cap = levy._HELD_CELLS // _workers**2
+            clock = self.spec.blocks(gen, dl, samples)
+            for r in _row_blocks(samples, cells):
+                if xi is None and (samples - r.start) * cells <= cap:
+                    start = r.start
+                    xi = levy._batch_array((samples - start, cells))
+                elif r.start == 0:
+                    replay = self.spec.blocks(copy.deepcopy(gen), dl, samples)
+                blk = next(clock)
+                if xi is not None:
+                    xi[r.start - start:r.stop - start] = blk
+            if start:
+                _replayed.append(start * cells)
+        else:
+            start, xi = 0, self.spec.increments(gen, dl, samples)
+        zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
+        for r, z in zip(_row_blocks(samples, cells), zs):
+            if r.start < start:
+                da = next(replay)
             else:
-                start, xi = 0, self.spec.increments(gen, dl, samples)
-            zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
-            for r, z in zip(_row_blocks(samples, cells), zs):
-                if r.start < start:
-                    da = next(replay)
-                    replayed += da.size
-                else:
-                    da = xi[r.start - start:r.stop - start]
-                if "A" in fields:
-                    # a copy, so that a reader that holds the block does not
-                    # keep xi alive while the next batch is drawn
-                    copy_ = next(das)
-                    copy_[...] = da
-                    da = copy_
-                gen.standard_normal(out=z)
-                z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
-                dx = dqv = None
-                if "M" in fields:
-                    dx = np.sqrt(da, out=next(xs))
-                    dx *= z
-                if "QV" in fields:
-                    dqv = np.multiply(da, z, out=next(qs))
-                    dqv *= z
-                if held and r.start >= start:
-                    # its normals are drawn: the block goes back
-                    levy._release_rows(xi, slice(r.start - start,
-                                                 r.stop - start))
-                    held -= da.size
-                    _BUDGET.release(da.size)
-                yield IncrementBatch(dX=dx, dA=da if "A" in fields else None,
-                                     dQV=dqv)
-        finally:
-            _BUDGET.release(held, replayed)
+                da = xi[r.start - start:r.stop - start]
+            if "A" in fields:
+                # a copy, so that a reader that holds the block does not
+                # keep xi alive while the next batch is drawn
+                copy_ = next(das)
+                copy_[...] = da
+                da = copy_
+            gen.standard_normal(out=z)
+            z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
+            dx = dqv = None
+            if "M" in fields:
+                dx = np.sqrt(da, out=next(xs))
+                dx *= z
+            if "QV" in fields:
+                dqv = np.multiply(da, z, out=next(qs))
+                dqv *= z
+            yield IncrementBatch(dX=dx, dA=da if "A" in fields else None,
+                                 dQV=dqv)
 
 
 @dataclass(frozen=True, kw_only=True)

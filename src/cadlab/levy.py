@@ -11,26 +11,26 @@ Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
 order of a whole-batch draw; they are the only clock samplers, the
 Linnik array's unit gamma clock included.  A batch holds only: the tail
-of a replayable clock that normals follow, under the budget below; the
+of a replayable clock that normals follow, under the cap below; the
 compound Poisson counts (one byte a cell at small rates); the sum of a
 composite's parts but the last; the steps of a random-walk transform.
 Uniforms that a later draw follows are jumped past (:func:`_jump`) and
 drawn block by block, as the last-drawn variate and every array formed
 from it are, where numpy allows into buffers reused from block to block
-(:func:`_block_buffers`).  ``_HELD_CELLS`` is the most cells of clock that
-the array layer holds at once, summed over every draw of the run; the
-``--jobs`` workers of a run share ``_HELD_CELLS // jobs`` of them.  A spec
-whose blocks come from the generator alone (``_replays``: gamma, inverse
-Gaussian, stable, drift) can be drawn a second time from a copy of the
-generator, with the same bits, so the array layer holds only the last rows
-of its clock that fit in the budget and draws the others again.
+(:func:`_block_buffers`).  ``_HELD_CELLS`` bounds the cells of clock that
+the array layer holds at once: one draw holds at most
+``_HELD_CELLS // jobs**2`` of them, so the ``--jobs`` workers of a run,
+one draw each, hold at most ``_HELD_CELLS // jobs``.  A spec whose blocks
+come from the generator alone (``_replays``: gamma, inverse Gaussian,
+stable, drift) can be drawn a second time from a copy of the generator,
+with the same bits, so the array layer holds only the last rows of its
+clock that fit in the cap and draws the others again.
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`), unless it is smaller than one row block, and is
 filled row block by row block.  Freeing it returns its pages to the system
-at once, and so does :func:`_release_rows` for the rows already read.
-From malloc, a batch of 20 to 30 MiB would instead raise glibc's mmap
-threshold once freed, and the next batches would come from the heap,
+at once.  From malloc, a batch of 20 to 30 MiB would instead raise glibc's
+mmap threshold once freed, and the next batches would come from the heap,
 which does not shrink.
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
@@ -92,10 +92,11 @@ class RngStream:
 
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
-#: cells of clock that the array layer holds at most at once, summed over
-#: every draw of the run (64 MiB; a k-th of it at --jobs k); a replayable
-#: clock's earlier rows are drawn twice instead.  It bounds memory only:
-#: the streams are fixed by _BATCH_CELLS.
+#: cells of clock that the array layer holds at most at once (64 MiB): a
+#: draw holds at most a k-th of a k-th of it at --jobs k, so the k workers
+#: together hold at most a k-th; a replayable clock's earlier rows are drawn
+#: twice instead.  It bounds memory only: the streams are fixed by
+#: _BATCH_CELLS.
 _HELD_CELLS = 2**23
 
 #: a private anonymous mapping, None where mmap lacks the flags.  A shared
@@ -120,26 +121,6 @@ def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
         with contextlib.suppress(OSError):
             buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype).reshape(shape)
-
-
-def _release_rows(a: np.ndarray, rows: slice):
-    """Give the system back the pages of :func:`_batch_array` ``a`` that
-    end by row ``rows.stop``, from the page that holds row ``rows.start``
-    on.  Every row before ``rows.stop`` must have been read: the pages read
-    as zeros from then on.  An array without a mapping of its own keeps
-    its memory, and so does one where ``madvise`` fails."""
-    base = a
-    while isinstance(base, np.ndarray):
-        base = base.base
-    # np.frombuffer sees the mapping through a memoryview
-    mapping = getattr(base, "obj", None)
-    page, row = mmap.PAGESIZE, a.strides[0]
-    lo = rows.start * row // page * page
-    hi = rows.stop * row // page * page
-    if (hi > lo and hasattr(mapping, "madvise")
-            and hasattr(mmap, "MADV_DONTNEED")):
-        with contextlib.suppress(OSError):
-            mapping.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _fill(blocks: Iterable[np.ndarray], shape: tuple) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import mmap
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -588,11 +589,25 @@ def _replays(spec) -> bool:
 
 
 @pytest.fixture
-def budget(monkeypatch):
-    """A run-wide clock budget of the test's own, with nothing held."""
-    fresh = arrays._ClockBudget()
-    monkeypatch.setattr(arrays, "_BUDGET", fresh)
-    return fresh
+def clock_holds(monkeypatch):
+    """(cells, weak reference) of each clock that ``SubordinatorArray._draw``
+    holds while the test runs, recorded by wrapping ``levy._batch_array``;
+    the arrays that ``levy._fill`` holds are left out."""
+    holds, real = [], levy._batch_array
+
+    def record(shape, *args, **kwargs):
+        a = real(shape, *args, **kwargs)
+        if sys._getframe(1).f_code is SubordinatorArray._draw.__code__:
+            holds.append((a.size, weakref.ref(a)))
+        return a
+    monkeypatch.setattr(levy, "_batch_array", record)
+    return holds
+
+
+def _replayed_since(before: int) -> int:
+    """Clock cells drawn twice by the draws since ``arrays._replayed`` had
+    ``before`` entries."""
+    return sum(arrays._replayed[before:])
 
 
 @pytest.mark.parametrize("held", [500, 10_000], ids=["below_a_block",
@@ -600,7 +615,7 @@ def budget(monkeypatch):
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
                                                            monkeypatch,
-                                                           budget):
+                                                           clock_holds):
     # the clock rows before the last levy._HELD_CELLS cells are drawn
     # again, not held: all but at most a partial last block, or the rows
     # before a row block mid-batch.  The default cap, under which the test
@@ -609,11 +624,13 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     monkeypatch.setattr(levy, "_HELD_CELLS", held)
     rows = levy._BATCH_CELLS // spec.cells
+    before = len(arrays._replayed)
     marginal_samples(spec, [1.0], rows, RngStream(SEED, 25), fields=("M",))
-    replayed, kept = budget.replayed // spec.cells, budget.peak // spec.cells
+    replayed = _replayed_since(before) // spec.cells
+    kept = sum(cells for cells, _ in clock_holds) // spec.cells
     if _replays(spec):
-        # with the budget free, the held rows start at the first row-block
-        # boundary whose remaining cells fit in it
+        # the held rows start at the first row-block boundary whose
+        # remaining cells fit in the cap
         assert 0 < replayed and replayed + kept == rows
         assert kept * spec.cells <= held
         assert (kept + levy._block_rows(spec.cells)) * spec.cells > held
@@ -621,7 +638,6 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, held,
     else:
         assert replayed == kept == 0
     _assert_streams_match_reference(spec, 3000)
-    assert budget.held == 0
 
 
 def test_lindeberg_jump_keeps_a_buffered_32_bit_half(monkeypatch):
@@ -641,36 +657,55 @@ def test_lindeberg_jump_keeps_a_buffered_32_bit_half(monkeypatch):
     assert got.bit_generator.state == gen.bit_generator.state
 
 
-def test_concurrent_draws_share_one_clock_budget(monkeypatch, budget):
-    # at most levy._HELD_CELLS clock cells held at once by all draws
-    # together, each draw holding what the others leave free, and the same
-    # values whatever they hold
-    monkeypatch.setattr(levy, "_HELD_CELLS", 3 * levy._BLOCK_CELLS)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_draw_holds_at_most_a_jobs_squared_th_of_the_cap(jobs, monkeypatch,
+                                                          clock_holds):
+    # under --jobs k a draw holds the tail of its clock from the first
+    # row-block boundary whose remaining cells fit in levy._HELD_CELLS //
+    # k**2, so the k workers, one draw each, hold at most a k-th of the
+    # cap; the rule reads neither the other draws nor the thread schedule,
+    # and no value depends on it
     specs = (LinnikArray(n=64), LinnikArray(n=128)) * 2
+    samples = (20_000,) * 3 + (100,)
 
     def draw(i):
-        return marginal_samples(specs[i], [0.5, 1.0], 20_000,
+        return marginal_samples(specs[i], [0.5, 1.0], samples[i],
                                 RngStream(SEED, 40 + i), fields=("M",))["M"]
 
-    serial = [draw(0)]
-    alone = budget.replayed
-    serial += [draw(i) for i in range(1, len(specs))]
-    assert 0 < budget.peak <= levy._HELD_CELLS
-    # with two row blocks held elsewhere, one is left: more is replayed
-    assert budget.grant(2 * levy._BLOCK_CELLS)
-    before = budget.replayed
-    assert np.array_equal(draw(0), serial[0])
-    assert budget.replayed - before > alone > 0
-    budget.release(2 * levy._BLOCK_CELLS)
+    before = len(arrays._replayed)
+    serial = [draw(i) for i in range(len(specs))]
+    assert _replayed_since(before) == 0
+    monkeypatch.setattr(levy, "_HELD_CELLS", 12 * levy._BLOCK_CELLS)
+    monkeypatch.setattr(arrays, "_workers", jobs)
+    cap = levy._HELD_CELLS // jobs**2
+    clock_holds.clear()
+
+    def assert_holds() -> int:
+        """Check one hold a draw: the whole small draw, and of each larger
+        one the cap to within one row block (levy._BLOCK_CELLS cells for
+        either n).  The cells the draws replay, which it returns, are the
+        rest of their clocks."""
+        small, *large = sorted(cells for cells, _ in clock_holds)
+        assert small == samples[-1] * specs[-1].cells
+        assert len(large) == 3
+        assert all(cap - levy._BLOCK_CELLS < c <= cap for c in large)
+        clock_holds.clear()
+        return sum(samples[i] * specs[i].cells for i in range(3)) - sum(large)
+
+    before = len(arrays._replayed)
+    for i in range(len(specs)):
+        assert np.array_equal(draw(i), serial[i])
+    replayed = assert_holds()
+    assert _replayed_since(before) == replayed
     # four threads, more than a two-core host runs at once, switching
-    # often, so that a lost update of the budget would leave cells held
-    budget.peak = 0
+    # often: each draw holds and replays what it holds alone
     start = threading.Barrier(len(specs), timeout=60)
 
     def contend(i):
         start.wait()
         return draw(i)
 
+    before = len(arrays._replayed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -681,59 +716,33 @@ def test_concurrent_draws_share_one_clock_budget(monkeypatch, budget):
         sys.setswitchinterval(interval)
     for g, want in zip(got, serial):
         assert np.array_equal(g, want)
-    assert 0 < budget.peak <= levy._HELD_CELLS
-    assert budget.held == 0
+    assert assert_holds() == replayed
+    assert _replayed_since(before) == replayed
 
 
-def test_clock_budget_is_free_after_a_draw_is_closed_or_raises(monkeypatch,
-                                                               budget):
+def test_a_closed_or_raising_draw_keeps_no_held_clock(monkeypatch,
+                                                      clock_holds):
     monkeypatch.setattr(levy, "_HELD_CELLS", 3 * levy._BLOCK_CELLS)
     # 40 row blocks, of which the last three are held
     spec, samples = LinnikArray(n=64), 40 * levy._block_rows(64)
     blocks = spec._draw(np.random.default_rng(1), samples, 0, spec.cells,
                         {"M"})
     next(blocks)
-    assert budget.held == 3 * levy._BLOCK_CELLS
+    [(cells, held)] = clock_holds
+    assert cells == 3 * levy._BLOCK_CELLS and held() is not None
     blocks.close()
-    assert budget.held == 0
+    assert held() is None
 
     class FailingNormals(np.random.Generator):
         def standard_normal(self, *args, **kwargs):
             raise RuntimeError("no normals")
 
+    clock_holds.clear()
     gen = FailingNormals(np.random.PCG64(1))
-    budget.peak = 0
     with pytest.raises(RuntimeError, match="no normals"):
         next(spec._draw(gen, samples, 0, spec.cells, {"M"}))
-    assert budget.peak == 3 * levy._BLOCK_CELLS
-    assert budget.held == 0
-
-
-def test_split_clock_budget_peak_does_not_follow_the_schedule(monkeypatch,
-                                                             budget):
-    # two workers share half of levy._HELD_CELLS: whichever draw grants
-    # first finds nothing held and holds exactly that half, the other what
-    # it leaves free, so the most held is the same in every schedule; the
-    # whole cap would let the first hold six blocks alone
-    monkeypatch.setattr(levy, "_HELD_CELLS", 6 * levy._BLOCK_CELLS)
-    specs = (LinnikArray(n=64), LinnikArray(n=128))
-    # 40 row blocks of either, so that every tail is whole blocks
-    samples = 40 * levy._block_rows(128)
-
-    def draw(i):
-        return marginal_samples(specs[i], [1.0], samples,
-                                RngStream(SEED, 50 + i), fields=("M",))["M"]
-
-    serial = [draw(i) for i in range(len(specs))]
-    monkeypatch.setattr(budget, "workers", 2)
-    for _ in range(3):
-        budget.peak = 0
-        with concurrent.futures.ThreadPoolExecutor(2) as pool:
-            got = list(pool.map(draw, range(len(specs))))
-        for g, want in zip(got, serial):
-            assert np.array_equal(g, want)
-        assert budget.peak == 3 * levy._BLOCK_CELLS
-        assert budget.held == 0
+    [(cells, held)] = clock_holds
+    assert cells == 3 * levy._BLOCK_CELLS and held() is None
 
 
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)

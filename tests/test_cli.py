@@ -139,8 +139,7 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
     doc = small_stochastic_config()
     # each reads M, whose normals follow the clock, 2000 x 16 cells: at
     # levy._HELD_CELLS = 1000 every clock row is drawn again rather than
-    # held, and at 40 000 the two checks contend for the one budget of the
-    # run when they overlap at --jobs 2
+    # held, and at 40 000 and --jobs 2 a draw holds at most 10 000 cells
     standardization = {"name": "standardization", "array": {
         "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000}
     # its rungs read M too, 400 x 8, 16 and 32 cells, and at --jobs 2 and
@@ -176,7 +175,8 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
 def test_jobs_workers_share_a_jobs_th_of_the_clock_budget(tmp_path,
                                                           monkeypatch):
     # 2000 x 16 clock cells read with M, one row block: they fit in a
-    # 40 000-cell budget at --jobs 1, not in the 20 000 two workers share
+    # 40 000-cell cap at --jobs 1, not in the 10 000 that a draw holds at
+    # --jobs 2, which keeps the two workers together within 20 000
     doc = {"experiment_id": "smoke", "seed": 123, "samples": 50, "checks": [
         {"name": "standardization", "array": {"kind": "linnik", "n": 16},
          "t": 1.0, "samples": 2000}]}
@@ -189,7 +189,32 @@ def test_jobs_workers_share_a_jobs_th_of_the_clock_budget(tmp_path,
         assert result.exit_code == 0, out
         meta = json.loads((d / "smoke" / "metadata.json").read_text())
         assert meta["clock_cells_replayed"] == replayed
-        assert arrays._BUDGET.workers == 1
+        assert arrays._workers == 1
+
+
+def test_jobs_2_replays_the_same_clock_cells_in_every_run(tmp_path,
+                                                          monkeypatch):
+    # two draws for M that overlap on the two workers, each of several row
+    # blocks: under a 200 000-cell cap a draw holds at most 50 000 cells,
+    # from the first row-block boundary whose tail fits, and draws the
+    # rows before it twice, whatever the other draw holds at the time
+    doc = {"experiment_id": "smoke", "seed": 123, "samples": 50, "checks": [
+        {"name": "standardization", "array": {"kind": "linnik", "n": 64},
+         "t": 1.0, "samples": 2000},
+        {"name": "standardization", "array": {"kind": "linnik", "n": 32},
+         "t": 1.0, "samples": 3000}]}
+    p = write_config(tmp_path, doc)
+    monkeypatch.setattr(levy, "_HELD_CELLS", 200_000)
+    # 512-row blocks of 64 cells, 1024-row blocks of 32: the tails from
+    # rows 1536 (29 696 cells) and 2048 (30 464 cells) are held
+    replayed = 1536 * 64 + 2048 * 32
+    for run in range(5):
+        d = tmp_path / str(run)
+        result, out = invoke(["run", str(p), "--jobs", "2",
+                              "--output-dir", str(d)])
+        assert result.exit_code == 0, out
+        meta = json.loads((d / "smoke" / "metadata.json").read_text())
+        assert meta["clock_cells_replayed"] == replayed
 
 
 #: the Python and numpy versions that REPORT_DIGESTS were recorded with;
@@ -198,17 +223,20 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 #: (config, --samples-scale, --jobs, exit status, sha256 of report.json).
 #: A change that keeps the random streams keeps these bytes; one that
 #: changes a stream on purpose records the new digests and says so.  The
-#: --jobs 2 linnik run, whose ecf_linnik rungs run on both workers, has
-#: the --jobs 1 run's digest.
+#: --jobs 2 runs have the --jobs 1 runs' digests: linnik's ecf_linnik
+#: rungs run on both workers, and mix's stable, compound Poisson,
+#: composite, Polya and Lindeberg draws run there under the smaller cap.
 LINNIK_DIGEST = (
     "433812549dcbde2092c56cbf3706616f4feea78deb07057dc598199b36cbfe88")
+MIX_DIGEST = (
+    "eb0aa719b75dcb9145174d0cf92c655ee2614f627f2d951c519a6e0cc1cca4f4")
 REPORT_DIGESTS = [
     (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
     (CONFIG_DIR / "linnik.json", "0.05", "1", 0, LINNIK_DIGEST),
-    (BENCH_DIR / "mix.json", "0.1", "1", 2,
-     "eb0aa719b75dcb9145174d0cf92c655ee2614f627f2d951c519a6e0cc1cca4f4"),
+    (BENCH_DIR / "mix.json", "0.1", "1", 2, MIX_DIGEST),
     (CONFIG_DIR / "linnik.json", "0.05", "2", 0, LINNIK_DIGEST),
+    (BENCH_DIR / "mix.json", "0.1", "2", 2, MIX_DIGEST),
 ]
 
 
@@ -219,7 +247,7 @@ REPORT_DIGESTS = [
 @pytest.mark.parametrize("config, scale, jobs, status, digest",
                          REPORT_DIGESTS,
                          ids=["counterexample", "linnik", "mix",
-                              "linnik_jobs2"])
+                              "linnik_jobs2", "mix_jobs2"])
 def test_report_bytes_match_recorded_digests(tmp_path, config, scale, jobs,
                                              status, digest):
     result, out = invoke(["run", str(config), "--jobs", jobs,
@@ -311,8 +339,7 @@ def test_a_raising_rung_leaves_no_pool_budget_share_or_thread(monkeypatch):
     with pytest.raises(RuntimeError, match="rung n=16"):
         cli_mod.run_experiment(ladder_config(), jobs=2)
     assert cli_mod._POOL is None
-    assert arrays._BUDGET.workers == 1
-    assert arrays._BUDGET.held == 0
+    assert arrays._workers == 1
     assert set(threading.enumerate()) == threads
 
 
