@@ -657,67 +657,121 @@ def test_lindeberg_jump_keeps_a_buffered_32_bit_half(monkeypatch):
     assert got.bit_generator.state == gen.bit_generator.state
 
 
+_HOLD_SPECS = (LinnikArray(n=64), LinnikArray(n=128)) * 2
+_HOLD_SAMPLES = (20_000,) * 3 + (100,)
+
+
+def _hold_draw(i: int) -> np.ndarray:
+    """M of the i-th of four Linnik draws, three larger than the 12-block
+    cap of the tests below and the last smaller."""
+    return marginal_samples(_HOLD_SPECS[i], [0.5, 1.0], _HOLD_SAMPLES[i],
+                            RngStream(SEED, 40 + i), fields=("M",))["M"]
+
+
+def _serial_hold_draws() -> list:
+    """The four draws in sequence under the default cap, which holds every
+    clock whole."""
+    before = len(arrays._replayed)
+    serial = [_hold_draw(i) for i in range(len(_HOLD_SPECS))]
+    assert _replayed_since(before) == 0
+    return serial
+
+
+def _assert_hold_draws(clock_holds, cap: int) -> int:
+    """Check one hold a draw: the whole small draw, and of each larger one
+    ``cap`` to within one row block (levy._BLOCK_CELLS cells for either n).
+    The cells the draws replay, which it returns, are the rest of their
+    clocks."""
+    small, *large = sorted(cells for cells, _ in clock_holds)
+    assert small == _HOLD_SAMPLES[-1] * _HOLD_SPECS[-1].cells
+    assert len(large) == 3
+    assert all(cap - levy._BLOCK_CELLS < c <= cap for c in large)
+    clock_holds.clear()
+    return sum(_HOLD_SAMPLES[i] * _HOLD_SPECS[i].cells
+               for i in range(3)) - sum(large)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_a_draw_holds_at_most_a_jobs_squared_th_of_the_cap(jobs, monkeypatch,
                                                           clock_holds):
     # under --jobs k a draw holds the tail of its clock from the first
     # row-block boundary whose remaining cells fit in levy._HELD_CELLS //
     # k**2, so the k workers, one draw each, hold at most a k-th of the
-    # cap; the rule reads neither the other draws nor the thread schedule,
-    # and no value depends on it
-    specs = (LinnikArray(n=64), LinnikArray(n=128)) * 2
-    samples = (20_000,) * 3 + (100,)
-
-    def draw(i):
-        return marginal_samples(specs[i], [0.5, 1.0], samples[i],
-                                RngStream(SEED, 40 + i), fields=("M",))["M"]
-
-    before = len(arrays._replayed)
-    serial = [draw(i) for i in range(len(specs))]
-    assert _replayed_since(before) == 0
+    # cap; no value depends on it
+    serial = _serial_hold_draws()
     monkeypatch.setattr(levy, "_HELD_CELLS", 12 * levy._BLOCK_CELLS)
     monkeypatch.setattr(arrays, "_workers", jobs)
-    cap = levy._HELD_CELLS // jobs**2
     clock_holds.clear()
-
-    def assert_holds() -> int:
-        """Check one hold a draw: the whole small draw, and of each larger
-        one the cap to within one row block (levy._BLOCK_CELLS cells for
-        either n).  The cells the draws replay, which it returns, are the
-        rest of their clocks."""
-        small, *large = sorted(cells for cells, _ in clock_holds)
-        assert small == samples[-1] * specs[-1].cells
-        assert len(large) == 3
-        assert all(cap - levy._BLOCK_CELLS < c <= cap for c in large)
-        clock_holds.clear()
-        return sum(samples[i] * specs[i].cells for i in range(3)) - sum(large)
-
     before = len(arrays._replayed)
-    for i in range(len(specs)):
-        assert np.array_equal(draw(i), serial[i])
-    replayed = assert_holds()
+    for i in range(len(_HOLD_SPECS)):
+        assert np.array_equal(_hold_draw(i), serial[i])
+    replayed = _assert_hold_draws(clock_holds, levy._HELD_CELLS // jobs**2)
+    assert _replayed_since(before) == replayed
+
+
+def test_concurrent_draws_share_one_clock_budget(monkeypatch, clock_holds):
+    # four draws at once under --jobs 2 hold a quarter of levy._HELD_CELLS
+    # each, so together at most the cap: each holds and replays what it
+    # holds alone, since the rule reads neither the other draws nor the
+    # thread schedule, and the values are those of the serial draws
+    serial = _serial_hold_draws()
+    monkeypatch.setattr(levy, "_HELD_CELLS", 12 * levy._BLOCK_CELLS)
+    monkeypatch.setattr(arrays, "_workers", 2)
+    clock_holds.clear()
+    before = len(arrays._replayed)
+    for i in range(len(_HOLD_SPECS)):
+        _hold_draw(i)
+    replayed = _assert_hold_draws(clock_holds, levy._HELD_CELLS // 4)
     assert _replayed_since(before) == replayed
     # four threads, more than a two-core host runs at once, switching
-    # often: each draw holds and replays what it holds alone
-    start = threading.Barrier(len(specs), timeout=60)
+    # often
+    start = threading.Barrier(len(_HOLD_SPECS), timeout=60)
 
     def contend(i):
         start.wait()
-        return draw(i)
+        return _hold_draw(i)
 
     before = len(arrays._replayed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with concurrent.futures.ThreadPoolExecutor(len(specs)) as pool:
-            futures = [pool.submit(contend, i) for i in range(len(specs))]
+        with concurrent.futures.ThreadPoolExecutor(len(_HOLD_SPECS)) as pool:
+            futures = [pool.submit(contend, i)
+                       for i in range(len(_HOLD_SPECS))]
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for g, want in zip(got, serial):
         assert np.array_equal(g, want)
-    assert assert_holds() == replayed
+    assert sum(cells for cells, _ in clock_holds) <= levy._HELD_CELLS
+    assert _assert_hold_draws(clock_holds, levy._HELD_CELLS // 4) == replayed
     assert _replayed_since(before) == replayed
+
+
+def test_split_clock_budget_peak_does_not_follow_the_schedule(monkeypatch,
+                                                             clock_holds):
+    # the two workers of --jobs 2 split levy._HELD_CELLS: each draw holds
+    # the whole row blocks of its tail that fit in a quarter of it, one
+    # block of six, so the most held is the same in every schedule; the
+    # whole cap would let one draw hold six blocks alone
+    monkeypatch.setattr(levy, "_HELD_CELLS", 6 * levy._BLOCK_CELLS)
+    specs = (LinnikArray(n=64), LinnikArray(n=128))
+    # 40 row blocks of either, so that every tail is whole blocks
+    samples = 40 * levy._block_rows(128)
+
+    def draw(i):
+        return marginal_samples(specs[i], [1.0], samples,
+                                RngStream(SEED, 50 + i), fields=("M",))["M"]
+
+    serial = [draw(i) for i in range(len(specs))]
+    monkeypatch.setattr(arrays, "_workers", 2)
+    for _ in range(3):
+        clock_holds.clear()
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            got = list(pool.map(draw, range(len(specs))))
+        for g, want in zip(got, serial):
+            assert np.array_equal(g, want)
+        assert [cells for cells, _ in clock_holds] == [levy._BLOCK_CELLS] * 2
 
 
 def test_a_closed_or_raising_draw_keeps_no_held_clock(monkeypatch,
