@@ -21,7 +21,7 @@ Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
 keep only the values they need.  A batch holds only what ``levy`` lists:
 a replayable clock's tail, under the cap; the compound Poisson counts;
-a composite's earlier parts; the random-walk steps.  Uniforms that a later
+a composite's sum of its parts; the random-walk steps.  Uniforms that a later
 draw follows, the Lindeberg hits among them, are jumped past
 (``levy._jump``) and drawn block by block.  Every clock is drawn by its
 subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
@@ -361,7 +361,7 @@ class SubordinatorArray(ArraySpec):
         cells of clock at once, and what is held and drawn twice follows
         from the draw's size and ``_workers`` alone, never from the other
         draws or the thread schedule.  Any other clock (compound Poisson,
-        or a composite, which holds its earlier parts) holds variates for
+        or a composite, which holds the sum of its parts) holds variates for
         the batch: ``spec.increments`` draws it whole, outside the cap.  A
         single row is one block of the same path.
         """

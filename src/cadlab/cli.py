@@ -494,7 +494,8 @@ def run_experiment(config: dict, jobs: int = 1,
     def one(index_and_cfg):
         index, cfg = index_and_cfg
         base = cfg.get("samples", config["samples"])
-        eff = max(10, int(round(base * samples_scale)))
+        # scaling keeps at least 10 replicates, or all asked for if fewer
+        eff = max(min(base, 10), int(round(base * samples_scale)))
         chk_seed = derive_seed(seed, experiment_id, cfg["name"], index)
         runner = _REGISTRY[cfg["name"]][0]
         start = time.perf_counter()
@@ -547,16 +548,21 @@ def _peak_rss_mb() -> float:
 
 
 def _git_revision() -> Optional[str]:
-    """The HEAD commit of the git checkout that holds this package; None
-    outside git or without a git command."""
+    """The HEAD commit of the git checkout that tracks this package; None
+    outside git, without a git command, or for an untracked copy, such as
+    one installed under an ignored directory of another repository."""
     # imported here, where only ``run`` pays for it: the import costs about
     # 2.6 ms of each process's start
     import subprocess
 
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=10)
+
     try:
-        done = subprocess.run(["git", "rev-parse", "HEAD"],
-                              cwd=Path(__file__).parent, capture_output=True,
-                              text=True, timeout=10)
+        if git("ls-files", "--error-unmatch", "__init__.py").returncode:
+            return None
+        done = git("rev-parse", "HEAD")
     except (OSError, subprocess.SubprocessError):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
@@ -573,7 +579,8 @@ def cli():
               help="Concurrent checks; the workers also take ecf_linnik's "
                    "n-ladder rungs.  Does not affect any statistic.")
 @click.option("--samples-scale", type=float, default=1.0, show_default=True,
-              help="Multiplier on every sample count (0.1 for a fast pass).")
+              help="Multiplier on every sample count (0.1 for a fast "
+                   "pass); a scaled count is at least min(count, 10).")
 @click.option("--output-dir", type=click.Path(path_type=Path), default=None,
               help="Report directory (default: config output_dir or 'runs').")
 def run(config_path: Path, jobs: int, samples_scale: float,

@@ -13,7 +13,8 @@ order of a whole-batch draw; they are the only clock samplers, the
 Linnik array's unit gamma clock included.  A batch holds only: the tail
 of a replayable clock that normals follow, under the cap below; the
 compound Poisson counts (one byte a cell at small rates); the sum of a
-composite's parts but the last; the steps of a random-walk transform.
+composite's parts, which its blocks are read from; the steps of a
+random-walk transform.
 Uniforms that a later draw follows are jumped past (:func:`_jump`) and
 drawn block by block, as the last-drawn variate and every array formed
 from it are, where numpy allows into buffers reused from block to block
@@ -47,7 +48,7 @@ import json
 import math
 import mmap
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -383,34 +384,22 @@ class CompositeSpec(SubordinatorSpec):
         if not self.parts:
             raise PathDomainError("composite spec needs at least one part")
 
-    def _held(self, gen, dl, rows) -> Optional[np.ndarray]:
-        """The sum of every part but the last, drawn for the whole batch,
-        since the next part's draws follow it, and added in part order into
-        the first part's array; None for a single part."""
-        *held, _ = self.parts
-        if not held:
-            return None
-        total = held[0].increments(gen, dl, rows)
-        for p in held[1:]:
-            total += p.increments(gen, dl, rows)
-        return total
-
     def blocks(self, gen, dl, rows):
-        total = self._held(gen, dl, rows)
-        last = self.parts[-1].blocks(gen, dl, rows)
-        if total is None:
-            yield from last
-            return
-        for r, blk in zip(_row_blocks(rows, dl.size), last):
-            yield total[r] + blk
+        # copies, so that a reader that holds a block does not keep the sum
+        # alive while the next batch is drawn
+        total = self.increments(gen, dl, rows)
+        for r in _row_blocks(rows, dl.size):
+            yield total[r].copy()
 
     def increments(self, gen, dl, rows):
-        total = self._held(gen, dl, rows)
-        if total is None:
-            return self.parts[-1].increments(gen, dl, rows)
-        for r, blk in zip(_row_blocks(rows, dl.size),
-                          self.parts[-1].blocks(gen, dl, rows)):
-            total[r] += blk
+        # the first part's array, then each later part's blocks added into
+        # it in place, in part order: one batch held, for any number of parts
+        first, *rest = self.parts
+        total = first.increments(gen, dl, rows)
+        for p in rest:
+            for r, blk in zip(_row_blocks(rows, dl.size),
+                              p.blocks(gen, dl, rows)):
+                total[r] += blk
         return total
 
 

@@ -267,8 +267,6 @@ def combine(a: CadlagPath, b: CadlagPath, op: str) -> CadlagPath:
         )
     if op not in ("add", "sub", "pointwise-scale"):
         raise PathDomainError(f"unknown op {op!r}")
-    if a.horizon == 0:
-        return CadlagPath(0.0, [], [], _apply(op, a.terminal_value, b.terminal_value))
     times = sorted(set(a.breakpoints.tolist()) | set(b.breakpoints.tolist()))
     segs = []
     for i, s in enumerate(times):
@@ -308,8 +306,6 @@ def compose(x: CadlagPath, y: CadlagPath) -> CadlagPath:
         raise PathDomainError(
             f"time-change range [{lo}, {hi}] escapes [0, {x.horizon}]"
         )
-    if y.horizon == 0:
-        return CadlagPath(0.0, [], [], x.eval(y.terminal_value))
 
     cut = set(y.breakpoints.tolist())
     x_cuts = set(x.breakpoints[1:].tolist()) | {x.horizon}

@@ -170,8 +170,6 @@ class CompositionVerdict:
 
 def _monotone_on(x: CadlagPath, lo: float, hi: float) -> bool:
     """Is x monotone on [lo, hi]?  Exact, via slopes and jump signs."""
-    if hi <= lo:
-        return True
     pos = neg = False
 
     def note(d: float):

@@ -3,9 +3,12 @@
 For a nondecreasing path A the inverse is tau(s) = inf{t >= 0 : A(t) > s}.
 The input families here (staircases and piecewise-linear nondecreasing
 paths) admit a closed-form inverse segment by segment, so tau is produced
-as an exact :class:`~cadlab.paths.CadlagPath` rather than by root finding:
-jumps of A become flat segments of tau, flat stretches of A become jumps
-of tau, and strictly increasing affine pieces invert to affine pieces.
+as an exact :class:`~cadlab.paths.CadlagPath` rather than by root finding.
+The level axis is cut into pieces [u, v), each passed along one affine
+stretch of time from t_u to t_v: a strictly increasing affine piece of A
+inverts to the affine piece from its start time to its end time, and a jump
+of A at time t to the flat piece t_u = t_v = t.  Flat stretches of A lie
+between pieces and become jumps of tau.
 """
 
 from __future__ import annotations
@@ -33,25 +36,21 @@ class InversePair:
 
 
 def _level_pieces(A: CadlagPath):
-    """Yield (u, v, piece) covering the level axis in increasing order.
-
-    ``piece`` is either ("flat", t) for a flat stretch of tau on levels
-    [u, v) at time t (a jump of A), or ("affine", a, b) for levels [u, v)
-    reached along the strictly increasing affine stretch of A from time a
-    to time b.
-    """
+    """Yield (u, v, t_u, t_v) covering the level axis in increasing order:
+    levels [u, v) are passed along the affine stretch of time from t_u to
+    t_v, a flat piece t_u = t_v at a jump of A."""
     if A.eval(0.0) > 0:
-        yield 0.0, A.eval(0.0), ("flat", 0.0)
+        yield 0.0, A.eval(0.0), 0.0, 0.0
     level = A.eval(0.0)
     for a, b, v, w in A.pieces():
         if v > level:  # jump of A entering this piece
-            yield level, v, ("flat", a)
+            yield level, v, a, a
             level = v
         if w > v:
-            yield v, w, ("affine", a, b)
+            yield v, w, a, b
             level = w
     if A.terminal_value > level:  # terminal jump at the horizon
-        yield level, A.terminal_value, ("flat", A.horizon)
+        yield level, A.terminal_value, A.horizon, A.horizon
 
 
 def inverse(A: CadlagPath, s_max: float) -> InversePair:
@@ -75,35 +74,13 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
 
     bps: list[float] = []
     segs: list[tuple[float, float]] = []
-    terminal: float | None = None
-    for u, v, piece in _level_pieces(A):
-        if u > s_max:
-            break
+    for u, v, t_u, t_v in _level_pieces(A):
         hi = min(v, s_max)
-        if piece[0] == "flat":
-            t = piece[1]
-            if u < hi:
-                bps.append(u)
-                segs.append((t, t))
-            if v > s_max:
-                terminal = t
-        else:
-            a, b = piece[1], piece[2]
-            width = v - u
-            t_hi = a + (hi - u) * (b - a) / width
-            if u < hi:
-                bps.append(u)
-                segs.append((a, t_hi))
-            if v > s_max:
-                terminal = t_hi
-    if terminal is None:
-        # s_max coincides with a piece boundary: tau(s_max) is the start
-        # time of the first piece above level s_max
-        for u, v, piece in _level_pieces(A):
-            if v > s_max:
-                terminal = piece[1]
-                break
-    if terminal is None:  # pragma: no cover - excluded by the horizon check
-        raise InsufficientHorizonError("no passage above s_max inside the horizon")
-    # the first level piece starts at 0, so bps is empty only if s_max == 0
-    return InversePair(A=A, tau=CadlagPath(s_max, bps, segs, terminal), s_max=s_max)
+        t_hi = t_u + (hi - u) * (t_v - t_u) / (v - u)
+        if u < hi:
+            bps.append(u)
+            segs.append((t_u, t_hi))
+        if v > s_max:  # bps is empty only if s_max == 0: pieces start at 0
+            return InversePair(A, CadlagPath(s_max, bps, segs, t_hi), s_max)
+    # the pieces cover [0, A(horizon)), past s_max, unless A takes NaN values
+    raise InsufficientHorizonError("no passage above s_max inside the horizon")

@@ -348,6 +348,16 @@ def test_linnik_array_is_the_unit_gamma_subordinator_array():
             == check_hyp_d(gamma, 2.0, 20, RngStream(SEED, 30)))
 
 
+def test_hyp_checks_raise_on_a_clock_that_never_rises():
+    # a zero drift: no cell after t is positive, and no extension passes t
+    spec = SubordinatorArray(n=10, spec=DriftSpec(slope=0.0), horizon=1.0)
+    with pytest.raises(InsufficientHorizonError, match="does not increase"):
+        check_hyp_c(spec, 0.5, 3, RngStream(SEED, 21))
+    with pytest.raises(InsufficientHorizonError,
+                       match=f"{arrays._MAX_DOUBLINGS} horizon doublings"):
+        check_hyp_d(spec, 0.5, 3, RngStream(SEED, 21))
+
+
 def test_check_hyp_d_raises_where_extension_needs_the_prefix():
     # a Polya path (|Z| <= H_16 < 3.4, so A(1) < 12) and a random-walk
     # transform carry state from their prefix: they cannot be extended

@@ -370,6 +370,21 @@ def test_samples_scale_changes_effective_samples(tmp_path):
     assert fdd["samples"] == 1000
 
 
+@pytest.mark.parametrize("scale", ["1", "0.1"])
+def test_samples_below_ten_are_never_raised_by_scaling(tmp_path, scale):
+    # the floor of 10 replicates is no floor above what the config asks
+    doc = small_stochastic_config()
+    doc["samples"] = 4
+    del doc["checks"][1]["samples"]
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--samples-scale", scale,
+                          "--output-dir", str(tmp_path)])
+    assert result.exit_code in (0, 2), out
+    report = json.loads((tmp_path / "smoke" / "report.json").read_text())
+    assert report["samples"] == 4
+    assert [e["samples"] for e in report["entries"]] == [4, 4]
+
+
 def test_master_seed_env_override_warns_and_changes_report(tmp_path):
     p = write_config(tmp_path, small_stochastic_config())
     d0, d1 = tmp_path / "base", tmp_path / "over"
@@ -418,6 +433,33 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     for key in ("peak_rss_mb", "python_version", "numpy_version",
                 "clock_cells_replayed", "check_s", "git_revision"):
         assert key not in report.to_json()
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], cwd=cwd, check=True, capture_output=True)
+
+
+@pytest.mark.parametrize("where, tracked", [("pkg", True),
+                                            (".venv/site/pkg", False)],
+                         ids=["tracked", "ignored"])
+def test_git_revision_is_the_head_of_a_checkout_that_tracks_the_package(
+        tmp_path, monkeypatch, where, tracked):
+    # a copy installed under an ignored directory of another repository
+    # has no revision: that repository's HEAD says nothing of its code
+    if subprocess.run(["git", "--version"], capture_output=True).returncode:
+        pytest.skip("no git command")
+    pkg = tmp_path / where
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (tmp_path / ".gitignore").write_text(".venv/\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "x")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.setattr(cli_mod, "__file__", str(pkg / "cli.py"))
+    assert cli_mod._git_revision() == (head if tracked else None)
 
 
 def test_master_seed_env_not_integer_exits_one(tmp_path):
@@ -504,6 +546,27 @@ def test_bool_seed_or_samples_exits_one_at_load_with_its_line(tmp_path, key):
 def test_bad_top_level_key_exits_one_at_load_with_its_line(tmp_path, key,
                                                             value):
     _bad_top_level_key_exits_one_at_load(tmp_path, key, value)
+
+
+@pytest.mark.parametrize("text, line, word", [
+    (None, 1, "cannot read config"),
+    ("[1, 2]\n", 1, "config root must be an object"),
+    ('{"experiment_id": "x", "seed": 1,\n "samples": 0,\n'
+     ' "checks": [{"name": "lindeberg"}]}\n', 2, "samples must be >= 1"),
+    ('{"experiment_id": "x", "seed": 1, "samples": 10,\n "checks": []}\n',
+     2, "checks must be non-empty"),
+    ('{"experiment_id": "x", "seed": 1, "samples": 10,\n "checks": [3]}\n',
+     2, "check #0 must be an object with a 'name'"),
+], ids=["unreadable", "root_not_object", "zero_samples", "no_checks",
+        "check_not_object"])
+def test_bad_config_exits_one_at_load(tmp_path, text, line, word):
+    p = tmp_path / "cfg.json"
+    if text is not None:  # else there is no file to read
+        p.write_text(text)
+    result, out = invoke(["run", str(p), "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1, out
+    assert f"{p}:{line}: config error: {word}" in out
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("option", [["--jobs", "0"], ["--jobs", "-1"],

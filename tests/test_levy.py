@@ -296,8 +296,19 @@ ORACLE_IDS = ["gamma", "ig", "stable", "cp", "cp_wide", "drift", "composite"]
 PLAIN_IDS = [f"{i}-plain" for i in ORACLE_IDS]
 
 
+#: composites of one and of three parts, beside ORACLE_SPECS' two-part one;
+#: the middle part's uniforms follow the first part's gammas
+COMPOSITE_SPECS = [
+    CompositeSpec((GammaSpec(shape_rate=1.3, scale=0.7),)),
+    CompositeSpec((GammaSpec(shape_rate=1.3, scale=0.7), StableSpec(alpha=0.6),
+                   CompoundPoissonSpec(rate=3.0, jump_mean=0.5))),
+]
+
+
 @pytest.mark.parametrize("rows", [1, 7, 3000])
-@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=PLAIN_IDS)
+@pytest.mark.parametrize("spec", ORACLE_SPECS + COMPOSITE_SPECS,
+                         ids=PLAIN_IDS + ["composite1-plain",
+                                          "composite3-plain"])
 def test_increments_match_whole_batch_reference(spec, rows):
     grid = TimeGrid(64, 1.0)
     dl = np.diff(grid.points())
@@ -308,6 +319,12 @@ def test_increments_match_whole_batch_reference(spec, rows):
     # the generator ends where the whole-batch draw left it
     got = RngStream(SEED, 30).generator()
     spec.increments(got, dl, rows)
+    assert got.bit_generator.state == gen.bit_generator.state
+    # and so do the blocks, each valid until the next is asked for
+    got = RngStream(SEED, 30).generator()
+    blocks = [blk.copy() for blk in spec.blocks(got, dl, rows)]
+    assert np.array_equal(np.concatenate(blocks), ref)
+    assert got.bit_generator.state == gen.bit_generator.state
     assert np.array_equal(got.random(4), gen.random(4))
 
 
@@ -376,3 +393,26 @@ def test_rescaling_check_memory_at_mix_scale(spec, least, most,
                        RngStream(SEED, 33))
     assert least * batch_bytes <= peak <= most * batch_bytes, (
         peak / 2**20, batch_bytes / 2**20)
+
+
+def test_three_part_composite_holds_one_batch(malloc_batches):
+    # the later parts' blocks are added into the first part's array in
+    # place, so only the first part's array is a whole float64 batch
+    spec = COMPOSITE_SPECS[-1]
+    dl = np.diff(TimeGrid(1000, 1.0).points())
+    batch_bytes = 3000 * 1000 * 8
+    peak = _peak_bytes(spec.increments, RngStream(SEED, 34).generator(), dl,
+                       3000)
+    assert batch_bytes <= peak <= 1.25 * batch_bytes, peak / batch_bytes
+
+
+def test_composite_blocks_keep_no_sum_alive_across_batches(malloc_batches,
+                                                           monkeypatch):
+    # two batches a side: rescaling_check holds the last block of a batch
+    # while the next batch is drawn, so a block must not be a view of the
+    # batch's sum
+    monkeypatch.setattr(levy, "_BATCH_CELLS", 3000 * 1000)
+    batch_bytes = 3000 * 1000 * 8
+    peak = _peak_bytes(rescaling_check, ORACLE_SPECS[-1], 0.25, 1.0, 6000,
+                       RngStream(SEED, 33))
+    assert batch_bytes <= peak <= 1.25 * batch_bytes, peak / batch_bytes

@@ -114,6 +114,16 @@ def test_composition_condition_holds_for_monotone_section():
     assert verdict.fails_at is None
 
 
+def test_composition_condition_reads_the_jumps_of_x_in_a_window():
+    # x is constant between its jumps, so only their signs decide: up at
+    # 0.5, down at 1.0
+    x = step_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], horizon=2.0)
+    up = composition_condition(x, step_path([0.0, 1.0], [0.2, 0.8], 2.0))
+    assert up.holds
+    both = composition_condition(x, step_path([0.0, 1.5], [0.2, 1.2], 2.0))
+    assert (both.holds, both.fails_at) == (False, 1.5)
+
+
 def test_composition_condition_requires_monotone_clock():
     with pytest.raises(PathDomainError):
         composition_condition(identity_path(2.0),

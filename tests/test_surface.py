@@ -92,3 +92,27 @@ def test_no_function_assigns_a_local_it_never_reads():
                        and isinstance(node.ctx, ast.Store)
                        and node.id not in read]
         assert not unread, f"{path.name} assigns but never reads {unread}"
+
+
+def test_every_private_function_has_a_caller():
+    # a module-level function whose name starts with "_" and that no module
+    # names, by a name or an attribute, is dead code; a decorated one is
+    # reached through its decorator, as the registry runners are
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "cadlab").glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    uncalled = sorted((name, node.name) for name, tree in trees.items()
+                      for node in tree.body
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.name.startswith("_")
+                      and not node.decorator_list
+                      and node.name not in named)
+    assert not uncalled, f"private functions no module names: {uncalled}"

@@ -10,6 +10,7 @@ from cadlab.paths import (
 )
 from cadlab.timechange import (
     InsufficientHorizonError,
+    _level_pieces,
     inverse,
 )
 
@@ -169,3 +170,26 @@ def test_round_trip_on_strictly_increasing_staircase_levels():
         level = A.eval(t)
         expect = (np.floor(n * t) + 1) / n
         assert pair.tau.eval(level) == pytest.approx(expect, abs=1e-10)
+
+
+def test_inverse_at_every_level_piece_boundary_matches_grid_scan_oracle():
+    # s_max at a piece boundary is where tau(s_max) is the start of the
+    # next piece up; every boundary up to s_max is checked
+    gen = np.random.default_rng(20261020)
+    for _ in range(200):
+        A = random_staircase(gen)
+        bounds = sorted({u for u, *_ in _level_pieces(A)})
+        expect = {s: scan_inverse(A, s) for s in bounds}
+        for s_max in bounds:
+            tau = inverse(A, s_max).tau
+            for s in bounds:
+                if s <= s_max:
+                    assert tau.eval(s) == pytest.approx(expect[s], abs=1e-10)
+
+
+def test_nan_valued_path_raises_insufficient_horizon():
+    # CadlagPath takes NaN values, and no comparison with them holds, so
+    # the level pieces stop short of s_max
+    A = CadlagPath(1.0, [0.0], [(0.0, np.nan)], np.nan)
+    with pytest.raises(InsufficientHorizonError, match="no passage"):
+        inverse(A, 0.5)
