@@ -20,21 +20,19 @@ estimated numerically:
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
 keep only the values they need.  A batch holds only what ``levy`` lists:
-a replayable clock's tail, under the cap; the compound Poisson counts;
-a composite's sum of its parts; the random-walk steps.  Uniforms that a later
-draw follows, the Lindeberg hits among them, are jumped past
-(``levy._jump``) and drawn block by block.  Every clock is drawn by its
-subordinator spec's ``blocks``, the Linnik array's too.  Of a clock that
-``_replays``, a draw holds at most ``levy._HELD_CELLS // jobs**2`` cells,
-so the ``jobs`` workers of a run hold at most ``levy._HELD_CELLS // jobs``
-(:meth:`SubordinatorArray._draw`); no value depends on the cap.  Single
+the compound Poisson counts; a composite's sum of its parts; the
+random-walk steps.  Uniforms that a later draw follows, the Lindeberg hits
+among them, are jumped past (``levy._jump``) and drawn block by block.
+Every clock is drawn by its subordinator spec's ``blocks``, the Linnik
+array's too, and the normals that a subordinator array puts on it come
+from a child generator spawned for the draw, block by block beside their
+clock block (:meth:`SubordinatorArray._draw`), so no clock is held.  Single
 realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
 staircases.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import warnings
@@ -178,17 +176,17 @@ class ArraySpec:
         block, never from malloc, whose heap would keep its pages after the
         batch; uniforms that a later draw follows are jumped past
         (``levy._jump``).  Everything else is drawn block by block.
-        Trailing draws that no wanted
-        increment needs are skipped, so the generator is left in the state
-        of a whole-batch draw only when every field is wanted; a clock that
-        no normal follows is then drawn block by block.
+        Trailing draws that no wanted increment needs are skipped, so the
+        generator is left in the state of a whole-batch draw only when
+        every field is wanted; a subordinator array's normals come from a
+        child generator, so its clock leaves the same state either way.
 
         A yielded block is valid until the next one is asked for: its
         arrays may be block buffers that the next block overwrites, so a
         reader consumes or copies a block before it asks for the next.  A
-        block holds no view of a batch-held array (a dA that would be one
-        is copied into a block buffer), so a reader that holds a block
-        does not keep the batch alive.
+        block holds no view of a batch-held array (a composite clock's
+        blocks are copies of its sum), so a reader that holds a block does
+        not keep the batch alive.
 
         ``first=0, cells=self.cells`` draws the whole horizon.  Cells past
         the horizon continue the same array on the grid k/n, so a path can
@@ -319,13 +317,6 @@ class LindebergArray(ArraySpec):
                 dQV=dx * dx if "QV" in fields else None)
 
 
-#: the threads that draw at once: ``run_experiment``'s ``--jobs`` workers
-_workers = 1
-#: the clock cells that each replaying draw draws twice, one entry a draw;
-#: ``list.append`` is atomic under the GIL, so concurrent draws need no lock
-_replayed: list = []
-
-
 @functools.lru_cache
 def _cell_lengths(n: int, first: int, cells: int) -> np.ndarray:
     """Lengths of grid cells first+1 .. first+cells of the grid k/n, the
@@ -347,60 +338,26 @@ class SubordinatorArray(ArraySpec):
 
     def _draw(self, gen, samples, first, cells, fields):
         """Blocks of sqrt(xi) Z for the clock xi that ``spec.blocks`` draws
-        over cells whose lengths are ``np.diff`` of their grid points.
+        from ``gen`` over cells whose lengths are ``np.diff`` of their grid
+        points.
 
-        The normals Z are drawn block by block, and only for M or QV;
-        without them the clock is read block by block.  With them the clock
-        is drawn whole first, since they follow it.  A clock that
-        ``_replays`` is held from the first row-block boundary whose
-        remaining cells fit in ``levy._HELD_CELLS // _workers**2``; the
-        earlier rows are drawn and dropped, then drawn again with the
-        normals from a copy of ``gen`` taken before the clock, with the
-        same bits.  Each of the ``_workers`` threads runs one draw at a
-        time, so the run holds at most ``levy._HELD_CELLS // _workers``
-        cells of clock at once, and what is held and drawn twice follows
-        from the draw's size and ``_workers`` alone, never from the other
-        draws or the thread schedule.  Any other clock (compound Poisson,
-        or a composite, which holds the sum of its parts) holds variates for
-        the batch: ``spec.increments`` draws it whole, outside the cap.  A
-        single row is one block of the same path.
+        The normals Z, drawn only for M or QV, come block by block from
+        ``gen.spawn(1)[0]``, beside their own clock block, so no clock is
+        held and the clock's bits do not depend on ``fields``.  Spawning
+        leaves ``gen``'s state as it is, and a later draw from the same
+        ``gen`` (a path extended past its horizon) spawns the next child.
+        A single row is one block of the same path.
         """
         dl = _cell_lengths(self.n, first, cells)
+        clock = self.spec.blocks(gen, dl, samples)
         if "M" not in fields and "QV" not in fields:
-            for da in self.spec.blocks(gen, dl, samples):
+            for da in clock:
                 yield IncrementBatch(dX=None, dA=da, dQV=None)
             return
-        # rows start.. of the clock are held in xi, the rows before replayed
-        start, xi, replay = samples, None, None
-        if self.spec._replays:
-            cap = levy._HELD_CELLS // _workers**2
-            clock = self.spec.blocks(gen, dl, samples)
-            for r in _row_blocks(samples, cells):
-                if xi is None and (samples - r.start) * cells <= cap:
-                    start = r.start
-                    xi = levy._batch_array((samples - start, cells))
-                elif r.start == 0:
-                    replay = self.spec.blocks(copy.deepcopy(gen), dl, samples)
-                blk = next(clock)
-                if xi is not None:
-                    xi[r.start - start:r.stop - start] = blk
-            if start:
-                _replayed.append(start * cells)
-        else:
-            start, xi = 0, self.spec.increments(gen, dl, samples)
-        zs, xs, qs, das = (_block_buffers(samples, cells) for _ in range(4))
-        for r, z in zip(_row_blocks(samples, cells), zs):
-            if r.start < start:
-                da = next(replay)
-            else:
-                da = xi[r.start - start:r.stop - start]
-            if "A" in fields:
-                # a copy, so that a reader that holds the block does not
-                # keep xi alive while the next batch is drawn
-                copy_ = next(das)
-                copy_[...] = da
-                da = copy_
-            gen.standard_normal(out=z)
+        normals = gen.spawn(1)[0]
+        zs, xs, qs = (_block_buffers(samples, cells) for _ in range(3))
+        for da, z in zip(clock, zs):
+            normals.standard_normal(out=z)
             z += 0.0  # normal(0, 1) is 0.0 + 1.0 * z, which makes -0.0 +0.0
             dx = dqv = None
             if "M" in fields:
@@ -531,10 +488,11 @@ def sample_increments(spec: ArraySpec, rng: RngStream, samples: int) -> Incremen
     return IncrementBatch(**out)
 
 
-def _one_path(spec: ArraySpec, gen: np.random.Generator, first: int,
-              cells: int, fields=_FIELDS) -> IncrementBatch:
-    """Increments of cells first+1 .. first+cells of a single replicate."""
-    return next(spec._draw(gen, 1, first, cells, fields))
+def _compensator_row(spec: ArraySpec, gen: np.random.Generator,
+                     first: int, cells: int) -> np.ndarray:
+    """Compensator increments of cells first+1 .. first+cells of a single
+    replicate."""
+    return next(spec._draw(gen, 1, first, cells, {"A"})).dA[0]
 
 
 @dataclass(frozen=True)
@@ -668,8 +626,8 @@ def check_hyp_c(spec: ArraySpec, t: float, samples: int, rng: RngStream) -> HypE
     k = spec.grid().index_at(t)
     gaps = np.empty(samples)
     for r in range(samples):
-        tail = _one_path(spec, rng.child(r).generator(), 0, spec.cells,
-                         {"A"}).dA[0, k:]
+        tail = _compensator_row(spec, rng.child(r).generator(), 0,
+                                spec.cells)[k:]
         rises = tail > 0
         if not rises.any():
             raise timechange.InsufficientHorizonError(
@@ -702,9 +660,12 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int,
     on a longer horizon would average a mixture of conditional laws, which
     overestimates E{A(tau(t))} for a gamma clock.)
 
-    Extension needs compensator increments that do not depend on the
-    drawn prefix.  That holds for the Linnik, subordinator and Lindeberg
-    arrays, and for profile transforms and drifted arrays built on them.
+    Only the compensator is drawn: a subordinator array's normals come
+    from a child generator, so its clock continues the same whether or not
+    they are drawn.  Extension needs compensator increments that do not
+    depend on the drawn prefix.  That holds for the Linnik, subordinator
+    and Lindeberg arrays, and for profile transforms and drifted arrays
+    built on them.
     The Polya array and random-walk transforms raise
     InsufficientHorizonError instead of extending; give them a horizon at
     which A passes t.
@@ -714,12 +675,12 @@ def check_hyp_d(spec: ArraySpec, t: float, samples: int,
     vals = np.empty(samples)
     for r in range(samples):
         gen = rng.child(r).generator()
-        da = _one_path(spec, gen, 0, spec.cells).dA[0]
+        da = _compensator_row(spec, gen, 0, spec.cells)
         level = np.cumsum(da)
         for _ in range(_MAX_DOUBLINGS):
             if level.size and level[-1] > t:
                 break
-            more = _one_path(spec, gen, da.size, max(da.size, 1)).dA[0]
+            more = _compensator_row(spec, gen, da.size, max(da.size, 1))
             da = np.concatenate([da, more])
             level = np.cumsum(da)
         if not (level.size and level[-1] > t):

@@ -507,17 +507,13 @@ def run_experiment(config: dict, jobs: int = 1,
     if jobs <= 1:
         results = [one(item) for item in items]
     else:
-        # a draw holds at most a jobs**2-th of the clock cap
-        # (SubordinatorArray._draw), so the workers, one draw each, hold at
-        # most a jobs-th; they take the items of the checks' _spread calls too
-        arrays._workers = jobs
+        # the workers take the items of the checks' _spread calls too
         try:
             with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
                 _POOL = pool
                 results = list(pool.map(one, items))
         finally:
             _POOL = None
-            arrays._workers = 1
     for entries, seconds in results:
         for entry in entries:
             report.add(entry)
@@ -624,7 +620,7 @@ def run(config_path: Path, jobs: int, samples_scale: float,
                    err=True)
         sys.exit(1)
 
-    replayed, check_s = len(arrays._replayed), []
+    check_s = []
     try:
         report = run_experiment(config, jobs=jobs,
                                 samples_scale=samples_scale,
@@ -641,9 +637,6 @@ def run(config_path: Path, jobs: int, samples_scale: float,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         # byte-identical reports are promised for one numpy version only
         "peak_rss_mb": _peak_rss_mb(),
-        # clock cells drawn twice: the CPU paid for levy._HELD_CELLS's cap,
-        # fixed by the config, --samples-scale and --jobs
-        "clock_cells_replayed": sum(arrays._replayed[replayed:]),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "git_revision": _git_revision(),

@@ -10,22 +10,16 @@ staircase starting at 0 (a pure drift gives an exact linear path instead).
 Every spec draws a batch of replicates of one clock row as a stream of row
 blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
 order of a whole-batch draw; they are the only clock samplers, the
-Linnik array's unit gamma clock included.  A batch holds only: the tail
-of a replayable clock that normals follow, under the cap below; the
+Linnik array's unit gamma clock included.  A batch holds only: the
 compound Poisson counts (one byte a cell at small rates); the sum of a
 composite's parts, which its blocks are read from; the steps of a
-random-walk transform.
+random-walk transform.  No clock is held for the normals that an array
+puts on it: they come from a child generator, block by block beside
+their clock block.
 Uniforms that a later draw follows are jumped past (:func:`_jump`) and
 drawn block by block, as the last-drawn variate and every array formed
 from it are, where numpy allows into buffers reused from block to block
-(:func:`_block_buffers`).  ``_HELD_CELLS`` bounds the cells of clock that
-the array layer holds at once: one draw holds at most
-``_HELD_CELLS // jobs**2`` of them, so the ``--jobs`` workers of a run,
-one draw each, hold at most ``_HELD_CELLS // jobs``.  A spec whose blocks
-come from the generator alone (``_replays``: gamma, inverse Gaussian,
-stable, drift) can be drawn a second time from a copy of the generator,
-with the same bits, so the array layer holds only the last rows of its
-clock that fit in the cap and draws the others again.
+(:func:`_block_buffers`).
 
 An array held for a whole batch gets its own private anonymous mapping
 (:func:`_batch_array`), unless it is smaller than one row block, and is
@@ -93,12 +87,6 @@ class RngStream:
 
 _BATCH_CELLS = 20_000_000  # cells per batch of replicates
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
-#: cells of clock that the array layer holds at most at once (64 MiB): a
-#: draw holds at most a k-th of a k-th of it at --jobs k, so the k workers
-#: together hold at most a k-th; a replayable clock's earlier rows are drawn
-#: twice instead.  It bounds memory only: the streams are fixed by
-#: _BATCH_CELLS.
-_HELD_CELLS = 2**23
 
 #: a private anonymous mapping, None where mmap lacks the flags.  A shared
 #: one gets 4 KiB pages: 25 times the page faults on a 100 MB array.
@@ -192,8 +180,6 @@ def _block_buffers(samples: int, cells: int) -> Iterator[np.ndarray]:
 class SubordinatorSpec:
     """Base class: a parametric nondecreasing Levy process description."""
 
-    _replays = False
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # each kind holds ``increments`` in its own namespace, where
@@ -213,10 +199,6 @@ class SubordinatorSpec:
         :func:`_jump`), and the rest block by block.  A block is valid
         until the next one is asked for: it may be a reused buffer (see
         :func:`_block_buffers`), a fresh array or a read-only broadcast.
-
-        A kind whose ``_replays`` is true draws its blocks from ``gen``
-        alone and holds nothing for the batch, so a second call from a
-        copy of the same generator state yields the same bits.
         """
         raise NotImplementedError
 
@@ -245,8 +227,6 @@ class GammaSpec(SubordinatorSpec):
         _check_positive("shape_rate", self.shape_rate)
         _check_positive("scale", self.scale)
 
-    _replays = True
-
     def blocks(self, gen, dl, rows):
         # gamma(a, scale) is scale * standard_gamma(a), the same bits; one
         # scalar shape for equal cells gives them too, and draws faster
@@ -271,8 +251,6 @@ class InverseGaussianSpec(SubordinatorSpec):
         _check_positive("mu", self.mu)
         _check_positive("lam", self.lam)
 
-    _replays = True
-
     def blocks(self, gen, dl, rows):
         # wald has no out=, so each block is its own array
         mean, shape = self.mu * dl, self.lam * dl ** 2
@@ -295,8 +273,6 @@ class StableSpec(SubordinatorSpec):
         if not 0 < self.alpha < 1:
             raise PathDomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         _check_positive("scale", self.scale)
-
-    _replays = True
 
     def blocks(self, gen, dl, rows):
         # self-similarity: A(h) = (scale * h)^(1/alpha) * S
@@ -365,8 +341,6 @@ class DriftSpec(SubordinatorSpec):
     def __post_init__(self):
         if self.slope < 0:
             raise PathDomainError(f"drift slope must be >= 0, got {self.slope}")
-
-    _replays = True
 
     def blocks(self, gen, dl, rows):
         inc = self.slope * dl

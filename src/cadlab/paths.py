@@ -89,6 +89,11 @@ class CadlagPath:
                 f"breakpoints of shape {bps.shape} need segments of shape "
                 f"(k, 2) for k breakpoints, got {segs.shape}"
             )
+        terminal_value = float(terminal_value)
+        if np.isnan(segs).any():
+            raise PathDomainError("segments must not hold NaN values")
+        if math.isnan(terminal_value):
+            raise PathDomainError("terminal_value must not be NaN")
         if horizon == 0:
             if bps.tolist() not in ([], [0.0]):
                 raise PathDomainError("zero-horizon path admits no interior structure")
@@ -110,7 +115,7 @@ class CadlagPath:
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "breakpoints", _read_only(bps))
         object.__setattr__(self, "segments", _read_only(segs))
-        object.__setattr__(self, "terminal_value", float(terminal_value))
+        object.__setattr__(self, "terminal_value", terminal_value)
 
     def __setattr__(self, name, value):
         raise AttributeError("CadlagPath is immutable")

@@ -80,7 +80,6 @@ def inverse(A: CadlagPath, s_max: float) -> InversePair:
         if u < hi:
             bps.append(u)
             segs.append((t_u, t_hi))
+        # the pieces cover [0, A(horizon)), past s_max: one of them returns
         if v > s_max:  # bps is empty only if s_max == 0: pieces start at 0
             return InversePair(A, CadlagPath(s_max, bps, segs, t_hi), s_max)
-    # the pieces cover [0, A(horizon)), past s_max, unless A takes NaN values
-    raise InsufficientHorizonError("no passage above s_max inside the horizon")

@@ -134,12 +134,10 @@ def test_run_failing_check_exits_two(tmp_path):
     assert "FAIL lindeberg" in out
 
 
-def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
-                                                      monkeypatch):
+def test_reports_byte_identical_across_reruns_and_jobs(tmp_path):
     doc = small_stochastic_config()
-    # each reads M, whose normals follow the clock, 2000 x 16 cells: at
-    # levy._HELD_CELLS = 1000 every clock row is drawn again rather than
-    # held, and at 40 000 and --jobs 2 a draw holds at most 10 000 cells
+    # each reads M, whose normals come from a child of the clock's
+    # generator, 2000 x 16 cells
     standardization = {"name": "standardization", "array": {
         "kind": "linnik", "n": 16}, "t": 1.0, "samples": 2000}
     # its rungs read M too, 400 x 8, 16 and 32 cells, and at --jobs 2 and
@@ -149,72 +147,33 @@ def test_reports_byte_identical_across_reruns_and_jobs(tmp_path,
     doc["checks"] = [ladder, *doc["checks"], standardization, standardization]
     p = write_config(tmp_path, doc)
     outs = []
-    held = levy._HELD_CELLS
-    for i, (jobs, cap) in enumerate((("1", held), ("1", held), ("4", held),
-                                     ("1", 1_000), ("2", held),
-                                     ("2", 40_000))):
-        monkeypatch.setattr(levy, "_HELD_CELLS", cap)
+    for i, jobs in enumerate(("1", "1", "4", "2")):
         d = tmp_path / f"run{i}"
         result, out = invoke(["run", str(p), "--jobs", jobs,
                               "--output-dir", str(d)])
         assert result.exit_code == 0, out
         outs.append((d / "smoke" / "report.json").read_bytes())
-        meta = json.loads((d / "smoke" / "metadata.json").read_text())
-        if cap == 1_000:
-            assert meta["clock_cells_replayed"] == (2 * 2000 * 16
-                                                    + 400 * (8 + 16 + 32))
-        elif cap == held:
-            assert meta["clock_cells_replayed"] == 0
-    assert outs[0] == outs[1]
-    assert outs[0] == outs[2]
-    assert outs[0] == outs[3]
-    assert outs[0] == outs[4]
-    assert outs[0] == outs[5]
+    assert outs[1:] == outs[:1] * 3
 
 
-def test_jobs_workers_share_a_jobs_th_of_the_clock_budget(tmp_path,
-                                                          monkeypatch):
-    # 2000 x 16 clock cells read with M, one row block: they fit in a
-    # 40 000-cell cap at --jobs 1, not in the 10 000 that a draw holds at
-    # --jobs 2, which keeps the two workers together within 20 000
-    doc = {"experiment_id": "smoke", "seed": 123, "samples": 50, "checks": [
-        {"name": "standardization", "array": {"kind": "linnik", "n": 16},
-         "t": 1.0, "samples": 2000}]}
-    p = write_config(tmp_path, doc)
-    monkeypatch.setattr(levy, "_HELD_CELLS", 40_000)
-    for jobs, replayed in (("1", 0), ("2", 2000 * 16)):
-        d = tmp_path / jobs
-        result, out = invoke(["run", str(p), "--jobs", jobs,
-                              "--output-dir", str(d)])
-        assert result.exit_code == 0, out
-        meta = json.loads((d / "smoke" / "metadata.json").read_text())
-        assert meta["clock_cells_replayed"] == replayed
-        assert arrays._workers == 1
-
-
-def test_jobs_2_replays_the_same_clock_cells_in_every_run(tmp_path,
-                                                          monkeypatch):
+def test_jobs_2_replays_the_same_clock_cells_in_every_run(tmp_path):
     # two draws for M that overlap on the two workers, each of several row
-    # blocks: under a 200 000-cell cap a draw holds at most 50 000 cells,
-    # from the first row-block boundary whose tail fits, and draws the
-    # rows before it twice, whatever the other draw holds at the time
+    # blocks: every run draws the same clock and normals, whatever the
+    # thread schedule, so it writes the --jobs 1 report
     doc = {"experiment_id": "smoke", "seed": 123, "samples": 50, "checks": [
         {"name": "standardization", "array": {"kind": "linnik", "n": 64},
          "t": 1.0, "samples": 2000},
         {"name": "standardization", "array": {"kind": "linnik", "n": 32},
          "t": 1.0, "samples": 3000}]}
     p = write_config(tmp_path, doc)
-    monkeypatch.setattr(levy, "_HELD_CELLS", 200_000)
-    # 512-row blocks of 64 cells, 1024-row blocks of 32: the tails from
-    # rows 1536 (29 696 cells) and 2048 (30 464 cells) are held
-    replayed = 1536 * 64 + 2048 * 32
-    for run in range(5):
+    reports = []
+    for run, jobs in enumerate(("1",) + ("2",) * 5):
         d = tmp_path / str(run)
-        result, out = invoke(["run", str(p), "--jobs", "2",
+        result, out = invoke(["run", str(p), "--jobs", jobs,
                               "--output-dir", str(d)])
         assert result.exit_code == 0, out
-        meta = json.loads((d / "smoke" / "metadata.json").read_text())
-        assert meta["clock_cells_replayed"] == replayed
+        reports.append((d / "smoke" / "report.json").read_bytes())
+    assert reports[1:] == reports[:1] * 5
 
 
 #: the Python and numpy versions that REPORT_DIGESTS were recorded with;
@@ -224,12 +183,11 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 #: A change that keeps the random streams keeps these bytes; one that
 #: changes a stream on purpose records the new digests and says so.  The
 #: --jobs 2 runs have the --jobs 1 runs' digests: linnik's ecf_linnik
-#: rungs run on both workers, and mix's stable, compound Poisson,
-#: composite, Polya and Lindeberg draws run there under the smaller cap.
+#: rungs run on both workers, and mix's checks run on two workers.
 LINNIK_DIGEST = (
-    "433812549dcbde2092c56cbf3706616f4feea78deb07057dc598199b36cbfe88")
+    "7cc80025d4b01c189ca6b7c5daeb8a9794da689b2a5152de2cf7789fa6a57d47")
 MIX_DIGEST = (
-    "eb0aa719b75dcb9145174d0cf92c655ee2614f627f2d951c519a6e0cc1cca4f4")
+    "8944ee0108bceb98b7ec3782183ef22a164b844b453fef902069062573b1a3ab")
 REPORT_DIGESTS = [
     (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
@@ -256,6 +214,37 @@ def test_report_bytes_match_recorded_digests(tmp_path, config, scale, jobs,
     assert result.exit_code == status, out
     [report] = tmp_path.glob("*/report.json")
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+#: the seed of the benchmark's verdict gate that the test below runs
+VERDICT_SEED = 20260824
+
+
+@pytest.mark.skipif(
+    (platform.python_version(), np.__version__) != DIGEST_VERSIONS,
+    reason="verdicts were recorded on Python %s with numpy %s"
+           % DIGEST_VERSIONS)
+@pytest.mark.parametrize("family, config", [
+    ("linnik", CONFIG_DIR / "linnik.json"),
+    ("mix", BENCH_DIR / "mix.json"),
+], ids=["linnik", "mix"])
+def test_report_verdicts_match_the_benchmark_record(tmp_path, family, config):
+    # perfbench fails a run whose (check, n, param, passed) rows differ
+    # from perfbench/verdicts.json, which this only reads: a stream change
+    # that would flip a recorded verdict fails here first.  The linnik
+    # config runs at the recorded sample scale, mix at its full size
+    recorded = json.loads((BENCH_DIR / "verdicts.json").read_text())
+    scale = recorded["linnik_scale"] if family == "linnik" else 1.0
+    doc = json.loads(config.read_text())
+    doc["seed"] = VERDICT_SEED
+    p = write_config(tmp_path, doc)
+    result, out = invoke(["run", str(p), "--samples-scale", str(scale),
+                          "--output-dir", str(tmp_path)])
+    assert result.exit_code in (0, 2), out
+    [report] = tmp_path.glob("*/report.json")
+    rows = [[e["check_name"], e["n"], e["param"], e["passed"]]
+            for e in json.loads(report.read_text())["entries"]]
+    assert rows == recorded[family][str(VERDICT_SEED)]
 
 
 def ladder_config(n_ladder=(8, 16, 32)):
@@ -339,7 +328,6 @@ def test_a_raising_rung_leaves_no_pool_budget_share_or_thread(monkeypatch):
     with pytest.raises(RuntimeError, match="rung n=16"):
         cli_mod.run_experiment(ladder_config(), jobs=2)
     assert cli_mod._POOL is None
-    assert arrays._workers == 1
     assert set(threading.enumerate()) == threads
 
 
@@ -410,8 +398,6 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     assert meta["peak_rss_mb"] > 1.0
     assert meta["python_version"] == platform.python_version()
     assert meta["numpy_version"] == np.__version__
-    # no draw of this config holds a clock for normals
-    assert meta["clock_cells_replayed"] == 0
     # wall seconds per check, in config order, and the checkout's HEAD
     assert len(meta["check_s"]) == 2
     assert all(s > 0 for s in meta["check_s"])
@@ -431,7 +417,7 @@ def test_metadata_holds_run_telemetry_and_report_does_not(tmp_path):
     hyp_c = json.loads(text, parse_constant=no_constant)["entries"][0]
     assert hyp_c["check_name"] == "hyp_c" and hyp_c["threshold"] is None
     for key in ("peak_rss_mb", "python_version", "numpy_version",
-                "clock_cells_replayed", "check_s", "git_revision"):
+                "check_s", "git_revision"):
         assert key not in report.to_json()
 
 

@@ -188,8 +188,12 @@ def test_inverse_at_every_level_piece_boundary_matches_grid_scan_oracle():
 
 
 def test_nan_valued_path_raises_insufficient_horizon():
-    # CadlagPath takes NaN values, and no comparison with them holds, so
-    # the level pieces stop short of s_max
-    A = CadlagPath(1.0, [0.0], [(0.0, np.nan)], np.nan)
-    with pytest.raises(InsufficientHorizonError, match="no passage"):
-        inverse(A, 0.5)
+    # no comparison with NaN holds, so a NaN-valued path would pass as
+    # nondecreasing and its level pieces would stop short of s_max;
+    # CadlagPath rejects it, naming where the NaN is, before inverse runs
+    with pytest.raises(PathDomainError, match="segments must not hold NaN"):
+        CadlagPath(1.0, [0.0], [(0.0, np.nan)], 1.0)
+    with pytest.raises(PathDomainError, match="segments must not hold NaN"):
+        CadlagPath(2.0, [0.0, 1.0], [(np.nan, np.nan), (1.0, 2.0)], 2.0)
+    with pytest.raises(PathDomainError, match="terminal_value must not be"):
+        CadlagPath(1.0, [0.0], [(0.0, 1.0)], np.nan)
