@@ -19,10 +19,10 @@ estimated numerically:
 
 Batch sampling is vectorized over replicates and streamed: each kind's
 ``_draw`` yields the increments of a batch in row blocks, and the readers
-keep only the values they need.  A batch holds only what ``levy`` lists:
-the compound Poisson counts; a composite's sum of its parts; the
-random-walk steps.  Uniforms that a later draw follows, the Lindeberg hits
-among them, are jumped past (``levy._jump``) and drawn block by block.
+keep only the values they need.  Nothing is held past a row block: a
+random-walk transform draws each block's steps after its base block, and
+uniforms that a later draw follows, the Lindeberg hits among them, are
+jumped past (``levy._jump``) and drawn block by block.
 Every clock is drawn by its subordinator spec's ``blocks``, the Linnik
 array's too, and the normals that a subordinator array puts on it come
 from a child generator spawned for the draw, block by block beside their
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import levy
 from .levy import (_FAMILIES as _SPEC_FAMILIES, RngStream, SubordinatorSpec,
-                   _batched_blocks, _block_buffers, _block_rows, _fill,
+                   _batched_blocks, _block_buffers, _block_rows,
                    _from_config, _row_blocks, _staircase_from_increments)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
@@ -171,22 +171,16 @@ class ArraySpec:
 
         ``fields`` names the increments wanted, among "M", "A", "QV" and
         "O"; the others may be None.  The generator is consumed in the
-        order of a whole-batch draw.  A batch holds only what the module
-        docstring lists, each in a ``levy._batch_array`` filled block by
-        block, never from malloc, whose heap would keep its pages after the
-        batch; uniforms that a later draw follows are jumped past
-        (``levy._jump``).  Everything else is drawn block by block.
-        Trailing draws that no wanted increment needs are skipped, so the
-        generator is left in the state of a whole-batch draw only when
-        every field is wanted; a subordinator array's normals come from a
-        child generator, so its clock leaves the same state either way.
+        order of the blocks, and nothing is held past a block; uniforms
+        that a later draw follows are jumped past (``levy._jump``).
+        Draws that no wanted increment needs are skipped, so the state the
+        generator is left in may depend on ``fields``; a subordinator
+        array's normals come from a child generator, so its clock leaves
+        the same state either way.
 
         A yielded block is valid until the next one is asked for: its
         arrays may be block buffers that the next block overwrites, so a
-        reader consumes or copies a block before it asks for the next.  A
-        block holds no view of a batch-held array (a composite clock's
-        blocks are copies of its sum), so a reader that holds a block does
-        not keep the batch alive.
+        reader consumes or copies a block before it asks for the next.
 
         ``first=0, cells=self.cells`` draws the whole horizon.  Cells past
         the horizon continue the same array on the grid k/n, so a path can
@@ -247,7 +241,10 @@ class PolyaArray(ArraySpec):
 
 
 def _a_n_sq(n: int, delta: float) -> float:
-    """a_n^2 of the sparse two-point array: n^delta, or log n at delta = 0."""
+    """a_n^2 of the sparse two-point array: n^delta, or log n at delta = 0,
+    where n = 1 would give 0 and raises PathDomainError."""
+    if delta == 0 and n == 1:
+        raise PathDomainError("n must be >= 2 at delta = 0: a_n^2 = log n")
     return float(n) ** delta if delta > 0 else math.log(n)
 
 
@@ -273,6 +270,7 @@ class LindebergArray(ArraySpec):
             raise PathDomainError(
                 f"delta = alpha - beta + 1 = {self.delta} must be >= 0"
             )
+        _a_n_sq(self.n, self.delta)
         if self.delta == 0:
             warnings.warn(
                 "delta = 0 uses log-n scaling; the compensator limit is "
@@ -398,10 +396,11 @@ class TransformArray(_OnBase):
         if self.weight is None:
             raise PathDomainError("weight spec required")
 
-    def _weights(self, gen, samples, first, cells) -> Callable[[slice], np.ndarray]:
-        """Weights Q_{n,k} of a row block, as a function of its rows.
+    def _weights(self, gen, first, cells) -> Callable[[int], np.ndarray]:
+        """Weights Q_{n,k} of a row block, as a function of its row count.
 
-        Random-walk steps are drawn here, for the whole batch.
+        Each call draws a block's random-walk steps from ``gen``; ``_draw``
+        calls it after the block's base increments are drawn.
         """
         q = self.weight.resolve()
         if self.weight.kind == "profile":
@@ -413,24 +412,22 @@ class TransformArray(_OnBase):
                 "a random-walk transform cannot be extended past its horizon: "
                 "its weights depend on the drawn prefix; use a larger horizon"
             )
-        steps = _fill((gen.normal(0.0, 1.0, size=(r.stop - r.start, cells))
-                       for r in _row_blocks(samples, cells)), (samples, cells))
         vec = np.vectorize(q, otypes=[float])
 
         def block(rows):
-            walk = np.zeros((rows.stop - rows.start, cells))
-            walk[:, 1:] = np.cumsum(steps[rows, :-1], axis=1)
+            walk = np.zeros((rows, cells))
+            walk[:, 1:] = np.cumsum(gen.normal(0.0, 1.0, size=(rows, cells))
+                                    [:, :-1], axis=1)
             walk *= self.weight.sigma / math.sqrt(self.n)
             return vec(walk)
 
         return block
 
     def _draw(self, gen, samples, first, cells, fields):
-        # weights drawn first: they are independent of the base array
-        weights = self._weights(gen, samples, first, cells)
+        weights = self._weights(gen, first, cells)
         base = self.base._draw(gen, samples, first, cells, fields)
         for b, rows in zip(base, _row_blocks(samples, cells)):
-            q = weights(rows)
+            q = weights(rows.stop - rows.start)
             yield IncrementBatch(
                 dX=None if b.dX is None else q * b.dX,
                 dA=None if b.dA is None else q * q * b.dA,

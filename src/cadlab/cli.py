@@ -256,7 +256,11 @@ def _run_hyp_d(samples, seed, array: ArraySpec, t: float = 1.0):
 @_check("lindeberg",
         "Closed-form truncated-second-moment statistic for the sparse "
         "two-point array across an n ladder, which must increase strictly; "
-        "verdict compared with 'expect'.", requires=[_LADDER])
+        "verdict compared with 'expect'.",
+        requires=[_LADDER, ("n_ladder", lambda p: min(p["n_ladder"]) > 1
+                            or p["alpha"] - p["beta"] + 1.0 != 0,
+                            "n_ladder must be >= 2 at delta = alpha - beta "
+                            "+ 1 = 0, where a_n^2 = log n, got {n_ladder}")])
 def _run_lindeberg(samples, seed, alpha: float = 1.0, beta: float = 0.5,
                    epsilon: float = 0.1,
                    n_ladder: list[int] = [2 ** k for k in range(10, 19, 2)],
@@ -472,6 +476,9 @@ def load_config(path: Path) -> dict:
         keys = _key_lines(raw, p)
         p = _DECODE(raw, p)[1]
         start = keys["name"][0]
+        if type(chk["name"]) is not str:
+            raise ConfigError("check name must be a string, got "
+                              f"{json.dumps(chk['name'])}", line=start)
         if chk["name"] not in _REGISTRY:
             raise ConfigError(f"unknown check {chk['name']!r}", line=start)
         _params(chk, lambda key: keys[key][0] if key in keys else start)

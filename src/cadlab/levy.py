@@ -8,25 +8,14 @@ the process over that cell, so every sampled path is a nondecreasing
 staircase starting at 0 (a pure drift gives an exact linear path instead).
 
 Every spec draws a batch of replicates of one clock row as a stream of row
-blocks (:meth:`SubordinatorSpec.blocks`), consuming its generator in the
-order of a whole-batch draw; they are the only clock samplers, the
-Linnik array's unit gamma clock included.  A batch holds only: the
-compound Poisson counts (one byte a cell at small rates); the sum of a
-composite's parts, which its blocks are read from; the steps of a
-random-walk transform.  No clock is held for the normals that an array
-puts on it: they come from a child generator, block by block beside
-their clock block.
-Uniforms that a later draw follows are jumped past (:func:`_jump`) and
-drawn block by block, as the last-drawn variate and every array formed
-from it are, where numpy allows into buffers reused from block to block
-(:func:`_block_buffers`).
-
-An array held for a whole batch gets its own private anonymous mapping
-(:func:`_batch_array`), unless it is smaller than one row block, and is
-filled row block by row block.  Freeing it returns its pages to the system
-at once.  From malloc, a batch of 20 to 30 MiB would instead raise glibc's
-mmap threshold once freed, and the next batches would come from the heap,
-which does not shrink.
+blocks (:meth:`SubordinatorSpec.blocks`); they are the only clock
+samplers, the Linnik array's unit gamma clock included.  Nothing is held
+past a row block: a compound Poisson block draws its counts and then its
+jumps, and a composite block draws one block of each part in part order.
+Uniforms that a later draw follows, the stable sampler's, are jumped past
+(:func:`_jump`) and drawn block by block, as the last-drawn variate and
+every array formed from it are, where numpy allows into buffers reused
+from block to block (:func:`_block_buffers`).
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
 exp(-u^alpha); the inverse Gaussian parameters follow the mean/shape
@@ -36,11 +25,9 @@ shape lambda*h^2, the convolution-stable scaling of the IG process).
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
 import math
-import mmap
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Iterable, Iterator
 
@@ -85,41 +72,10 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_index * 1_000_003 + index + 1)
 
 
-_BATCH_CELLS = 20_000_000  # cells per batch of replicates
+#: cells per batch of replicates; it fixes the streams (an array draws
+#: batch b from ``rng.child(b)``) and bounds no memory
+_BATCH_CELLS = 20_000_000
 _BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
-
-#: a private anonymous mapping, None where mmap lacks the flags.  A shared
-#: one gets 4 KiB pages: 25 times the page faults on a 100 MB array.
-_MAP_FLAGS = (mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-              if hasattr(mmap, "MAP_PRIVATE") and hasattr(mmap, "MAP_ANONYMOUS")
-              else None)
-
-
-def _batch_array(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """An uninitialized array in its own anonymous mapping, unmapped when
-    the last view of it is gone.  ``np.empty`` below one row block
-    (_BLOCK_CELLS cells), where a mapping costs more than the draw, as
-    for a one-row path, and without ``_MAP_FLAGS``."""
-    cells = math.prod(shape)
-    if _MAP_FLAGS is None or cells < _BLOCK_CELLS:
-        return np.empty(shape, dtype)
-    buf = mmap.mmap(-1, cells * np.dtype(dtype).itemsize, flags=_MAP_FLAGS)
-    # the advice is optional: a kernel built without transparent huge
-    # pages rejects it with EINVAL
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        with contextlib.suppress(OSError):
-            buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype).reshape(shape)
-
-
-def _fill(blocks: Iterable[np.ndarray], shape: tuple) -> np.ndarray:
-    """A :func:`_batch_array` of ``shape`` filled from ``blocks``, in the
-    row blocks of ``_row_blocks(*shape)``."""
-    out = _batch_array(shape)
-    for r, blk in zip(_row_blocks(*shape), blocks):
-        out[r] = blk
-    return out
-
 
 def _jump(gen: np.random.Generator, k: int) -> np.random.Generator:
     """A copy of ``gen`` for its next ``k`` 64-bit draws, as many uniforms,
@@ -193,22 +149,24 @@ class SubordinatorSpec:
         ``dl`` (one row), yielded in the row blocks of
         ``_row_blocks(rows, dl.size)``.
 
-        ``gen`` is consumed in the order of a whole-batch draw: a variate
-        that a later draw follows is drawn for all ``rows`` first (the
-        compound Poisson counts) or jumped past (the stable uniforms, see
-        :func:`_jump`), and the rest block by block.  A block is valid
-        until the next one is asked for: it may be a reused buffer (see
-        :func:`_block_buffers`), a fresh array or a read-only broadcast.
+        ``gen`` is consumed block by block, each block's variates in turn,
+        except the stable uniforms, which the exponentials follow: ``gen``
+        jumps past those of the whole batch (:func:`_jump`).  Nothing is
+        held past a block.  A block is valid until the next one is asked
+        for: it may be a reused buffer (see :func:`_block_buffers`), a
+        fresh array or a read-only broadcast.
         """
         raise NotImplementedError
 
     def increments(self, gen: np.random.Generator, dl: np.ndarray,
                    rows: int) -> np.ndarray:
         """(rows, dl.size) increments: the blocks of :meth:`blocks` in one
-        :func:`_batch_array`, filled block by block, so no batch-sized
-        temporary comes from malloc.  A composite sums its parts into the
-        first part's array."""
-        return _fill(self.blocks(gen, dl, rows), (rows, dl.size))
+        array."""
+        out = np.empty((rows, dl.size))
+        for r, blk in zip(_row_blocks(rows, dl.size),
+                          self.blocks(gen, dl, rows)):
+            out[r] = blk
+        return out
 
 
 def _check_positive(name: str, value: float):
@@ -316,16 +274,12 @@ class CompoundPoissonSpec(SubordinatorSpec):
         _check_positive("jump_mean", self.jump_mean)
 
     def blocks(self, gen, dl, rows):
-        # the counts are drawn for the whole batch, since the jumps follow;
-        # each row block is held in the narrowest type that holds its largest
+        # a block's counts, then its jumps: the sum of N iid
+        # exponential(jump_mean) jumps is Gamma(N, jump_mean); Gamma(0) is
+        # 0 and draws nothing, so only nonzero counts draw
         mean = self.rate * dl
-        counts = []
         for r in _row_blocks(rows, dl.size):
             n = gen.poisson(np.broadcast_to(mean, (r.stop - r.start, dl.size)))
-            counts.append(n.astype(np.min_scalar_type(n.max(initial=0))))
-        for n in counts:
-            # sum of N iid exponential(jump_mean) jumps is Gamma(N, jump_mean);
-            # Gamma(0) is 0 and draws nothing, so only nonzero counts draw
             out = np.zeros(n.shape)
             jumps = n > 0
             out[jumps] = gen.gamma(n[jumps], self.jump_mean)
@@ -359,22 +313,13 @@ class CompositeSpec(SubordinatorSpec):
             raise PathDomainError("composite spec needs at least one part")
 
     def blocks(self, gen, dl, rows):
-        # copies, so that a reader that holds a block does not keep the sum
-        # alive while the next batch is drawn
-        total = self.increments(gen, dl, rows)
-        for r in _row_blocks(rows, dl.size):
-            yield total[r].copy()
-
-    def increments(self, gen, dl, rows):
-        # the first part's array, then each later part's blocks added into
-        # it in place, in part order: one batch held, for any number of parts
-        first, *rest = self.parts
-        total = first.increments(gen, dl, rows)
-        for p in rest:
-            for r, blk in zip(_row_blocks(rows, dl.size),
-                              p.blocks(gen, dl, rows)):
-                total[r] += blk
-        return total
+        # each part's one block, in part order, added into a reused buffer
+        for out in _block_buffers(rows, dl.size):
+            out.fill(0.0)
+            for p in self.parts:
+                for blk in p.blocks(gen, dl, out.shape[0]):
+                    out += blk
+            yield out
 
 
 _SPEC_KINDS = {
@@ -443,7 +388,7 @@ def _from_config(doc: dict, family: str, families: dict):
         raise PathDomainError(f"{_a(noun)} must be an object, got "
                               f"{json.dumps(doc)}")
     kind = doc.get("kind")
-    if kind not in kinds:
+    if type(kind) is not str or kind not in kinds:
         raise PathDomainError(f"unknown {noun} kind {kind!r}" if "kind" in doc
                               else f"missing key 'kind' for {_a(noun)}")
     cls, what = kinds[kind], _a(f"{kind} {noun}")

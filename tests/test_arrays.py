@@ -1,6 +1,5 @@
 import concurrent.futures
 import math
-import mmap
 import sys
 import threading
 import tracemalloc
@@ -37,7 +36,7 @@ from cadlab.levy import (CompositeSpec, CompoundPoissonSpec, DriftSpec,
                          _staircase_from_increments)
 from cadlab.paths import PathDomainError, TimeGrid
 from cadlab.timechange import InsufficientHorizonError, inverse
-from test_levy import _peak_bytes, _reference_increments, malloc_batches  # noqa: F401
+from test_levy import BLOCK_BYTES, _peak_bytes, _reference_increments
 
 SEED = 20260824
 
@@ -90,6 +89,11 @@ def test_lindeberg_array_delta_validation():
         LindebergArray(n=100, alpha=0.5, beta=2.0, horizon=1.0)
     with pytest.warns(UserWarning):
         LindebergArray(n=100, alpha=1.0, beta=2.0, horizon=1.0)
+    # at delta = 0, a_n^2 = log n is 0 at n = 1
+    with pytest.raises(PathDomainError, match="n must be >= 2 at delta = 0"):
+        LindebergArray(n=1, alpha=1.0, beta=2.0, horizon=1.0)
+    with pytest.raises(PathDomainError, match="n must be >= 2 at delta = 0"):
+        lindeberg_statistic(1.0, 2.0, 1, 0.1)
 
 
 def test_subordinator_array_uses_clock_increments():
@@ -182,45 +186,6 @@ def test_array_from_dict_builds_each_kind():
     assert type(array_from_dict(cases[1][0]).horizon) is float
 
 
-@pytest.fixture
-def mmap_calls(monkeypatch):
-    """The sizes of the ``mmap.mmap`` calls made while the test runs."""
-    calls, real = [], mmap.mmap
-
-    def counted(fileno, size, *args, **kwargs):
-        calls.append(size)
-        return real(fileno, size, *args, **kwargs)
-
-    monkeypatch.setattr(mmap, "mmap", counted)
-    return calls
-
-
-def test_batch_draws_survive_a_rejected_hugepage_advice(monkeypatch,
-                                                        mmap_calls):
-    # a kernel built without transparent huge pages rejects MADV_HUGEPAGE
-    # with EINVAL, as it rejects any advice it does not know.  3000 x 16
-    # random-walk steps are more than a row block, so they are mapped and
-    # advised
-    spec = TransformArray(LinnikArray(n=16, horizon=1.0),
-                          random_walk_profile("two_plus_cos"))
-    want = marginal_samples(spec, [1.0], 3000, RngStream(SEED, 9),
-                            fields=("M",))
-    monkeypatch.setattr(mmap, "MADV_HUGEPAGE", 12345, raising=False)
-    got = marginal_samples(spec, [1.0], 3000, RngStream(SEED, 9),
-                           fields=("M",))
-    assert np.array_equal(got["M"], want["M"])
-    assert mmap_calls or levy._MAP_FLAGS is None
-
-
-def test_one_row_draws_map_no_memory(mmap_calls):
-    # linnik.json's hyp_d array: each replicate draws one row of 200 cells,
-    # less than a row block, which np.empty serves far faster than a mapping
-    spec = SubordinatorArray(n=100, spec=DriftSpec(slope=1.0), horizon=2.0)
-    est = check_hyp_d(spec, 1.0, 50, RngStream(SEED, 12))
-    assert est.estimate == pytest.approx(1.01)
-    assert mmap_calls == []
-
-
 def test_realize_staircase_structure():
     spec = LinnikArray(n=10, horizon=1.0)
     real = realize(spec, RngStream(SEED, 8))
@@ -288,6 +253,10 @@ def test_check_hyp_d_drift_exact():
     # first passage above 1 happens at the grid point 1.1
     assert est.estimate == pytest.approx(1.1, abs=1e-12)
     assert est.exceedance == pytest.approx(0.1, abs=1e-12)
+    # and at 1.01 on linnik.json's hyp_d array
+    spec = SubordinatorArray(n=100, spec=DriftSpec(slope=1.0), horizon=2.0)
+    est = check_hyp_d(spec, 1.0, 50, RngStream(SEED, 12))
+    assert est.estimate == pytest.approx(1.01, abs=1e-12)
 
 
 def test_check_hyp_d_resamples_insufficient_horizon():
@@ -490,15 +459,19 @@ def test_marginal_samples_deterministic_per_stream():
 # reproduce its values bit for bit.
 
 
-def _reference_draw(spec, gen, samples):
+def _reference_draw(spec, gen, samples, normals=None):
     """(dX, dA, dQV, dO) of ``samples`` whole paths, each variate drawn
-    for the whole batch at once."""
+    for the whole batch at once, except a random walk's steps.  A
+    subordinator array's normals come from ``normals``, by default a child
+    spawned from ``gen``."""
     m = spec.cells
     if isinstance(spec, SubordinatorArray):  # the Linnik array among them
         dl = np.diff(np.arange(m + 1) / spec.n)
         xi = _reference_increments(spec.spec, gen,
                                    np.broadcast_to(dl, (samples, m)))
-        z = gen.spawn(1)[0].normal(0.0, 1.0, size=(samples, m))
+        if normals is None:
+            normals = gen.spawn(1)[0]
+        z = normals.normal(0.0, 1.0, size=(samples, m))
         return np.sqrt(xi) * z, xi, xi * z * z, None
     if isinstance(spec, PolyaArray):
         y = gen.integers(0, 2, size=(samples, m)).astype(float) * 2.0 - 1.0
@@ -519,13 +492,25 @@ def _reference_draw(spec, gen, samples):
         if spec.weight.kind == "profile":
             qmat = np.broadcast_to([q(u) for u in np.arange(m) / spec.n],
                                    (samples, m))
+            dx, da, dqv, do = _reference_draw(spec.base, gen, samples)
         else:
-            steps = gen.normal(0.0, 1.0, size=(samples, m))
-            walk = np.zeros((samples, m))
-            walk[:, 1:] = np.cumsum(steps[:, :-1], axis=1)
-            walk *= spec.weight.sigma / math.sqrt(spec.n)
-            qmat = np.vectorize(q)(walk)
-        dx, da, dqv, do = _reference_draw(spec.base, gen, samples)
+            # row block by row block: the base's block, then its steps.
+            # The base is drawn whole a block at a time, which a base that
+            # draws from ``gen`` block by block, such as the Linnik array,
+            # allows; its normals are one child's, read block by block
+            normals, per = gen.spawn(1)[0], []
+            rows = max(1, levy._BLOCK_CELLS // m)
+            for r0 in range(0, max(samples, 1), rows):
+                take = min(rows, samples - r0)
+                base = _reference_draw(spec.base, gen, take, normals)
+                steps = gen.normal(0.0, 1.0, size=(take, m))
+                walk = np.zeros((take, m))
+                walk[:, 1:] = np.cumsum(steps[:, :-1], axis=1)
+                walk *= spec.weight.sigma / math.sqrt(spec.n)
+                per.append((np.vectorize(q, otypes=[float])(walk), *base))
+            qmat, dx, da, dqv, do = (
+                None if parts[0] is None else np.concatenate(parts)
+                for parts in zip(*per))
         return (qmat * dx, qmat * qmat * da, qmat * qmat * dqv,
                 None if do is None else qmat * do)
     if isinstance(spec, DriftedArray):
@@ -765,50 +750,61 @@ def test_sample_increments_of_no_replicates(spec):
     assert batch.dX.shape == batch.dA.shape == (0, spec.cells)
 
 
-def test_marginal_samples_memory_is_capped_clock_draws(malloc_batches):
+def test_marginal_samples_memory_is_capped_clock_draws():
     # the whole-batch code held five or six batch-sized arrays (~489 MiB
-    # here).  A clock is held only where a later draw of the spec must
-    # follow it: the compound Poisson counts (one byte a cell), and a
-    # composite's first part, into which the others are added in place.
-    # No clock is held for the normals, which come from their own child
-    # generator; the compound Poisson clock batch (97.7 MiB) was held for
-    # them besides its counts.
+    # here).  No clock is held: the normals come from their own child
+    # generator, a compound Poisson block draws its counts and then its
+    # jumps, and a composite block adds one block of each part.  The
+    # counts (12.2 MiB) and a composite's sum (97.7 MiB) were held, and the
+    # compound Poisson clock batch (97.7 MiB) besides its counts
     samples = 50_000
-    for spec, held_bytes in (
-            (SubordinatorArray(n=256, spec=CompoundPoissonSpec(
-                rate=3.0, jump_mean=0.5)), 1),
-            (SubordinatorArray(n=256, spec=CompositeSpec((
+    for spec in (
+            SubordinatorArray(n=256, spec=CompoundPoissonSpec(
+                rate=3.0, jump_mean=0.5)),
+            SubordinatorArray(n=256, spec=CompositeSpec((
                 InverseGaussianSpec(mu=1.0, lam=2.0),
-                GammaSpec(shape_rate=1.0)))), 8),
-            (SubordinatorArray(n=256, spec=CompositeSpec((
+                GammaSpec(shape_rate=1.0)))),
+            SubordinatorArray(n=256, spec=CompositeSpec((
                 InverseGaussianSpec(mu=1.0, lam=2.0),
-                CompoundPoissonSpec(rate=3.0, jump_mean=0.5)))), 8)):
-        rows = min(samples, levy._BATCH_CELLS // spec.cells)
-        held = rows * spec.cells * held_bytes
+                CompoundPoissonSpec(rate=3.0, jump_mean=0.5))))):
         peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
                            RngStream(SEED, 26), fields=("M",))
-        assert held <= peak <= 1.25 * held, (spec, peak / 2**20,
-                                             held / 2**20)
+        # a few row blocks and the (samples, 1) result
+        assert peak - samples * 8 <= 10 * BLOCK_BYTES, (spec, peak / 2**20)
 
 
 @pytest.mark.parametrize("spec, blocks", [
     (LinnikArray(n=256, horizon=1.0), 8),
     (SubordinatorArray(n=256, spec=InverseGaussianSpec(mu=1.0, lam=2.0)), 8),
     (SubordinatorArray(n=256, spec=StableSpec(alpha=0.6)), 14),
-], ids=["linnik", "ig", "stable"])
-def test_m_draw_peak_does_not_grow_with_samples(spec, blocks, malloc_batches):
-    # the normals are drawn beside their clock block, so a draw for M holds
-    # a few row blocks (256 KiB each; the stable sampler's temporaries take
-    # more) and its (samples, 1) result at any sample count.  A Linnik draw
-    # of 50 000 samples held 64 MiB of clock for its normals
+    (SubordinatorArray(n=256, spec=CompoundPoissonSpec(rate=3.0,
+                                                       jump_mean=0.5)), 10),
+    (SubordinatorArray(n=256, spec=CompositeSpec((
+        InverseGaussianSpec(mu=1.0, lam=2.0), GammaSpec(shape_rate=1.0)))),
+     10),
+    (SubordinatorArray(n=256, spec=CompositeSpec((
+        InverseGaussianSpec(mu=1.0, lam=2.0),
+        CompoundPoissonSpec(rate=3.0, jump_mean=0.5)))), 10),
+    (TransformArray(LinnikArray(n=256, horizon=1.0),
+                    random_walk_profile("two_plus_cos")), 20),
+], ids=["linnik", "ig", "stable", "cp", "ig_gamma", "ig_cp", "walk"])
+def test_m_draw_peak_does_not_grow_with_samples(spec, blocks):
+    # the normals are drawn beside their clock block, each compound Poisson
+    # and composite block is drawn whole, and a random walk's steps beside
+    # their base block, so a draw for M holds a few row blocks (256 KiB
+    # each; the stable sampler's and the walk's temporaries take more) and
+    # its (samples, 1) result at any sample count.  At 50 000 samples a
+    # Linnik draw held 64 MiB of clock for its normals, and the compound
+    # Poisson, the two composite and the walk draws 14.7, 99.3, 111.2 and
+    # 102.1 MiB
     for samples in (2_000, 50_000):
         peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
                            RngStream(SEED, 26), fields=("M",))
-        assert peak - samples * 8 <= blocks * levy._BLOCK_CELLS * 8, (
+        assert peak - samples * 8 <= blocks * BLOCK_BYTES, (
             samples, peak / 2**20)
 
 
-def test_lindeberg_array_holds_no_batch(malloc_batches):
+def test_lindeberg_array_holds_no_batch():
     # the hit uniforms, which the signs follow, were a (samples, cells)
     # bool batch (12.2 MiB here); the generator now jumps past them and a
     # copy of it draws them block by block
@@ -816,11 +812,10 @@ def test_lindeberg_array_holds_no_batch(malloc_batches):
     peak = _peak_bytes(marginal_samples, spec, [1.0], samples,
                        RngStream(SEED, 29), fields=("M",))
     # a few row blocks of 256 KiB and the (samples, 1) result: about 2 MiB
-    assert peak <= 10 * levy._BLOCK_CELLS * 8, peak / 2**20
+    assert peak <= 10 * BLOCK_BYTES, peak / 2**20
 
 
-def test_check_mcleish_polya_memory_is_below_one_batch_of_signs(
-        malloc_batches):
+def test_check_mcleish_polya_memory_is_below_one_batch_of_signs():
     # mix's mcleish check; the signs used to be held for the whole batch
     # (65.8 MiB), and no later draw follows them
     spec, samples = PolyaArray(n=256, horizon=1.0), 30_000

@@ -187,7 +187,7 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 LINNIK_DIGEST = (
     "7cc80025d4b01c189ca6b7c5daeb8a9794da689b2a5152de2cf7789fa6a57d47")
 MIX_DIGEST = (
-    "8944ee0108bceb98b7ec3782183ef22a164b844b453fef902069062573b1a3ab")
+    "08498037e7e9e60656e047894ef51028831a4353b2ecf9737d42e8574cf28beb")
 REPORT_DIGESTS = [
     (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
@@ -493,8 +493,13 @@ def last_line_of(path, word):
     ({"name": "mcleish", "array": {"kind": "linnik", "n": 16},
       "epsilons": []}, "epsilons"),
     ({"name": "ecf_linnik", "n_ladder": []}, "n_ladder"),
+    # at delta = 0, a_n^2 = log n is 0 at n = 1, and the statistic inf
+    ({"name": "lindeberg", "alpha": 0.5, "beta": 1.5, "n_ladder": [1, 4]},
+     "n_ladder"),
+    ({"name": ["hyp_c"]}, "name"),
 ], ids=["misspelled", "string_bool", "zero_samples", "ladder", "list_item",
-        "lindeberg_empty_ladder", "mcleish_no_epsilons", "ecf_empty_ladder"])
+        "lindeberg_empty_ladder", "mcleish_no_epsilons", "ecf_empty_ladder",
+        "lindeberg_log_1", "name_not_string"])
 def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [check]}
@@ -503,6 +508,7 @@ def test_bad_check_key_exits_one_at_load_with_its_line(tmp_path, check, key):
     assert result.exit_code == 1, out
     assert f"{p}:{last_line_of(p, key)}: config error" in out
     assert key in out
+    assert "Traceback" not in out and "runtime error" not in out
     assert not (tmp_path / "o").exists()
 
 
@@ -599,9 +605,17 @@ LINNIK16 = {"kind": "linnik", "n": 16}
     ({"name": "hyp_c", "array": {**LINNIK16, "spec": {
         "kind": "gamma", "shape_rate": 1.0}}}, "array",
      "unknown key 'spec' for a linnik array"),
+    # at delta = 0, a_n^2 = log n is 0 at n = 1: M is +-inf, and the sup of
+    # |[M] - A| NaN, which no exceedance fraction counts
+    ({"name": "mcleish", "array": {"kind": "lindeberg", "n": 1,
+                                   "alpha": 0.5, "beta": 1.5}}, "array",
+     "n must be >= 2 at delta = 0"),
+    ({"name": "hyp_c", "array": {**LINNIK16, "kind": ["linnik"]}}, "array",
+     "unknown array kind ['linnik']"),
 ], ids=["array_key", "array_n", "weight_key", "spec_key", "array_missing",
         "spec_missing", "weight_missing", "tightness_kind",
-        "transform_profile", "linnik_spec"])
+        "transform_profile", "linnik_spec", "lindeberg_log_1",
+        "kind_not_string"])
 def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
                                                     word):
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
@@ -611,6 +625,7 @@ def test_bad_object_key_or_choice_exits_one_at_load(tmp_path, check, key,
     assert result.exit_code == 1, out
     assert f"{p}:{last_line_of(p, key)}: config error" in out
     assert word in out
+    assert "Traceback" not in out and "runtime error" not in out
     assert not (tmp_path / "o").exists()
 
 
@@ -839,9 +854,10 @@ print(json.dumps({"start": start, "after": after,
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads VmRSS from /proc")
 def test_mix_batches_return_their_memory_between_checks():
-    # tracemalloc does not see the mappings batches live in, so this reads
-    # the process's RSS.  A batch freed to malloc's heap stayed resident
-    # after its check, and the next check's batch did not fit in it.
+    # this reads the process's RSS, which holds what malloc's heap keeps
+    # after a check.  A batch freed to the heap stayed resident after its
+    # check, and the next check's batch did not fit in it; neither check
+    # holds a batch now, only row blocks.
     mix = json.loads((BENCH_DIR / "mix.json").read_text())
     rescaling, transform = (
         next(c for c in mix["checks"] if c["name"] == "rescaling"

@@ -220,13 +220,21 @@ def test_rescaling_check_small():
 # -- streamed samplers against the whole-batch reference -------------------
 #
 # _reference_increments is the whole-batch sampler each spec had before it
-# streamed: every variate drawn for all of ``dl`` at once.  The streamed
-# samplers must reproduce its values and leave the generator in its state.
+# streamed: every variate drawn for all of ``dl`` at once.  Compound
+# Poisson and composite specs draw row block by row block instead: each
+# block's counts and then its jumps, each block's parts in part order.  The
+# streamed samplers must reproduce its values and leave the generator in
+# its state.
 
 
 def _reference_increments(spec, gen, dl):
-    """Whole-batch increments for cells of clock length ``dl`` (any shape)."""
+    """Increments for cells of clock length ``dl``, of shape (rows, cells)."""
     dl = np.asarray(dl, dtype=float)
+    rows = max(1, levy._BLOCK_CELLS // max(dl.shape[1], 1))
+    if (isinstance(spec, (CompoundPoissonSpec, CompositeSpec))
+            and dl.shape[0] > rows):
+        return np.concatenate([_reference_increments(spec, gen, dl[r0:r0 + rows])
+                               for r0 in range(0, dl.shape[0], rows)])
     if isinstance(spec, GammaSpec):
         return gen.gamma(spec.shape_rate * dl, spec.scale)
     if isinstance(spec, InverseGaussianSpec):
@@ -358,15 +366,6 @@ def test_increments_across_blocks_match_reference(spec, monkeypatch):
     assert got.bit_generator.state == gen.bit_generator.state
 
 
-@pytest.fixture
-def malloc_batches(monkeypatch):
-    """Batch-held arrays from ``np.empty``, which tracemalloc sees; it does
-    not see the mappings of ``levy._batch_array``, which every batch-held
-    array of ``levy`` and ``arrays`` of at least one row block comes
-    from."""
-    monkeypatch.setattr(levy, "_batch_array", np.empty)
-
-
 def _peak_bytes(fn, *args, **kwargs) -> int:
     """tracemalloc's peak over one call of ``fn``."""
     tracemalloc.start()
@@ -377,42 +376,41 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("spec, least, most", [
-    (StableSpec(alpha=0.6), 0.0, 0.25),
-    (ORACLE_SPECS[-1], 1.0, 1.25),
+#: bytes of a row block of float64 cells
+BLOCK_BYTES = levy._BLOCK_CELLS * 8
+
+
+@pytest.mark.parametrize("spec, blocks", [
+    (StableSpec(alpha=0.6), 16),
+    (ORACLE_SPECS[-1], 8),
 ], ids=["stable", "composite"])
-def test_rescaling_check_memory_at_mix_scale(spec, least, most,
-                                             malloc_batches):
+def test_rescaling_check_memory_at_mix_scale(spec, blocks):
     # mix's rescaling checks: 3000 samples on a grid of 1000.  The whole-
     # batch samplers held five or six (samples, 1000) arrays (138 and
-    # 117 MiB).  Streamed, the composite holds its inverse Gaussian part
-    # and its Poisson counts, one byte a cell.  The stable sampler held its
-    # uniforms until the generator jumped past them: it holds no batch.
-    batch_bytes = 3000 * 1000 * 8
+    # 117 MiB).  Streamed, a side holds a few row blocks and its (samples,)
+    # gaps; the composite held its inverse Gaussian part and its Poisson
+    # counts (25.8 MiB) until it drew them block by block
     peak = _peak_bytes(rescaling_check, spec, 0.25, 1.0, 3000,
                        RngStream(SEED, 33))
-    assert least * batch_bytes <= peak <= most * batch_bytes, (
-        peak / 2**20, batch_bytes / 2**20)
+    assert peak <= blocks * BLOCK_BYTES, peak / 2**20
 
 
-def test_three_part_composite_holds_one_batch(malloc_batches):
-    # the later parts' blocks are added into the first part's array in
-    # place, so only the first part's array is a whole float64 batch
+def test_three_part_composite_holds_a_few_row_blocks():
+    # each block draws one block of each part and adds it into one reused
+    # buffer, so no part is held for the batch (a whole float64 batch is
+    # 23 MiB here, 91 row blocks)
     spec = COMPOSITE_SPECS[-1]
     dl = np.diff(TimeGrid(1000, 1.0).points())
-    batch_bytes = 3000 * 1000 * 8
-    peak = _peak_bytes(spec.increments, RngStream(SEED, 34).generator(), dl,
-                       3000)
-    assert batch_bytes <= peak <= 1.25 * batch_bytes, peak / batch_bytes
+    gen = RngStream(SEED, 34).generator()
+    peak = _peak_bytes(lambda: [None for _ in spec.blocks(gen, dl, 3000)])
+    assert peak <= 12 * BLOCK_BYTES, peak / 2**20
 
 
-def test_composite_blocks_keep_no_sum_alive_across_batches(malloc_batches,
-                                                           monkeypatch):
+def test_composite_blocks_keep_no_sum_alive_across_batches(monkeypatch):
     # two batches a side: rescaling_check holds the last block of a batch
-    # while the next batch is drawn, so a block must not be a view of the
-    # batch's sum
+    # while the next batch is drawn, so the peak stays at a few row blocks
+    # and the (samples,) gaps, whatever the batch
     monkeypatch.setattr(levy, "_BATCH_CELLS", 3000 * 1000)
-    batch_bytes = 3000 * 1000 * 8
     peak = _peak_bytes(rescaling_check, ORACLE_SPECS[-1], 0.25, 1.0, 6000,
                        RngStream(SEED, 33))
-    assert batch_bytes <= peak <= 1.25 * batch_bytes, peak / batch_bytes
+    assert peak <= 8 * BLOCK_BYTES, peak / 2**20

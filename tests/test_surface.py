@@ -94,10 +94,9 @@ def test_no_function_assigns_a_local_it_never_reads():
         assert not unread, f"{path.name} assigns but never reads {unread}"
 
 
-def test_every_private_function_has_a_caller():
-    # a module-level function whose name starts with "_" and that no module
-    # names, by a name or an attribute, is dead code; a decorated one is
-    # reached through its decorator, as the registry runners are
+def _sources():
+    """{file name: syntax tree} of the package's modules, and the names that
+    they read, by a name or an attribute."""
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted((ROOT / "src" / "cadlab").glob("*.py"))}
     named = set()
@@ -108,6 +107,14 @@ def test_every_private_function_has_a_caller():
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+    return trees, named
+
+
+def test_every_private_function_has_a_caller():
+    # a module-level function whose name starts with "_" and that no module
+    # names, by a name or an attribute, is dead code; a decorated one is
+    # reached through its decorator, as the registry runners are
+    trees, named = _sources()
     uncalled = sorted((name, node.name) for name, tree in trees.items()
                       for node in tree.body
                       if isinstance(node, (ast.FunctionDef,
@@ -116,3 +123,20 @@ def test_every_private_function_has_a_caller():
                       and not node.decorator_list
                       and node.name not in named)
     assert not uncalled, f"private functions no module names: {uncalled}"
+
+
+def test_every_private_constant_is_read():
+    # a module-level name that starts with "_", is assigned, and that no
+    # module reads is dead code; dunders such as __all__ are read by Python
+    trees, named = _sources()
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            unread += [(name, t.id) for target in targets
+                       for t in ast.walk(target)
+                       if isinstance(t, ast.Name) and t.id.startswith("_")
+                       and not t.id.startswith("__") and t.id not in named]
+    assert not unread, f"private constants no module reads: {sorted(unread)}"
