@@ -17,8 +17,8 @@ estimated numerically:
   compensator increments pick up the factor Q_{n,k}^2;
 * drifted arrays add a predictable part O = mu * A on top of a base array.
 
-Batch sampling is vectorized over replicates and streamed: each kind's
-``_draw`` yields the increments of a batch in row blocks, and the readers
+Sampling is vectorized over replicates and streamed: each kind's ``_draw``
+yields its increments in row blocks from one generator, and the readers
 keep only the values they need.  Nothing is held past a row block: a
 random-walk transform draws each block's steps after its base block, and
 uniforms that a later draw follows, the Lindeberg hits among them, are
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import levy
 from .levy import (_FAMILIES as _SPEC_FAMILIES, RngStream, SubordinatorSpec,
-                   _batched_blocks, _block_buffers, _block_rows,
-                   _from_config, _row_blocks, _staircase_from_increments)
+                   _block_buffers, _block_rows, _from_config, _row_blocks,
+                   _staircase_from_increments)
 from .paths import CadlagPath, PathDomainError, TimeGrid
 from . import timechange
 
@@ -170,9 +170,9 @@ class ArraySpec:
         yielded in the row blocks of ``_row_blocks(samples, cells)``.
 
         ``fields`` names the increments wanted, among "M", "A", "QV" and
-        "O"; the others may be None.  The generator is consumed in the
-        order of the blocks, and nothing is held past a block; uniforms
-        that a later draw follows are jumped past (``levy._jump``).
+        "O"; the others may be None.  One generator, ``gen``, is consumed
+        in the order of the blocks, and nothing is held past a block;
+        uniforms that a later draw follows are jumped past (``levy._jump``).
         Draws that no wanted increment needs are skipped, so the state the
         generator is left in may depend on ``fields``; a subordinator
         array's normals come from a child generator, so its clock leaves
@@ -298,7 +298,7 @@ class LindebergArray(ArraySpec):
         da = self.compensator_increments(first, cells)
         jumps = "M" in fields or "QV" in fields
         if jumps:
-            # the signs follow the batch's hit uniforms, which gen jumps
+            # the signs follow every replicate's hit uniforms, which gen jumps
             hits = levy._jump(gen, samples * cells)
             u = _block_buffers(samples, cells)
             p = 1.0 / k**self.beta
@@ -522,10 +522,10 @@ def realize(spec: ArraySpec, rng: RngStream) -> ArrayRealization:
 
 def _stream(spec: ArraySpec, rng: RngStream, samples: int,
             fields) -> Iterator[tuple[slice, IncrementBatch]]:
-    """(rows, block) pairs covering ``samples`` replicates in order, batch
-    b of ``levy._batched_blocks`` drawn from ``rng.child(b)``."""
-    return _batched_blocks(samples, spec.cells, lambda b, take: spec._draw(
-        rng.child(b).generator(), take, 0, spec.cells, fields))
+    """(rows, block) pairs covering ``samples`` replicates in order, every
+    row block drawn from the one generator of ``rng.child(0)``."""
+    return zip(_row_blocks(samples, spec.cells), spec._draw(
+        rng.child(0).generator(), samples, 0, spec.cells, fields))
 
 
 #: increments each path of marginal_samples is summed from

@@ -116,6 +116,8 @@ _N_LIST = ("n_list", lambda p: min(p["n_list"]) >= 1,
 _T_FIXTURE = ("T", lambda p: 0 < p["T"] <= fixtures.HORIZON,
               f"T must lie in (0, {fixtures.HORIZON}], got {{T}}")
 _N_POSITIVE = ("n", lambda p: p["n"] >= 1, "n must be >= 1, got {n}")
+_EPSILON_POSITIVE = ("epsilon", lambda p: p["epsilon"] > 0,
+                     "epsilon must be > 0, got {epsilon}")
 _LADDER = ("n_ladder", lambda p: all(
     a < b for a, b in zip([0, *p["n_ladder"]], p["n_ladder"])),
     "n_ladder must be >= 1 and strictly increasing, got {n_ladder}")
@@ -257,10 +259,16 @@ def _run_hyp_d(samples, seed, array: ArraySpec, t: float = 1.0):
         "Closed-form truncated-second-moment statistic for the sparse "
         "two-point array across an n ladder, which must increase strictly; "
         "verdict compared with 'expect'.",
-        requires=[_LADDER, ("n_ladder", lambda p: min(p["n_ladder"]) > 1
-                            or p["alpha"] - p["beta"] + 1.0 != 0,
-                            "n_ladder must be >= 2 at delta = alpha - beta "
-                            "+ 1 = 0, where a_n^2 = log n, got {n_ladder}")])
+        requires=[_LADDER, _EPSILON_POSITIVE,
+                  ("beta", lambda p: p["beta"] >= 0,
+                   "beta must be >= 0, got {beta}"),
+                  ("beta", lambda p: p["alpha"] - p["beta"] + 1.0 >= 0,
+                   "delta = alpha - beta + 1 must be >= 0, got alpha={alpha} "
+                   "and beta={beta}"),
+                  ("n_ladder", lambda p: min(p["n_ladder"]) > 1
+                   or p["alpha"] - p["beta"] + 1.0 != 0,
+                   "n_ladder must be >= 2 at delta = alpha - beta + 1 = 0, "
+                   "where a_n^2 = log n, got {n_ladder}")])
 def _run_lindeberg(samples, seed, alpha: float = 1.0, beta: float = 0.5,
                    epsilon: float = 0.1,
                    n_ladder: list[int] = [2 ** k for k in range(10, 19, 2)],
@@ -278,7 +286,9 @@ def _run_lindeberg(samples, seed, alpha: float = 1.0, beta: float = 0.5,
 
 @_check("mcleish",
         "P{sup_{s<=t} |[M]_s - A_s| > eps} by Monte Carlo, one row per "
-        "epsilon, each below 'threshold'.", requires=[_T_IN_ARRAY])
+        "epsilon, each below 'threshold'.",
+        requires=[_T_IN_ARRAY, ("epsilons", lambda p: min(p["epsilons"]) > 0,
+                                "epsilons must be > 0, got {epsilons}")])
 def _run_mcleish(samples, seed, array: ArraySpec, t: float = 1.0,
                  epsilons: list[float] = [0.05, 0.1, 0.2],
                  threshold: float = 0.05):
@@ -330,7 +340,7 @@ def _run_transform_cf(samples, seed, n: int = 128, t: float = 1.0,
 
 @_check("standardization",
         "Two-sample KS of M(t)/sqrt(A(t)) against standard normal draws at "
-        "the 1% critical value.", requires=[_T_POSITIVE])
+        "the 1% critical value.", requires=[_T_IN_ARRAY])
 def _run_standardization(samples, seed, array: ArraySpec, t: float = 1.0):
     return [convtest.standardization_test(array, t, samples, _rng(seed))]
 
@@ -338,8 +348,7 @@ def _run_standardization(samples, seed, array: ArraySpec, t: float = 1.0):
 @_check("lenglart",
         "Empirical maximal-inequality bound P(sup M^2 >= eps) <= eta/eps + "
         "P(A(t) >= eta) within 3 joint SEs.",
-        requires=[("epsilon", lambda p: p["epsilon"] > 0,
-                   "epsilon must be > 0, got {epsilon}"),
+        requires=[_EPSILON_POSITIVE,
                   ("eta", lambda p: p["eta"] > 0, "eta must be > 0, got {eta}"),
                   _T_IN_ARRAY])
 def _run_lenglart(samples, seed, array: ArraySpec, epsilon: float = 1.0,
@@ -357,9 +366,7 @@ def _run_lenglart(samples, seed, array: ArraySpec, epsilon: float = 1.0,
                    'not "{kind}"'),
                   ("delta_list", lambda p: min(p["delta_list"]) > 0,
                    "delta_list must be > 0, got {delta_list}"),
-                  _N_LIST, _T_FIXTURE,
-                  ("epsilon", lambda p: p["epsilon"] > 0,
-                   "epsilon must be > 0, got {epsilon}")])
+                  _N_LIST, _T_FIXTURE, _EPSILON_POSITIVE])
 def _run_tightness(samples, seed, kind: str = "M",
                    n_list: list[int] = [3, 5, 10],
                    delta_list: list[float] = [0.5, 0.25], T: float = 2.0,

@@ -7,15 +7,15 @@ grid cell receives an independent draw from the increment distribution of
 the process over that cell, so every sampled path is a nondecreasing
 staircase starting at 0 (a pure drift gives an exact linear path instead).
 
-Every spec draws a batch of replicates of one clock row as a stream of row
-blocks (:meth:`SubordinatorSpec.blocks`); they are the only clock
-samplers, the Linnik array's unit gamma clock included.  Nothing is held
-past a row block: a compound Poisson block draws its counts and then its
-jumps, and a composite block draws one block of each part in part order.
-Uniforms that a later draw follows, the stable sampler's, are jumped past
-(:func:`_jump`) and drawn block by block, as the last-drawn variate and
-every array formed from it are, where numpy allows into buffers reused
-from block to block (:func:`_block_buffers`).
+Every spec draws the replicates of one clock row as a stream of row blocks
+from one generator (:meth:`SubordinatorSpec.blocks`); they are the only
+clock samplers, the Linnik array's unit gamma clock included.  Nothing is
+held past a row block: a compound Poisson block draws its counts and then
+its jumps, and a composite block draws one block of each part in part
+order.  Uniforms that a later draw follows, the stable sampler's, are
+jumped past (:func:`_jump`) and drawn block by block, as the last-drawn
+variate and every array formed from it are, where numpy allows into
+buffers reused from block to block (:func:`_block_buffers`).
 
 The positive stable sampler is normalized so that E exp(-u A(1)) equals
 exp(-u^alpha); the inverse Gaussian parameters follow the mean/shape
@@ -29,7 +29,7 @@ import copy
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -72,10 +72,8 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_index * 1_000_003 + index + 1)
 
 
-#: cells per batch of replicates; it fixes the streams (an array draws
-#: batch b from ``rng.child(b)``) and bounds no memory
-_BATCH_CELLS = 20_000_000
-_BLOCK_CELLS = 2**15  # cells per row block that a batch is read in
+_BLOCK_CELLS = 2**15  # cells per row block that a draw is read in
+
 
 def _jump(gen: np.random.Generator, k: int) -> np.random.Generator:
     """A copy of ``gen`` for its next ``k`` 64-bit draws, as many uniforms,
@@ -88,23 +86,6 @@ def _jump(gen: np.random.Generator, k: int) -> np.random.Generator:
     bits.advance(k)
     bits.state = {**bits.state, **half}
     return ahead
-
-
-def _batched_blocks(samples: int, cells: int,
-                    blocks_of: Callable[[int, int], Iterable]) -> Iterator:
-    """(rows, block) pairs covering ``samples`` rows in order.
-
-    The rows go in batches of _BATCH_CELLS // cells rows, and batch b, of
-    ``take`` rows, is read from ``blocks_of(b, take)`` in the row blocks of
-    ``_row_blocks(take, cells)``, so two batches are never alive at once.
-    The array samplers draw batch b from ``rng.child(b)``; a side of
-    rescaling_check draws its batches in turn from its one generator.
-    """
-    size = max(1, _BATCH_CELLS // max(cells, 1))
-    for b, r0 in enumerate(range(0, samples, size)):
-        take = min(size, samples - r0)
-        for r, blk in zip(_row_blocks(take, cells), blocks_of(b, take)):
-            yield slice(r0 + r.start, r0 + r.stop), blk
 
 
 def _block_rows(cells: int) -> int:
@@ -151,7 +132,7 @@ class SubordinatorSpec:
 
         ``gen`` is consumed block by block, each block's variates in turn,
         except the stable uniforms, which the exponentials follow: ``gen``
-        jumps past those of the whole batch (:func:`_jump`).  Nothing is
+        jumps past those of every replicate (:func:`_jump`).  Nothing is
         held past a block.  A block is valid until the next one is asked
         for: it may be a reused buffer (see :func:`_block_buffers`), a
         fresh array or a read-only broadcast.
@@ -244,9 +225,9 @@ def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
     """Kanter sampler for the one-sided stable law with E e^{-uS} = e^{-u^alpha},
     (rows, cells) draws in the row blocks of ``_row_blocks(rows, cells)``.
 
-    The exponentials follow the uniforms of the whole batch, so ``gen``
-    jumps past the uniforms (:func:`_jump`) and a copy of it draws them
-    block by block, into one reused buffer; nothing is held for the batch.
+    The exponentials follow all the uniforms, so ``gen`` jumps past them
+    (:func:`_jump`) and a copy of it draws them block by block, into one
+    reused buffer; nothing is held past a block.
     """
     ahead = _jump(gen, rows * cells)
     for u in _block_buffers(rows, cells):
@@ -537,11 +518,10 @@ def rescaling_check(
     dl = np.diff(grid.points())
 
     def window_gaps(gen, count):
-        # clock increase over [s, t], summed block by block; every batch
-        # draws from the side's one generator
+        # clock increase over [s, t], summed block by block
         gaps = np.empty(count)
-        for rows, da in _batched_blocks(
-                count, dl.size, lambda b, take: spec.blocks(gen, dl, take)):
+        for rows, da in zip(_row_blocks(count, dl.size),
+                            spec.blocks(gen, dl, count)):
             gaps[rows] = da[:, k_s:k_t].sum(axis=1)
         return gaps
 

@@ -454,14 +454,14 @@ def test_marginal_samples_deterministic_per_stream():
 
 # -- streamed sampling against the whole-batch reference -------------------
 #
-# The reference below draws every variate of a batch in one call, sums the
-# full rows and gathers the requested columns.  The streamed samplers must
-# reproduce its values bit for bit.
+# The reference below draws every variate of all replicates in one call,
+# sums the full rows and gathers the requested columns.  The streamed
+# samplers must reproduce its values bit for bit.
 
 
 def _reference_draw(spec, gen, samples, normals=None):
     """(dX, dA, dQV, dO) of ``samples`` whole paths, each variate drawn
-    for the whole batch at once, except a random walk's steps.  A
+    for all replicates at once, except a random walk's steps.  A
     subordinator array's normals come from ``normals``, by default a child
     spawned from ``gen``."""
     m = spec.cells
@@ -519,32 +519,29 @@ def _reference_draw(spec, gen, samples, normals=None):
     raise TypeError(spec)
 
 
-def _reference_batched(spec, rng, samples):
-    """Dicts of per-path increments for each batch, batch b from rng.child(b)."""
-    rows = max(1, levy._BATCH_CELLS // max(spec.cells, 1))
-    for b, start in enumerate(range(0, samples, rows)):
-        take = min(rows, samples - start)
-        dx, da, dqv, do = _reference_draw(spec, rng.child(b).generator(), take)
-        do = np.zeros_like(dx) if do is None else do
-        yield {"M": dx, "A": da, "QV": dqv, "O": do, "N": dx + do}
+def _reference_paths(spec, rng, samples):
+    """Dict of per-path increments of ``samples`` replicates, all drawn
+    from the one generator of rng.child(0)."""
+    dx, da, dqv, do = _reference_draw(spec, rng.child(0).generator(), samples)
+    do = np.zeros_like(dx) if do is None else do
+    return {"M": dx, "A": da, "QV": dqv, "O": do, "N": dx + do}
 
 
 def _reference_marginal(spec, times, samples, rng, fields):
     idx = [spec.grid().index_at(t) for t in times]
-    out = {f: [] for f in fields}
-    for per in _reference_batched(spec, rng, samples):
-        for f in fields:
-            cs = np.cumsum(per[f], axis=1)
-            padded = np.concatenate([np.zeros((cs.shape[0], 1)), cs], axis=1)
-            out[f].append(padded[:, idx])
-    return {f: np.concatenate(v) for f, v in out.items()}
+    per = _reference_paths(spec, rng, samples)
+    out = {}
+    for f in fields:
+        cs = np.cumsum(per[f], axis=1)
+        padded = np.concatenate([np.zeros((cs.shape[0], 1)), cs], axis=1)
+        out[f] = padded[:, idx]
+    return out
 
 
 def _reference_sup(spec, t, samples, rng, path):
     k = spec.grid().index_at(t)
-    return np.concatenate([
-        np.max(np.abs(np.cumsum(path(per)[:, :k], axis=1)), axis=1)
-        for per in _reference_batched(spec, rng, samples)])
+    per = _reference_paths(spec, rng, samples)
+    return np.max(np.abs(np.cumsum(path(per)[:, :k], axis=1)), axis=1)
 
 
 STREAM_SPECS = [
@@ -599,15 +596,6 @@ def test_streamed_samplers_match_whole_batch_reference(spec, samples):
     _assert_streams_match_reference(spec, samples)
 
 
-@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
-def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
-    # several batches, each read in several blocks, with a partial last
-    # batch and partial last blocks
-    monkeypatch.setattr(levy, "_BATCH_CELLS", 20_011)
-    monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
-    _assert_streams_match_reference(spec, 3000)
-
-
 def _subordinator(spec):
     """The subordinator array that ``spec`` is built on, or None."""
     while not isinstance(spec, SubordinatorArray):
@@ -633,20 +621,15 @@ def _clock_rows(monkeypatch, spec) -> list:
     return rows
 
 
-@pytest.mark.parametrize("batch_cells", [500, 20_011],
-                         ids=["below_a_block", "mid_batch"])
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
-def test_streamed_samplers_replay_clock_rows_across_batches(spec, batch_cells,
-                                                           monkeypatch):
-    # each clock row is drawn once, none a second time, across batches
-    # below one row block and batches of several blocks with a partial
-    # last one; the normals come from their own child generator, so no
-    # clock is held or replayed for them, and the values are the
-    # reference's
-    monkeypatch.setattr(levy, "_BATCH_CELLS", batch_cells)
+def test_streamed_samplers_match_reference_across_blocks(spec, monkeypatch):
+    # many row blocks with a partial last one.  Each clock row is drawn
+    # once, none a second time: the normals come from their own child
+    # generator, so no clock is held or replayed for them, and the values
+    # are the reference's
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     rows = _clock_rows(monkeypatch, spec)
-    samples = 300
+    samples = 3000
     marginal_samples(spec, [1.0], samples, RngStream(SEED, 25),
                      fields=("M", "A"))
     assert sum(rows) == (0 if _subordinator(spec) is None else samples)

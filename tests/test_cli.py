@@ -670,7 +670,9 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
     ({"name": "lenglart", "array": LINNIK16, "eta": -1.0}, "eta",
      "eta must be > 0"),
     ({"name": "standardization", "array": LINNIK16, "t": 0.0}, "t",
-     "t must be > 0"),
+     "t must lie in (0, 1.0], got 0.0"),
+    ({"name": "standardization", "array": LINNIK16, "t": 2.0}, "t",
+     "t must lie in (0, 1.0], got 2.0"),
     ({"name": "transform_cf", "t": 0}, "t", "t must be > 0"),
     ({"name": "fdd_gamma", "n": 0}, "n", "n must be >= 1"),
     ({"name": "transform_cf", "n": 0}, "n", "n must be >= 1"),
@@ -697,17 +699,28 @@ def test_bad_object_value_type_exits_one_at_load(tmp_path, check, key, word):
      "t must lie in (0, 1.0], got 2.0"),
     ({"name": "tightness", "epsilon": -1.0}, "epsilon",
      "epsilon must be > 0, got -1.0"),
+    ({"name": "lindeberg", "alpha": 0.5, "beta": 2.0}, "beta",
+     "delta = alpha - beta + 1 must be >= 0, got alpha=0.5 and beta=2.0"),
+    ({"name": "lindeberg", "beta": -0.5}, "beta",
+     "beta must be >= 0, got -0.5"),
+    ({"name": "lindeberg", "epsilon": -1.0}, "epsilon",
+     "epsilon must be > 0, got -1.0"),
+    ({"name": "mcleish", "array": LINNIK16, "epsilons": [0.1, -1.0]},
+     "epsilons", "epsilons must be > 0, got [0.1, -1.0]"),
 ], ids=["rescaling_t", "rescaling_s", "hyp_c", "hyp_d", "lenglart_epsilon",
-        "lenglart_eta", "standardization", "transform_cf", "fdd_gamma_n",
-        "transform_cf_n", "ecf_ladder_n", "tightness_delta",
-        "counterexample_n_list", "tightness_n_list", "counterexample_T",
-        "tightness_T", "counterexample_delta", "ecf_linnik_t", "fdd_gamma_t",
-        "hyp_c_negative_t", "mcleish_t", "lenglart_t", "tightness_epsilon"])
+        "lenglart_eta", "standardization", "standardization_past_horizon",
+        "transform_cf", "fdd_gamma_n", "transform_cf_n", "ecf_ladder_n",
+        "tightness_delta", "counterexample_n_list", "tightness_n_list",
+        "counterexample_T", "tightness_T", "counterexample_delta",
+        "ecf_linnik_t", "fdd_gamma_t", "hyp_c_negative_t", "mcleish_t",
+        "lenglart_t", "tightness_epsilon", "lindeberg_delta",
+        "lindeberg_beta", "lindeberg_epsilon", "mcleish_epsilons"])
 def test_runner_precondition_exits_one_at_load_with_its_line(tmp_path, check,
                                                             key, word):
     # each of these ran the checks before it, then exited 1 with a
-    # "runtime error" and no line, or (mcleish_t, tightness_epsilon) passed
-    # with a verdict that checks nothing
+    # "runtime error" and no line, or (mcleish_t, tightness_epsilon,
+    # lindeberg_beta, lindeberg_epsilon, mcleish_epsilons) reported a
+    # verdict that checks nothing
     doc = {"experiment_id": "bad", "seed": 1, "samples": 10,
            "checks": [{"name": "lindeberg"}, check]}
     p = write_config(tmp_path, doc)
@@ -855,16 +868,10 @@ print(json.dumps({"start": start, "after": after,
                     reason="reads VmRSS from /proc")
 def test_mix_batches_return_their_memory_between_checks():
     # this reads the process's RSS, which holds what malloc's heap keeps
-    # after a check.  A batch freed to the heap stayed resident after its
-    # check, and the next check's batch did not fit in it; neither check
-    # holds a batch now, only row blocks.
-    mix = json.loads((BENCH_DIR / "mix.json").read_text())
-    rescaling, transform = (
-        next(c for c in mix["checks"] if c["name"] == "rescaling"
-             and c["spec"]["kind"] == "composite"),
-        next(c for c in mix["checks"] if c["name"] == "transform_cf"))
-    batch_mb = max(rescaling["samples"] * 1000,  # rescaling_check's grid_n
-                   mix["samples"] * transform["n"]) * 8 / 2**20
+    # after a check.  Neither check holds more than a few row blocks, so
+    # the peak rises by at most 40 of them (10 MiB); a check that built
+    # and freed one (samples, cells) array of its draw rose by 28.8 MB
+    block_mb = levy._BLOCK_CELLS * 8 / 2**20
     src = str(Path(cli_mod.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", RSS_SCRIPT,
                           str(BENCH_DIR / "mix.json")],
@@ -873,7 +880,7 @@ def test_mix_batches_return_their_memory_between_checks():
     rss = json.loads(out)
     for mb in rss["after"]:
         assert mb - rss["start"] <= 8.0, rss
-    assert rss["max_rise"] <= 1.3 * batch_mb, (rss, batch_mb)
+    assert rss["max_rise"] <= 40 * block_mb, rss
 
 
 def load_tracing():

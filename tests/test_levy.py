@@ -264,21 +264,17 @@ def _reference_increments(spec, gen, dl):
 
 
 def _reference_rescaling(spec, s, t, samples, rng, grid_n):
-    """rescaling_check with the whole-batch sampler: each side draws its
-    batches of _BATCH_CELLS // cells rows one after the other from its one
-    generator, each batch whole."""
+    """rescaling_check with the whole-batch sampler: each side draws all
+    its clock rows at once from its one generator."""
     from cadlab.convtest import ks_two_sample
 
     grid = TimeGrid(grid_n, t)
     k_s, k_t = grid.index_at(s), grid.index_at(t)
     dl = np.diff(grid.points())
-    rows = max(1, levy._BATCH_CELLS // dl.size)
 
     def gaps(gen):
-        return np.concatenate([
-            _reference_increments(spec, gen, np.broadcast_to(
-                dl, (min(rows, samples - r0), dl.size)))[:, k_s:k_t].sum(axis=1)
-            for r0 in range(0, samples, rows)])
+        return _reference_increments(spec, gen, np.broadcast_to(
+            dl, (samples, dl.size)))[:, k_s:k_t].sum(axis=1)
 
     gen1 = rng.child(1).generator()
     side1 = gen1.normal(0.0, 1.0, size=samples) * np.sqrt(gaps(gen1))
@@ -340,9 +336,7 @@ def test_increments_match_whole_batch_reference(spec, rows):
 def test_rescaling_check_matches_whole_batch_reference(spec, monkeypatch):
     args = (spec, 0.25, 1.0, 600, RngStream(SEED, 31))
     assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
-    # several batches per side, each read in several blocks, with partial
-    # last ones; the batches of a side share its one generator
-    monkeypatch.setattr(levy, "_BATCH_CELLS", 5_011)
+    # each side read in several blocks, with a partial last one
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 700)
     assert rescaling_check(*args, grid_n=50) == _reference_rescaling(*args, 50)
 
@@ -406,11 +400,9 @@ def test_three_part_composite_holds_a_few_row_blocks():
     assert peak <= 12 * BLOCK_BYTES, peak / 2**20
 
 
-def test_composite_blocks_keep_no_sum_alive_across_batches(monkeypatch):
-    # two batches a side: rescaling_check holds the last block of a batch
-    # while the next batch is drawn, so the peak stays at a few row blocks
-    # and the (samples,) gaps, whatever the batch
-    monkeypatch.setattr(levy, "_BATCH_CELLS", 3000 * 1000)
+def test_composite_rescaling_peak_at_twice_mix_scale():
+    # twice mix's samples: a side keeps no sum past its block, so the peak
+    # stays at a few row blocks and the (samples,) gaps
     peak = _peak_bytes(rescaling_check, ORACLE_SPECS[-1], 0.25, 1.0, 6000,
                        RngStream(SEED, 33))
     assert peak <= 8 * BLOCK_BYTES, peak / 2**20

@@ -140,3 +140,38 @@ def test_every_private_constant_is_read():
                        if isinstance(t, ast.Name) and t.id.startswith("_")
                        and not t.id.startswith("__") and t.id not in named]
     assert not unread, f"private constants no module reads: {sorted(unread)}"
+
+
+#: a name cited in docs: the leading dotted name of a double-backquoted
+#: span, or the target of a :func:, :meth:, :data: or :class: role
+_CITED = re.compile(r"``~?([A-Za-z_][\w.]*)[^`]*``"
+                    r"|:(?:func|meth|data|class):`~?([\w.]+)`")
+
+
+def test_every_private_name_the_docs_cite_exists():
+    # a docstring, comment or README line that cites a private name, one
+    # whose last dotted part starts with a single "_", must cite one that
+    # some module defines by a def, a class or an assignment
+    trees, _ = _sources()
+    defined = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(t.id for target in targets
+                               for t in ast.walk(target)
+                               if isinstance(t, ast.Name))
+    docs = [*sorted((ROOT / "src" / "cadlab").glob("*.py")), ROOT / "README.md"]
+    gone = []
+    for path in docs:
+        for match in _CITED.finditer(path.read_text()):
+            name = match.group(1) or match.group(2)
+            last = name.split(".")[-1]
+            if (last.startswith("_") and not last.startswith("__")
+                    and last not in defined):
+                gone.append((path.name, name))
+    assert not gone, f"docs cite private names no module defines: {gone}"
