@@ -622,14 +622,28 @@ def _clock_rows(monkeypatch, spec) -> list:
 
 
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
-def test_streamed_samplers_match_reference_across_blocks(spec, monkeypatch):
-    # many row blocks with a partial last one.  Each clock row is drawn
-    # once, none a second time: the normals come from their own child
-    # generator, so no clock is held or replayed for them, and the values
-    # are the reference's
+def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
+    # a draw of several former batches' worth of cells, now one generator
+    # read in many blocks with a partial last block
+    monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
+    _assert_streams_match_reference(spec, 3000)
+
+
+@pytest.mark.parametrize("draw_cells", [500, 20_011],
+                         ids=["below_a_block", "mid_batch"])
+@pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
+def test_streamed_samplers_replay_clock_rows_across_batches(spec, draw_cells,
+                                                           monkeypatch):
+    # each clock row is drawn once, none a second time, in a draw below
+    # one row block and in a draw of many blocks whose last one ends mid
+    # block; the normals come from their own child generator, so no clock
+    # is held or replayed for them, and the values are the reference's
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     rows = _clock_rows(monkeypatch, spec)
-    samples = 3000
+    samples = max(1, draw_cells // spec.cells)
+    blocks = -(-samples // levy._block_rows(spec.cells))
+    assert (blocks == 1) == (draw_cells < 1_000)
+    assert draw_cells < 1_000 or samples % levy._block_rows(spec.cells)
     marginal_samples(spec, [1.0], samples, RngStream(SEED, 25),
                      fields=("M", "A"))
     assert sum(rows) == (0 if _subordinator(spec) is None else samples)
