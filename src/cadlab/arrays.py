@@ -26,7 +26,10 @@ jumped past (``levy._jump``) and drawn block by block.
 Every clock is drawn by its subordinator spec's ``blocks``, the Linnik
 array's too, and the normals that a subordinator array puts on it come
 from a child generator spawned for the draw, block by block beside their
-clock block (:meth:`SubordinatorArray._draw`), so no clock is held.  Single
+clock block (:meth:`SubordinatorArray._draw`), so no clock is held.  The
+one exception is :func:`marginal_samples` of M and A on a gamma clock,
+which sums the clock's jump series (``levy.GammaSpec.jumps``) with one
+normal a jump and draws no cells.  Single
 realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
 staircases.
 """
@@ -372,7 +375,9 @@ class SubordinatorArray(ArraySpec):
 class LinnikArray(SubordinatorArray):
     """The subordinator array of the unit gamma clock: Gamma(1/n, 1) clock
     increments times independent standard normals.  Its clock is fixed, so
-    ``spec`` is neither an argument nor a config key."""
+    ``spec`` is neither an argument nor a config key.  Its values at fixed
+    times, M(t) and A(t), are read from the clock's jump series (see
+    :func:`marginal_samples`), at a cost that does not grow with n."""
 
     spec: SubordinatorSpec = field(default=levy.GammaSpec(1.0), init=False,
                                    repr=False)
@@ -543,11 +548,22 @@ def marginal_samples(
     """Vectorized draws of path values at fixed times.
 
     Returns arrays of shape (samples, len(times)) keyed by field name
-    ("M", "A", "QV", "O", "N").  Only the increments these paths need are
-    drawn, and each block is summed over the cells up to the last time.
+    ("M", "A", "QV", "O", "N"), read at the grid times k/n at or before
+    ``times``.  Only the increments these paths need are drawn, and each
+    block is summed over the cells up to the last time.
+
+    A subordinator array on a gamma clock, the Linnik array among them,
+    read for fields among "M" and "A", draws no cells: its values are
+    summed from the clock's jump series (:func:`_series_marginals`), at a
+    cost independent of n.
     """
     grid = spec.grid()
     idx = np.array([grid.index_at(t) for t in times], dtype=int)
+    if (isinstance(spec, SubordinatorArray)
+            and isinstance(spec.spec, levy.GammaSpec)
+            and set(fields) <= {"M", "A"}):
+        return _series_marginals(spec.spec, idx / spec.n, samples, rng,
+                                 fields)
     k = int(idx.max(initial=0))
     wanted = set().union(*(_PATH_FIELDS[f] for f in fields))
     out = {f: np.empty((samples, idx.size)) for f in fields}
@@ -566,6 +582,45 @@ def marginal_samples(
             cs = sums[f][:rows.stop - rows.start]
             np.cumsum(inc, axis=1, out=cs[:, 1:])
             out[f][rows] = cs[:, idx]
+    return out
+
+
+def _series_marginals(clock: levy.GammaSpec, times: np.ndarray,
+                      samples: int, rng: RngStream,
+                      fields: Sequence[str]) -> dict[str, np.ndarray]:
+    """:func:`marginal_samples` of the subordinator array on the gamma
+    clock ``clock`` at grid times ``times``, for fields among "M" and "A",
+    from the clock's jump series (:meth:`levy.GammaSpec.jumps`) up to the
+    last time, drawn from the generator of ``rng.child(0)``.
+
+    A jump x carries the M increment sqrt(x) Z, with one standard normal Z
+    a jump from ``gen.spawn(1)[0]``, as :meth:`SubordinatorArray._draw`
+    puts one on a cell.  A value at time s is the sum of a row's jumps at
+    times <= s, in jump order (``np.bincount``); at time 0 it is 0.
+    """
+    out = {f: np.zeros((samples, times.size)) for f in fields}
+    last = times.max(initial=0.0)
+    if not last:
+        return out
+    gen = rng.child(0).generator()
+    normals = gen.spawn(1)[0] if "M" in fields else None
+    read = [j for j, s in enumerate(times) if s > 0]
+    for rows, counts, sizes, at in clock.jumps(gen, last, times[read].min(),
+                                               samples):
+        row = np.repeat(np.arange(counts.size), counts)
+        # the jumps read at each time; all of them at the last
+        kept = {j: None if times[j] == last else at <= times[j] for j in read}
+        for f in ("A", "M"):
+            if f not in fields:
+                continue
+            if f == "M":  # sqrt(x) Z in place, once A is read
+                z = normals.standard_normal(sizes.size)
+                np.sqrt(sizes, out=sizes)
+                sizes *= z
+            for j, keep in kept.items():
+                out[f][rows, j] = np.bincount(
+                    row if keep is None else row[keep],
+                    sizes if keep is None else sizes[keep], counts.size)
     return out
 
 

@@ -182,7 +182,8 @@ def _run_ecf_linnik(samples, seed, n_ladder: list[int] = [64, 128, 256],
                                      lambda lam: levy.linnik_cf(t, lam),
                                      _CF_GRID)
 
-    # the ladder increases strictly, so the costliest rung comes last
+    # each rung reads M(t) from the gamma clock's jump series, so the
+    # rungs cost about the same whatever their n
     dists = _spread(rung, range(len(n_ladder)))
     entries = []
     for n, d in zip(n_ladder, dists):

@@ -8,8 +8,10 @@ the process over that cell, so every sampled path is a nondecreasing
 staircase starting at 0 (a pure drift gives an exact linear path instead).
 
 Every spec draws the replicates of one clock row as a stream of row blocks
-from one generator (:meth:`SubordinatorSpec.blocks`); they are the only
-clock samplers, the Linnik array's unit gamma clock included.  Nothing is
+from one generator (:meth:`SubordinatorSpec.blocks`), the Linnik array's
+unit gamma clock included.  A gamma clock also has a second sampler, its
+truncated jump series (:meth:`GammaSpec.jumps`), which draws no cells and
+serves reads of the clock's values at a few fixed times.  Nothing is
 held past a row block: a compound Poisson block draws its counts and then
 its jumps, and a composite block draws one block of each part in part
 order.  Uniforms that a later draw follows, the stable sampler's, are
@@ -155,9 +157,30 @@ def _check_positive(name: str, value: float):
         raise PathDomainError(f"{name} must be > 0, got {value}")
 
 
+#: the series cut of :meth:`GammaSpec.jumps`: a path holds no jump up to
+#: the first positive time read with probability at most e^-_SERIES_CUT
+_SERIES_CUT = 37.0
+
+
 @dataclass(frozen=True)
 class GammaSpec(SubordinatorSpec):
-    """Gamma subordinator: increment over h is Gamma(shape_rate*h, scale)."""
+    """Gamma subordinator: increment over h is Gamma(shape_rate*h, scale).
+
+    Besides its grid cells (:meth:`blocks`), the process is a series of
+    jumps (:meth:`jumps`; Bondesson 1982, *On simulation from infinitely
+    divisible distributions*; Rosinski 2001, *Series representations of
+    Levy processes from the perspective of point processes*).  With
+    a = shape_rate and b = scale, on [0, T]
+
+        A(s) = sum_i b exp(-G_i / (aT)) V_i 1{U_i T <= s}
+
+    for unit Poisson arrivals G_i, V_i ~ Exp(1) and U_i ~ U(0, 1).  The
+    series is cut at G_i <= aTK, so a path holds Poisson(aTK) jumps, and,
+    given their number, the kept G_i / (aTK) are i.i.d. uniform.  With s1
+    the smallest positive time read, K = 37 max(1, 1/(a s1)): then A(s) = 0
+    with probability at most e^-37 at every time s >= s1 read, and the
+    dropped mass has mean abT e^-K <= abT e^-37.
+    """
 
     shape_rate: float
     scale: float = 1.0
@@ -165,6 +188,36 @@ class GammaSpec(SubordinatorSpec):
     def __post_init__(self):
         _check_positive("shape_rate", self.shape_rate)
         _check_positive("scale", self.scale)
+
+    def jumps(self, gen: np.random.Generator, horizon: float, first: float,
+              rows: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray,
+                                           np.ndarray]]:
+        """The truncated jump series of ``rows`` paths on [0, ``horizon``],
+        cut for the smallest positive time read, ``first`` (see the class
+        docstring), as (rows, counts, sizes, times) per row block.
+
+        A block holds ``_block_rows(ceil(aTK))`` rows, about _BLOCK_CELLS
+        jumps.  ``counts`` holds each row's number of jumps, and ``sizes``
+        and ``times`` the jumps of its rows, row after row.  ``gen`` draws,
+        block by block, the counts, the arrivals, the exponentials and the
+        uniform times.  The sizes and times are drawn in place into arrays
+        of their block's own, which a reader may overwrite.
+        """
+        cut = _SERIES_CUT * max(1.0, 1.0 / (self.shape_rate * first))
+        mean = self.shape_rate * horizon * cut
+        for r in _row_blocks(rows, math.ceil(mean)):
+            counts = gen.poisson(mean, r.stop - r.start)
+            sizes = gen.random(int(counts.sum()))
+            v = gen.standard_exponential(sizes.size)
+            # b * exp(-K * g) * V, in place
+            np.multiply(sizes, -cut, out=sizes)
+            np.exp(sizes, out=sizes)
+            if self.scale != 1.0:
+                sizes *= self.scale
+            sizes *= v
+            times = gen.random(out=v)
+            times *= horizon
+            yield r, counts, sizes, times
 
     def blocks(self, gen, dl, rows):
         # gamma(a, scale) is scale * standard_gamma(a), the same bits; one

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammainc
 
 from cadlab import arrays, levy
@@ -452,6 +453,88 @@ def test_marginal_samples_deterministic_per_stream():
     assert np.array_equal(a["M"], b["M"])
 
 
+# -- a gamma clock's jump series against its laws --------------------------
+#
+# marginal_samples reads M and A of a subordinator array on a gamma clock
+# from the clock's truncated jump series (levy.GammaSpec.jumps).  The
+# oracles are scipy's laws and the grid sampler.
+
+
+def test_series_values_follow_the_gamma_law():
+    # A(s) is Gamma(a s, b) at every time read alone and at each of a joint
+    # read, whose increments are independent Gamma(a ds, b)
+    a, b = 2.5, 0.4
+    spec = SubordinatorArray(n=256, spec=GammaSpec(a, b), horizon=2.0)
+    for i, s in enumerate((1 / 256, 19 / 64, 1.0, 2.0)):
+        got = marginal_samples(spec, [s], 20_000, RngStream(SEED, 50 + i),
+                               fields=("A",))["A"][:, 0]
+        assert stats.kstest(got, stats.gamma(a * s, scale=b).cdf).pvalue > 1e-3
+    times = (19 / 64, 1.0, 2.0)
+    got = marginal_samples(spec, times, 20_000, RngStream(SEED, 54),
+                           fields=("A",))["A"]
+    for ds, inc in zip(np.diff((0.0,) + times), np.diff(got, axis=1,
+                                                        prepend=0.0).T):
+        assert stats.kstest(inc, stats.gamma(a * ds, scale=b).cdf).pvalue > 1e-3
+
+
+def test_series_linnik_values_follow_their_laws():
+    # given the clock, M(1) is N(0, A(1)), and M(1) of the unit gamma clock
+    # is Laplace with scale 1/sqrt(2): its CF is 1 / (1 + lambda^2 / 2)
+    got = marginal_samples(LinnikArray(n=64), [1.0], 20_000,
+                           RngStream(SEED, 55), fields=("M", "A"))
+    m, a = got["M"][:, 0], got["A"][:, 0]
+    assert np.all(a > 0)
+    assert stats.kstest(m / np.sqrt(a), "norm").pvalue > 1e-3
+    laplace = stats.laplace(scale=1 / math.sqrt(2.0))
+    assert stats.kstest(m, laplace.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_series_m_matches_the_grid_sampler(n):
+    # the grid cells of sample_increments, drawn in four parts of 1000
+    # rows, against the series, at a coarse, a shipped and a fine grid
+    spec = LinnikArray(n=n)
+    grid = np.concatenate([
+        sample_increments(spec, RngStream(SEED, 60 + i), 1000).dX.sum(axis=1)
+        for i in range(4)])
+    series = marginal_samples(spec, [1.0], 20_000, RngStream(SEED, 56),
+                              fields=("M",))["M"][:, 0]
+    assert stats.ks_2samp(series, grid).pvalue > 1e-3
+
+
+def test_series_leaves_no_early_time_without_a_jump():
+    # the cut grows as 1 / (a s1) for the first time read, s1: a path
+    # holds Poisson(37) jumps up to s1, so A(s1) holds no jump with
+    # probability e^-37 < 1e-6.  A fixed cut of 37 would hold Poisson(37 s1)
+    # jumps there and give A(1/256) = 0 in 87% of paths
+    s1 = 1 / 256
+    gen = RngStream(SEED, 57).generator()
+    early = np.concatenate([
+        np.bincount(np.repeat(np.arange(counts.size), counts),
+                    times <= s1, counts.size)
+        for _, counts, _, times in GammaSpec(1.0).jumps(gen, 1.0, s1, 2000)])
+    assert early.mean() == pytest.approx(37.0, abs=3 * math.sqrt(37 / 2000))
+    assert math.exp(-early.mean()) < 1e-6
+    # Gamma(1/256) puts 5.5% of its mass below the least positive double,
+    # so A(1/256) reads 0.0 that often whatever the sampler, and no more
+    got = marginal_samples(LinnikArray(n=256), [s1, 1.0], 2000,
+                           RngStream(SEED, 58), fields=("A",))["A"]
+    tiny = gammainc(s1, np.nextafter(0.0, 1.0))
+    assert np.mean(got[:, 0] == 0.0) == pytest.approx(
+        tiny, abs=4 * math.sqrt(tiny / 2000))
+    assert stats.kstest(got[:, 1], stats.gamma(1.0).cdf).pvalue > 1e-3
+
+
+def test_series_values_do_not_depend_on_n():
+    # the series draws no cells: M(1) and A(1) from the same stream are the
+    # same bits at n = 64 and n = 2**16
+    got = [marginal_samples(LinnikArray(n=n), [1.0], 5_000,
+                            RngStream(SEED, 59), fields=("M", "A"))
+           for n in (64, 2**16)]
+    for f in ("M", "A"):
+        assert np.array_equal(got[0][f], got[1][f])
+
+
 # -- streamed sampling against the whole-batch reference -------------------
 #
 # The reference below draws every variate of all replicates in one call,
@@ -527,7 +610,54 @@ def _reference_paths(spec, rng, samples):
     return {"M": dx, "A": da, "QV": dqv, "O": do, "N": dx + do}
 
 
+def _reads_series(spec, fields):
+    """Whether marginal_samples reads ``fields`` of ``spec`` from its
+    clock's jump series: M and A of a subordinator array on a gamma
+    clock."""
+    return (isinstance(spec, SubordinatorArray)
+            and isinstance(spec.spec, GammaSpec) and set(fields) <= {"M", "A"})
+
+
+def _reference_series(spec, times, samples, rng, fields):
+    """Values of M and A at the grid times of ``times`` from the truncated
+    jump series of the gamma clock of ``spec``, row by row: each row block
+    draws its counts, arrivals g, exponentials V and uniform times u from
+    rng.child(0), a jump is b exp(-K g) V at time u T, and M puts one
+    normal, from a child spawned from that generator, on each jump.  A
+    row's kept jumps are summed in jump order."""
+    clock = spec.spec
+    s = np.array([spec.grid().index_at(t) for t in times]) / spec.n
+    out = {f: np.zeros((samples, s.size)) for f in fields}
+    if not s.max(initial=0.0):
+        return out
+    a, b, last = clock.shape_rate, clock.scale, s.max()
+    cut = 37.0 * max(1.0, 1.0 / (a * s[s > 0].min()))
+    mean = a * last * cut
+    rows = max(1, levy._BLOCK_CELLS // math.ceil(mean))
+    gen = rng.child(0).generator()
+    normals = gen.spawn(1)[0]
+    for r0 in range(0, samples, rows):
+        counts = gen.poisson(mean, min(rows, samples - r0))
+        g = gen.random(counts.sum())
+        v = gen.standard_exponential(counts.sum())
+        u = gen.random(counts.sum())
+        x = b * np.exp(-cut * g) * v
+        w = {"A": x}
+        if "M" in fields:
+            w["M"] = np.sqrt(x) * normals.standard_normal(x.size)
+        ends = np.cumsum(counts)
+        for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            for j, sj in enumerate(s):
+                kept = u[lo:hi] * last <= sj
+                for f in fields:
+                    sums = np.cumsum(np.concatenate([[0.0], w[f][lo:hi][kept]]))
+                    out[f][r0 + i, j] = sums[-1]
+    return out
+
+
 def _reference_marginal(spec, times, samples, rng, fields):
+    if _reads_series(spec, fields):
+        return _reference_series(spec, times, samples, rng, fields)
     idx = [spec.grid().index_at(t) for t in times]
     per = _reference_paths(spec, rng, samples)
     out = {}
@@ -634,10 +764,12 @@ def test_streamed_samplers_match_reference_across_batches(spec, monkeypatch):
 @pytest.mark.parametrize("spec", STREAM_SPECS, ids=STREAM_IDS)
 def test_streamed_samplers_replay_clock_rows_across_batches(spec, draw_cells,
                                                            monkeypatch):
-    # each clock row is drawn once, none a second time, in a draw below
-    # one row block and in a draw of many blocks whose last one ends mid
-    # block; the normals come from their own child generator, so no clock
-    # is held or replayed for them, and the values are the reference's
+    # each clock row of a grid read is drawn once, none a second time, in
+    # a draw below one row block and in a draw of many blocks whose last
+    # one ends mid block; the normals come from their own child generator,
+    # so no clock is held or replayed for them, and the values are the
+    # reference's.  A read of M and A on a gamma clock sums the clock's
+    # jump series and draws no grid clock row
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     rows = _clock_rows(monkeypatch, spec)
     samples = max(1, draw_cells // spec.cells)
@@ -645,8 +777,13 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, draw_cells,
     assert (blocks == 1) == (draw_cells < 1_000)
     assert draw_cells < 1_000 or samples % levy._block_rows(spec.cells)
     marginal_samples(spec, [1.0], samples, RngStream(SEED, 25),
+                     fields=("M", "A", "QV"))
+    grid_rows = 0 if _subordinator(spec) is None else samples
+    assert sum(rows) == grid_rows
+    rows.clear()
+    marginal_samples(spec, [1.0], samples, RngStream(SEED, 25),
                      fields=("M", "A"))
-    assert sum(rows) == (0 if _subordinator(spec) is None else samples)
+    assert sum(rows) == (0 if _reads_series(spec, ("M", "A")) else grid_rows)
     _assert_streams_match_reference(spec, samples)
 
 
