@@ -27,9 +27,12 @@ Every clock is drawn by its subordinator spec's ``blocks``, the Linnik
 array's too, and the normals that a subordinator array puts on it come
 from a child generator spawned for the draw, block by block beside their
 clock block (:meth:`SubordinatorArray._draw`), so no clock is held.  The
-one exception is :func:`marginal_samples` of M and A on a gamma clock,
-which sums the clock's jump series (``levy.GammaSpec.jumps``) with one
-normal a jump and draws no cells.  Single
+exception is M and A on a gamma clock, of a subordinator array, the
+Linnik array included, or of a profile transform or a drifted array built
+on one (:func:`_series_clock` decides): :func:`marginal_samples` and
+:func:`running_sup_samples` read them from the clock's jump series
+(``levy.GammaSpec.jumps``) with one normal a jump, and draw no grid
+cells; a running sup bins the jumps into the grid cells it reads.  Single
 realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
 staircases.
 """
@@ -401,17 +404,22 @@ class TransformArray(_OnBase):
         if self.weight is None:
             raise PathDomainError("weight spec required")
 
+    def _profile(self, first: int, cells: int) -> np.ndarray:
+        """Profile weights Q((k-1)/n) of cells k = first+1 .. first+cells."""
+        q = self.weight.resolve()
+        return np.array([q(v) for v in
+                         np.arange(first, first + cells, dtype=float) / self.n])
+
     def _weights(self, gen, first, cells) -> Callable[[int], np.ndarray]:
         """Weights Q_{n,k} of a row block, as a function of its row count.
 
         Each call draws a block's random-walk steps from ``gen``; ``_draw``
         calls it after the block's base increments are drawn.
         """
-        q = self.weight.resolve()
         if self.weight.kind == "profile":
-            u = np.arange(first, first + cells, dtype=float) / self.n
-            row = np.array([q(v) for v in u])
+            row = self._profile(first, cells)
             return lambda rows: row
+        q = self.weight.resolve()
         if first:
             raise timechange.InsufficientHorizonError(
                 "a random-walk transform cannot be extended past its horizon: "
@@ -538,6 +546,84 @@ _PATH_FIELDS = {"M": {"M"}, "A": {"A"}, "QV": {"QV"}, "O": {"O"},
                 "N": {"M", "O"}}
 
 
+def _series_clock(spec: ArraySpec, fields
+                  ) -> Optional[tuple[levy.GammaSpec, Optional[np.ndarray]]]:
+    """The gamma clock whose jump series gives ``fields`` of ``spec``, and
+    the weights q of its grid cells (None when every weight is 1); None
+    when they are read from the grid.
+
+    Fields within "M" and "A" are read from the series for a subordinator
+    array on a :class:`levy.GammaSpec` clock, the Linnik array included,
+    and for a profile transform or a drifted array built on such an array.
+    These draw from their base's stream, so each reads its base's jump
+    list: a jump x at a time in grid cell k carries q_k sqrt(x) Z into M
+    and q_k^2 x into A.  Every other read draws grid cells.
+    """
+    if not set(fields) <= {"M", "A"}:
+        return None
+    q = None
+    while isinstance(spec, (TransformArray, DriftedArray)):
+        if isinstance(spec, TransformArray):
+            if spec.weight.kind != "profile":
+                return None
+            row = spec._profile(0, spec.cells)
+            q = row if q is None else q * row
+        spec = spec.base
+    if (isinstance(spec, SubordinatorArray)
+            and isinstance(spec.spec, levy.GammaSpec)):
+        return spec.spec, q
+    return None
+
+
+def _series_jumps(series, n: int, k: int, first: float, samples: int,
+                  rng: RngStream, fields, cells: bool):
+    """The jump series that ``series``, a result of :func:`_series_clock`,
+    reads for ``samples`` paths on [0, k/n], cut for the smallest positive
+    time read, ``first``, from the generator of ``rng.child(0)``.
+
+    Returns the row blocks (rows, counts, sizes, at) of
+    :meth:`levy.GammaSpec.jumps` and ``block``, which turns a block's
+    (counts, sizes, at) into (cell, increments):
+
+    - ``cell`` is each jump's grid cell ceil(at n), clipped to 1 .. k, as
+      a 0-based index written over ``at``; it is None, and ``at`` is kept,
+      unless ``cells`` is set or the cells carry weights;
+    - ``increments`` yields (field, increment of each jump), A before M.
+      M puts one standard normal on each jump, from ``gen.spawn(1)[0]``,
+      as :meth:`SubordinatorArray._draw` puts one on a cell, and
+      overwrites ``sizes`` once A is read.
+
+    A reader reads each block in a call of its own, so that a block's
+    arrays are gone before the next is drawn.
+    """
+    clock, q = series
+    gen = rng.child(0).generator()
+    normals = gen.spawn(1)[0] if "M" in fields else None
+
+    def increments(sizes, qc):
+        if "A" in fields:
+            yield "A", sizes if qc is None else sizes * qc * qc
+        if "M" in fields:
+            z = normals.standard_normal(sizes.size)
+            np.sqrt(sizes, out=sizes)
+            sizes *= z
+            if qc is not None:
+                sizes *= qc
+            yield "M", sizes
+
+    def block(counts, sizes, at):
+        if not cells and q is None:
+            return None, increments(sizes, None)
+        at *= n
+        np.ceil(at, out=at)
+        np.clip(at, 1, k, out=at)
+        cell = at.astype(np.intp)
+        cell -= 1
+        return cell, increments(sizes, None if q is None else q[cell])
+
+    return clock.jumps(gen, k / n, first, samples), block
+
+
 def marginal_samples(
     spec: ArraySpec,
     times: Sequence[float],
@@ -552,18 +638,17 @@ def marginal_samples(
     ``times``.  Only the increments these paths need are drawn, and each
     block is summed over the cells up to the last time.
 
-    A subordinator array on a gamma clock, the Linnik array among them,
-    read for fields among "M" and "A", draws no cells: its values are
-    summed from the clock's jump series (:func:`_series_marginals`), at a
-    cost independent of n.
+    Fields among "M" and "A" of an array on a gamma clock
+    (:func:`_series_clock`: the Linnik array, a subordinator array on a
+    gamma clock, and profile transforms and drifted arrays built on one)
+    draw no cells: they are summed from the clock's jump series
+    (:func:`_series_marginals`), at a cost independent of n.
     """
     grid = spec.grid()
     idx = np.array([grid.index_at(t) for t in times], dtype=int)
-    if (isinstance(spec, SubordinatorArray)
-            and isinstance(spec.spec, levy.GammaSpec)
-            and set(fields) <= {"M", "A"}):
-        return _series_marginals(spec.spec, idx / spec.n, samples, rng,
-                                 fields)
+    series = _series_clock(spec, fields)
+    if series is not None:
+        return _series_marginals(series, spec.n, idx, samples, rng, fields)
     k = int(idx.max(initial=0))
     wanted = set().union(*(_PATH_FIELDS[f] for f in fields))
     out = {f: np.empty((samples, idx.size)) for f in fields}
@@ -585,55 +670,88 @@ def marginal_samples(
     return out
 
 
-def _series_marginals(clock: levy.GammaSpec, times: np.ndarray,
-                      samples: int, rng: RngStream,
+def _series_marginals(series, n: int, idx: np.ndarray, samples: int,
+                      rng: RngStream,
                       fields: Sequence[str]) -> dict[str, np.ndarray]:
-    """:func:`marginal_samples` of the subordinator array on the gamma
-    clock ``clock`` at grid times ``times``, for fields among "M" and "A",
-    from the clock's jump series (:meth:`levy.GammaSpec.jumps`) up to the
-    last time, drawn from the generator of ``rng.child(0)``.
+    """:func:`marginal_samples` at grid indices ``idx`` of the grid k/n,
+    for fields among "M" and "A", from the jump series that ``series``
+    reads up to the last index (:func:`_series_jumps`).
 
-    A jump x carries the M increment sqrt(x) Z, with one standard normal Z
-    a jump from ``gen.spawn(1)[0]``, as :meth:`SubordinatorArray._draw`
-    puts one on a cell.  A value at time s is the sum of a row's jumps at
-    times <= s, in jump order (``np.bincount``); at time 0 it is 0.
+    A value at time s is the sum of a row's jumps at times <= s, in jump
+    order (``np.bincount``); at time 0 it is 0.
     """
-    out = {f: np.zeros((samples, times.size)) for f in fields}
-    last = times.max(initial=0.0)
-    if not last:
+    out = {f: np.zeros((samples, idx.size)) for f in fields}
+    k = int(idx.max(initial=0))
+    if not k:
         return out
-    gen = rng.child(0).generator()
-    normals = gen.spawn(1)[0] if "M" in fields else None
+    times = idx / n
     read = [j for j, s in enumerate(times) if s > 0]
-    for rows, counts, sizes, at in clock.jumps(gen, last, times[read].min(),
-                                               samples):
+    blocks, block = _series_jumps(series, n, k, times[read].min(), samples,
+                                  rng, fields, False)
+
+    def read_block(rows, counts, sizes, at):
         row = np.repeat(np.arange(counts.size), counts)
-        # the jumps read at each time; all of them at the last
-        kept = {j: None if times[j] == last else at <= times[j] for j in read}
-        for f in ("A", "M"):
-            if f not in fields:
-                continue
-            if f == "M":  # sqrt(x) Z in place, once A is read
-                z = normals.standard_normal(sizes.size)
-                np.sqrt(sizes, out=sizes)
-                sizes *= z
+        # the jumps read at each time, all of them at the last; before
+        # block() reads the cells of weighted jumps in place of ``at``
+        kept = {j: None if idx[j] == k else at <= times[j] for j in read}
+        _, inc = block(counts, sizes, at)
+        for f, x in inc:
             for j, keep in kept.items():
                 out[f][rows, j] = np.bincount(
                     row if keep is None else row[keep],
-                    sizes if keep is None else sizes[keep], counts.size)
+                    x if keep is None else x[keep], counts.size)
+
+    for blk in blocks:
+        read_block(*blk)
     return out
+
+
+def _series_cells(series, n: int, k: int, samples: int, rng: RngStream,
+                  field: str) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, increments) blocks of ``field`` over grid cells 1 .. k,
+    binned (``np.bincount``) from the jump list that ``marginal_samples``
+    at time k/n reads from ``rng``; a block holds at most
+    ``_block_rows(k)`` rows."""
+    blocks, block = _series_jumps(series, n, k, k / n, samples, rng,
+                                  {field}, True)
+
+    def binned(rows, counts, sizes, at):
+        flat, [(_, x)] = block(counts, sizes, at)
+        # each jump's cell in its block's rows of k cells
+        flat += np.repeat(np.arange(0, counts.size * k, k), counts)
+        ends = np.concatenate([[0], np.cumsum(counts)])
+        for sub in _row_blocks(counts.size, k):
+            lo, hi = ends[sub.start], ends[sub.stop]
+            size = sub.stop - sub.start
+            yield (slice(rows.start + sub.start, rows.start + sub.stop),
+                   np.bincount(flat[lo:hi] - sub.start * k, x[lo:hi],
+                               size * k).reshape(size, k))
+
+    for blk in blocks:
+        yield from binned(*blk)
 
 
 def _running_sup(spec: ArraySpec, t: float, samples: int, rng: RngStream,
                  fields, increments: Callable[[IncrementBatch], np.ndarray]
                  ) -> np.ndarray:
-    """sup_{s <= t} |X(s)| for the staircase X summed from ``increments``."""
+    """sup_{s <= t} |X(s)| for the staircase X summed from ``increments``;
+    for the one field of ``fields`` where :func:`_series_clock` reads it
+    from a jump series, from that field's jumps binned into grid cells
+    (:func:`_series_cells`)."""
     k = spec.grid().index_at(t)
     sup = np.zeros(samples)
-    if k:
-        for rows, blk in _stream(spec, rng, samples, fields):
-            sup[rows] = np.max(np.abs(np.cumsum(increments(blk)[:, :k], axis=1)),
-                               axis=1)
+    if not k:
+        return sup
+    series = _series_clock(spec, fields)
+    if series is not None:
+        [field] = fields
+        blocks = _series_cells(series, spec.n, k, samples, rng, field)
+    else:
+        blocks = ((rows, increments(blk)[:, :k])
+                  for rows, blk in _stream(spec, rng, samples, fields))
+    for rows, inc in blocks:
+        inc = np.cumsum(inc, axis=1)
+        sup[rows] = np.max(np.abs(inc, out=inc), axis=1)
     return sup
 
 
@@ -647,7 +765,11 @@ def running_sup_samples(
     """Vectorized draws of sup_{s <= t} |X(s)| for staircase trajectories.
 
     Exact over grid points, which exhaust the attainable values of a
-    staircase on [0, t].
+    staircase on [0, t].  M and A of an array on a gamma clock
+    (:func:`_series_clock`) are binned from the jump list that
+    ``marginal_samples(spec, [t], samples, rng)`` reads, so the sup is at
+    least |M(t)| and the sup of A is A(t), up to the order in which the
+    jumps are summed.  A read at another t draws its own jump list.
     """
     attr = _INCREMENTS[field]
     return _running_sup(spec, t, samples, rng, {field},

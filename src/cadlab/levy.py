@@ -11,7 +11,8 @@ Every spec draws the replicates of one clock row as a stream of row blocks
 from one generator (:meth:`SubordinatorSpec.blocks`), the Linnik array's
 unit gamma clock included.  A gamma clock also has a second sampler, its
 truncated jump series (:meth:`GammaSpec.jumps`), which draws no cells and
-serves reads of the clock's values at a few fixed times.  Nothing is
+serves reads of the clock's values at a few fixed times and of running
+sups, whose readers bin the jumps into grid cells.  Nothing is
 held past a row block: a compound Poisson block draws its counts and then
 its jumps, and a composite block draws one block of each part in part
 order.  Uniforms that a later draw follows, the stable sampler's, are
@@ -180,6 +181,14 @@ class GammaSpec(SubordinatorSpec):
     the smallest positive time read, K = 37 max(1, 1/(a s1)): then A(s) = 0
     with probability at most e^-37 at every time s >= s1 read, and the
     dropped mass has mean abT e^-K <= abT e^-37.
+
+    A running sup read from the series errs by as little.  The dropped
+    part of A is nondecreasing, so its sup over [0, T] is its value at T,
+    of mean abT e^-K.  Given the jumps, the dropped part of
+    M(s) = sum_i sqrt(x_i) Z_i 1{U_i T <= s} is a martingale in s, so by
+    Doob's L^2 inequality E sup_{s <= T} |M(s) - M_K(s)|^2 <= 4 abT e^-K
+    for the series M_K cut at K.  A profile weight q multiplies both
+    bounds by max q^2.
     """
 
     shape_rate: float
@@ -270,7 +279,8 @@ class StableSpec(SubordinatorSpec):
         # self-similarity: A(h) = (scale * h)^(1/alpha) * S
         factor = (self.scale * dl) ** (1.0 / self.alpha)
         for s in _positive_stable(gen, self.alpha, rows, dl.size):
-            yield factor * s
+            s *= factor
+            yield s
 
 
 def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
@@ -279,21 +289,31 @@ def _positive_stable(gen: np.random.Generator, alpha: float, rows: int,
     (rows, cells) draws in the row blocks of ``_row_blocks(rows, cells)``.
 
     The exponentials follow all the uniforms, so ``gen`` jumps past them
-    (:func:`_jump`) and a copy of it draws them block by block, into one
-    reused buffer; nothing is held past a block.
+    (:func:`_jump`) and a copy of it draws them block by block.  The
+    uniforms, the exponentials and the transform live in three reused
+    block buffers (:func:`_block_buffers`), and a yielded block is one of
+    them; nothing is held past a block.
     """
     ahead = _jump(gen, rows * cells)
-    for u in _block_buffers(rows, cells):
+    for u, a, e in zip(*(_block_buffers(rows, cells) for _ in range(3))):
         ahead.random(out=u)  # uniform(0, 1), the same bits
-        e = gen.exponential(1.0, size=u.shape)
-        pu = np.pi * u
-        a = (
-            np.sin(alpha * pu) ** (alpha / (1.0 - alpha))
-            * np.sin((1.0 - alpha) * pu)
-            / np.sin(pu) ** (1.0 / (1.0 - alpha))
-        )
-        # S = (a(U)/E)^((1-alpha)/alpha) with a(u) as above
-        yield (a / e) ** ((1.0 - alpha) / alpha)
+        # a(u) = sin(alpha pu)^(alpha/(1-alpha)) sin((1-alpha) pu)
+        #        / sin(pu)^(1/(1-alpha)) for pu = pi u, in place
+        u *= np.pi
+        np.multiply(u, alpha, out=a)
+        np.sin(a, out=a)
+        a **= alpha / (1.0 - alpha)
+        np.multiply(u, 1.0 - alpha, out=e)
+        np.sin(e, out=e)
+        a *= e
+        np.sin(u, out=u)
+        u **= 1.0 / (1.0 - alpha)
+        a /= u
+        # S = (a(U)/E)^((1-alpha)/alpha); exponential(1.0) is 1.0 times
+        # standard_exponential, the same bits
+        a /= gen.standard_exponential(out=e)
+        a **= (1.0 - alpha) / alpha
+        yield a
 
 
 @dataclass(frozen=True)

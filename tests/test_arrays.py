@@ -440,10 +440,27 @@ def test_check_mcleish_sparse_two_point_shrinks():
 
 
 def test_running_sup_samples_monotone_in_t():
-    spec = LinnikArray(n=32, horizon=1.0)
+    # pathwise across two calls: a grid read at t draws a prefix of the
+    # stream that a read at a later t draws
+    spec = SubordinatorArray(n=32, spec=InverseGaussianSpec(mu=1.0, lam=2.0))
     s_half = running_sup_samples(spec, 0.5, 500, RngStream(SEED, 16))
     s_full = running_sup_samples(spec, 1.0, 500, RngStream(SEED, 16))
     assert np.all(s_full >= s_half)
+
+
+def test_series_running_sup_bounds_the_value_at_t():
+    # a series read at t draws its own jump list, the one that
+    # marginal_samples at t reads from the same stream: the sup of |M| is
+    # at least |M(t)| and the sup of A is A(t).  The two sum the same jumps
+    # in a different order, so they may differ by a few ulps
+    spec, t, samples = LinnikArray(n=32), 0.75, 5_000
+    for field in ("M", "A"):
+        sup = running_sup_samples(spec, t, samples, RngStream(SEED, 16), field)
+        end = marginal_samples(spec, [t], samples, RngStream(SEED, 16),
+                               fields=(field,))[field][:, 0]
+        assert np.all(sup >= np.abs(end) * (1 - 1e-12)), field
+        if field == "A":
+            np.testing.assert_allclose(sup, end, rtol=1e-12, atol=0.0)
 
 
 def test_marginal_samples_deterministic_per_stream():
@@ -523,6 +540,39 @@ def test_series_leaves_no_early_time_without_a_jump():
     assert np.mean(got[:, 0] == 0.0) == pytest.approx(
         tiny, abs=4 * math.sqrt(tiny / 2000))
     assert stats.kstest(got[:, 1], stats.gamma(1.0).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [4, 64, 1024])
+def test_series_running_sup_matches_the_grid_sampler(n):
+    # sup_{s <= 1} |M(s)| from the jumps binned into grid cells against the
+    # running sup of the grid cells of sample_increments
+    spec = LinnikArray(n=n)
+    grid = np.concatenate([
+        np.max(np.abs(np.cumsum(sample_increments(
+            spec, RngStream(SEED, 70 + i), 1000).dX, axis=1)), axis=1)
+        for i in range(4)])
+    series = running_sup_samples(spec, 1.0, 20_000, RngStream(SEED, 74))
+    assert stats.ks_2samp(series, grid).pvalue > 1e-3
+
+
+def test_series_profile_transform_matches_the_grid_and_its_cf():
+    # M(1) of the two_plus_cos transform of a Linnik array, a jump in cell k
+    # weighted by Q((k-1)/n): against the grid cells of sample_increments,
+    # and against the weighted-clock CF oracle
+    spec = TransformArray(LinnikArray(n=128),
+                          deterministic_profile("two_plus_cos"))
+    grid = np.concatenate([
+        sample_increments(spec, RngStream(SEED, 75 + i), 1000).dX.sum(axis=1)
+        for i in range(4)])
+    series = marginal_samples(spec, [1.0], 20_000, RngStream(SEED, 79),
+                              fields=("M",))["M"][:, 0]
+    assert stats.ks_2samp(series, grid).pvalue > 1e-3
+    q = spec.weight.resolve()
+    lam = np.arange(-3, 3.125, 0.25)
+    ecf = np.exp(1j * np.outer(lam, series)).mean(axis=1)
+    cf = [levy.weighted_gamma_subordinated_cf(1.0, x, q) for x in lam]
+    # the ECF's standard error is at most 1/sqrt(20 000) = 0.007 a lambda
+    assert np.max(np.abs(ecf - cf)) < 0.03
 
 
 def test_series_values_do_not_depend_on_n():
@@ -610,28 +660,50 @@ def _reference_paths(spec, rng, samples):
     return {"M": dx, "A": da, "QV": dqv, "O": do, "N": dx + do}
 
 
+def _series_base(spec, fields):
+    """(gamma subordinator array, profile transforms above it) when
+    marginal_samples and running_sup_samples read ``fields`` of ``spec``
+    from its clock's jump series: M and A of a subordinator array on a
+    gamma clock, or of profile transforms and drifted arrays built on one;
+    None otherwise."""
+    if not set(fields) <= {"M", "A"}:
+        return None
+    transforms = []
+    while isinstance(spec, (TransformArray, DriftedArray)):
+        if isinstance(spec, TransformArray):
+            if spec.weight.kind != "profile":
+                return None
+            transforms.append(spec)
+        spec = spec.base
+    if isinstance(spec, SubordinatorArray) and isinstance(spec.spec, GammaSpec):
+        return spec, transforms
+    return None
+
+
 def _reads_series(spec, fields):
-    """Whether marginal_samples reads ``fields`` of ``spec`` from its
-    clock's jump series: M and A of a subordinator array on a gamma
-    clock."""
-    return (isinstance(spec, SubordinatorArray)
-            and isinstance(spec.spec, GammaSpec) and set(fields) <= {"M", "A"})
+    """Whether ``fields`` of ``spec`` are read from a gamma clock's jump
+    series."""
+    return _series_base(spec, fields) is not None
 
 
-def _reference_series(spec, times, samples, rng, fields):
-    """Values of M and A at the grid times of ``times`` from the truncated
-    jump series of the gamma clock of ``spec``, row by row: each row block
-    draws its counts, arrivals g, exponentials V and uniform times u from
-    rng.child(0), a jump is b exp(-K g) V at time u T, and M puts one
-    normal, from a child spawned from that generator, on each jump.  A
-    row's kept jumps are summed in jump order."""
-    clock = spec.spec
-    s = np.array([spec.grid().index_at(t) for t in times]) / spec.n
-    out = {f: np.zeros((samples, s.size)) for f in fields}
-    if not s.max(initial=0.0):
-        return out
-    a, b, last = clock.shape_rate, clock.scale, s.max()
-    cut = 37.0 * max(1.0, 1.0 / (a * s[s > 0].min()))
+def _reference_jumps(spec, k, first, samples, rng, fields):
+    """Each row's jumps of the truncated jump series of the gamma clock
+    under ``spec`` on [0, k/n], cut for the first positive time read,
+    ``first``, as (row, times, cells, {field: increments}).
+
+    Each row block draws its counts, arrivals g, exponentials V and
+    uniform times u from rng.child(0); a jump is b exp(-K g) V at time
+    u T, in grid cell ceil(u T n) clipped to 1 .. k.  M puts one normal,
+    from a child spawned from that generator, on each jump.  A jump in
+    cell j carries q_j^2 x into A and q_j sqrt(x) Z into M, for the
+    product q of the profile weights of the transforms above the clock."""
+    sub, transforms = _series_base(spec, fields)
+    clock, n, last = sub.spec, sub.n, k / sub.n
+    q = np.ones(k)
+    for t in transforms:
+        q = q * np.array([t.weight.resolve()(j / n) for j in range(k)])
+    a, b = clock.shape_rate, clock.scale
+    cut = 37.0 * max(1.0, 1.0 / (a * first))
     mean = a * last * cut
     rows = max(1, levy._BLOCK_CELLS // math.ceil(mean))
     gen = rng.child(0).generator()
@@ -640,19 +712,53 @@ def _reference_series(spec, times, samples, rng, fields):
         counts = gen.poisson(mean, min(rows, samples - r0))
         g = gen.random(counts.sum())
         v = gen.standard_exponential(counts.sum())
-        u = gen.random(counts.sum())
+        at = gen.random(counts.sum()) * last
         x = b * np.exp(-cut * g) * v
-        w = {"A": x}
+        cells = np.minimum(np.maximum(np.ceil(at * n), 1), k).astype(int)
+        qc = q[cells - 1]
+        w = {"A": x * qc * qc}
         if "M" in fields:
-            w["M"] = np.sqrt(x) * normals.standard_normal(x.size)
+            w["M"] = np.sqrt(x) * normals.standard_normal(x.size) * qc
         ends = np.cumsum(counts)
         for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
-            for j, sj in enumerate(s):
-                kept = u[lo:hi] * last <= sj
-                for f in fields:
-                    sums = np.cumsum(np.concatenate([[0.0], w[f][lo:hi][kept]]))
-                    out[f][r0 + i, j] = sums[-1]
+            yield r0 + i, at[lo:hi], cells[lo:hi], {
+                f: w[f][lo:hi] for f in fields}
+
+
+def _reference_series(spec, times, samples, rng, fields):
+    """Values of M and A at the grid times of ``times`` from the jump
+    series of :func:`_reference_jumps`: a row's jumps at times <= s,
+    summed in jump order."""
+    idx = np.array([spec.grid().index_at(t) for t in times])
+    s = idx / spec.n
+    out = {f: np.zeros((samples, s.size)) for f in fields}
+    if not idx.max(initial=0):
+        return out
+    for r, at, _, w in _reference_jumps(spec, idx.max(), s[s > 0].min(),
+                                        samples, rng, fields):
+        for j, sj in enumerate(s):
+            kept = at <= sj
+            for f in fields:
+                sums = np.cumsum(np.concatenate([[0.0], w[f][kept]]))
+                out[f][r, j] = sums[-1]
     return out
+
+
+def _reference_series_sup(spec, t, samples, rng, field):
+    """sup over the grid times up to t of |X| for ``field``, from each
+    row's jumps of :func:`_reference_jumps` added one by one into their
+    grid cells."""
+    k = spec.grid().index_at(t)
+    sup = np.zeros(samples)
+    if not k:
+        return sup
+    for r, _, cells, w in _reference_jumps(spec, k, k / spec.n, samples,
+                                           rng, {field}):
+        inc = np.zeros(k)
+        for j, x in zip(cells, w[field]):
+            inc[j - 1] += x
+        sup[r] = np.max(np.abs(np.cumsum(inc)))
+    return sup
 
 
 def _reference_marginal(spec, times, samples, rng, fields):
@@ -668,7 +774,12 @@ def _reference_marginal(spec, times, samples, rng, fields):
     return out
 
 
-def _reference_sup(spec, t, samples, rng, path):
+def _reference_sup(spec, t, samples, rng, fields, path):
+    """sup_{s <= t} |X(s)| for X = ``path`` of the reference's paths, or
+    from the jump series when ``fields`` are read from one."""
+    if _reads_series(spec, fields):
+        [field] = fields
+        return _reference_series_sup(spec, t, samples, rng, field)
     k = spec.grid().index_at(t)
     per = _reference_paths(spec, rng, samples)
     return np.max(np.abs(np.cumsum(path(per)[:, :k], axis=1)), axis=1)
@@ -712,10 +823,12 @@ def _assert_streams_match_reference(spec, samples):
                 assert np.array_equal(got[f], want[f]), (fields, times, f)
     for field in ("M", "A"):
         got = running_sup_samples(spec, 0.7, samples, rng, field=field)
-        want = _reference_sup(spec, 0.7, samples, rng, lambda p: p[field])
+        want = _reference_sup(spec, 0.7, samples, rng, {field},
+                              lambda p: p[field])
         assert np.array_equal(got, want), field
     eps = (0.05, 0.1, 0.2)
-    sup = _reference_sup(spec, 0.7, samples, rng, lambda p: p["QV"] - p["A"])
+    sup = _reference_sup(spec, 0.7, samples, rng, {"QV", "A"},
+                         lambda p: p["QV"] - p["A"])
     assert check_mcleish(spec, 0.7, samples, rng, epsilons=eps) == {
         e: float(np.mean(sup > e)) for e in eps}
 
@@ -769,7 +882,8 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, draw_cells,
     # one ends mid block; the normals come from their own child generator,
     # so no clock is held or replayed for them, and the values are the
     # reference's.  A read of M and A on a gamma clock sums the clock's
-    # jump series and draws no grid clock row
+    # jump series and draws no grid clock row, and so does a running sup of
+    # M or A there, while mcleish (QV) and hyp_c still draw every row
     monkeypatch.setattr(levy, "_BLOCK_CELLS", 1_000)
     rows = _clock_rows(monkeypatch, spec)
     samples = max(1, draw_cells // spec.cells)
@@ -780,10 +894,22 @@ def test_streamed_samplers_replay_clock_rows_across_batches(spec, draw_cells,
                      fields=("M", "A", "QV"))
     grid_rows = 0 if _subordinator(spec) is None else samples
     assert sum(rows) == grid_rows
+    series = _reads_series(spec, ("M", "A"))
     rows.clear()
     marginal_samples(spec, [1.0], samples, RngStream(SEED, 25),
                      fields=("M", "A"))
-    assert sum(rows) == (0 if _reads_series(spec, ("M", "A")) else grid_rows)
+    assert sum(rows) == (0 if series else grid_rows)
+    for field in ("M", "A"):
+        rows.clear()
+        running_sup_samples(spec, 1.0, samples, RngStream(SEED, 25), field)
+        assert sum(rows) == (0 if series else grid_rows), field
+    if series:
+        rows.clear()
+        check_mcleish(spec, 1.0, samples, RngStream(SEED, 25))
+        assert sum(rows) == samples
+        rows.clear()
+        check_hyp_c(spec, 0.5, 20, RngStream(SEED, 25))
+        assert rows == [1] * 20
     _assert_streams_match_reference(spec, samples)
 
 

@@ -187,7 +187,7 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 LINNIK_DIGEST = (
     "bb10e5ff749239ddf50e19d61f33b7b303c75d556ae058814be528b59b992419")
 MIX_DIGEST = (
-    "f13c199f277bc31757601ba0286d706d1560ed283862ea7bdddd6c7ab28e57ee")
+    "54630b31651eb94589fc38bad0d1a6b0cfa94bf7e7167f9ea42c60cac36442c6")
 REPORT_DIGESTS = [
     (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
@@ -235,9 +235,12 @@ def test_report_verdicts_match_the_benchmark_record(family, config, seeds):
     # from perfbench/verdicts.json: a stream change that would flip a
     # recorded verdict fails here first.  The linnik config runs at the
     # recorded sample scale for every recorded seed (about 8 s), mix at its
-    # full size for one seed (about 1 s): of its rows, only lenglart's
-    # reads a gamma clock's jump series, and its statistic reads about
-    # -0.8 against a threshold of about 0.012 at every recorded seed
+    # full size for one seed (about 1 s).  Of mix's checks, lenglart and
+    # transform_cf read a gamma clock's jump series (a running sup and a
+    # profile transform); they run at every recorded seed too (about 3 s),
+    # each with the seed that run_experiment derives for it.  Their
+    # statistics read about -0.8 against about 0.012, and 0.005-0.013
+    # against 0.03
     scale = RECORDED_VERDICTS["linnik_scale"] if family == "linnik" else 1.0
     doc = cli_mod.load_config(config)
     for seed in seeds:
@@ -246,6 +249,39 @@ def test_report_verdicts_match_the_benchmark_record(family, config, seeds):
         rows = [[e.check_name, e.n, e.param, e.passed]
                 for e in report.entries]
         assert rows == RECORDED_VERDICTS[family][str(seed)], seed
+    if family != "mix":
+        return
+    series = [(i, c) for i, c in enumerate(doc["checks"])
+              if c["name"] in ("lenglart", "transform_cf")]
+    assert [i for i, _ in series] == [3, 6]
+    for seed in RECORDED_VERDICTS["seeds"]:
+        recorded = RECORDED_VERDICTS[family][str(seed)]
+        for index, cfg in series:
+            runner = cli_mod._REGISTRY[cfg["name"]][0]
+            [entry] = runner(cfg.get("samples", doc["samples"]),
+                             derive_seed(seed, doc["experiment_id"],
+                                         cfg["name"], index),
+                             **cli_mod._params(cfg))
+            row = [entry.check_name, entry.n, entry.param, entry.passed]
+            assert [r for r in recorded if r[:3] == row[:3]] == [row], seed
+
+
+def test_a_drifted_array_gives_its_base_rows(tmp_path):
+    # a drifted array reads its base's stream, and for M and A a gamma
+    # clock's jump series, as its base does; mu moves only O and N, which
+    # no check reads, so a drifted Linnik array gives its base's rows
+    def rows(array):
+        doc = {"experiment_id": "drift", "seed": 9, "samples": 3000,
+               "checks": [{"name": "standardization", "array": array},
+                          {"name": "lenglart", "array": array}]}
+        report = cli_mod.run_experiment(cli_mod.load_config(
+            write_config(tmp_path, doc)))
+        return [e.row() for e in report.entries]
+
+    base = {"kind": "linnik", "n": 32}
+    got = rows(base)
+    assert [r[0] for r in got] == ["standardization", "lenglart"]
+    assert rows({"kind": "drifted", "base": base, "mu": 1.5}) == got
 
 
 def ladder_config(n_ladder=(8, 16, 32)):

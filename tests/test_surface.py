@@ -175,3 +175,25 @@ def test_every_private_name_the_docs_cite_exists():
                     and last not in defined):
                 gone.append((path.name, name))
     assert not gone, f"docs cite private names no module defines: {gone}"
+
+
+def _names(node):
+    """The names that ``node`` reads, by a name or an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_function_decides_what_reads_a_gamma_clock_series():
+    # which reads take a gamma clock's jump series is one rule, in one
+    # function (arrays._series_clock); a second isinstance(..., GammaSpec)
+    # would be a second copy of it, free to drift from the first
+    trees, _ = _sources()
+    checks = sorted(
+        (name, fn.name) for name, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and "GammaSpec" in _names(node.args[1])
+                for node in _own_scope(fn)))
+    assert len(checks) == 1, f"functions that test for a GammaSpec: {checks}"
