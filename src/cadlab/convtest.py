@@ -5,7 +5,11 @@ standardization tests, and report assembly.
 Equality-in-law claims are always tested two-sample against a simulated
 reference ensemble built from the closed-form limit samplers, never
 against asymptotic one-sample formulas.  Distributional tests use the 1%
-two-sample KS critical value; mean checks use standard-error bands.
+two-sample KS critical value; mean checks use standard-error bands.  The
+empirical CF on a lambda grid is one multiplicative walk over the samples,
+with one complex exponential a sample for each change of the grid step.
+Both sample statistics raise on a NaN or infinite sample rather than read
+a wrong value.
 """
 
 from __future__ import annotations
@@ -47,25 +51,40 @@ def ecf_distance(
 ) -> float:
     """sup over the grid of |empirical CF - model CF|.
 
-    The empirical CF is computed from explicit cosine and sine means, once
-    per |lambda|: cos is even, sin is odd and (-lambda) x = -(lambda x), so
-    at -lambda it is the conjugate, bit for bit.  The model CF is evaluated
-    at every lambda.
+    The sample side walks up the sorted distinct |lambda|: z = exp(i 0 x)
+    = 1 at lambda = 0, and each next |lambda| multiplies z in place by
+    w = exp(i d x), d the step from the previous |lambda|.  w is recomputed
+    only when d changes, so a grid whose steps are equal in floating point
+    (multiples of 0.25, say) costs one complex exponential per sample, and
+    no grid costs more than one per distinct |lambda|.  The cosine and sine
+    means are those of z.real and z.imag.  Memory is z and w, O(N) whatever
+    the grid.  At -lambda the empirical CF is the conjugate of the one at
+    |lambda|, bit for bit.  The model CF is evaluated at every lambda.  A
+    NaN or infinite sample raises.
     """
     x = np.asarray(samples, dtype=float)
     grid = np.asarray(lambda_grid, dtype=float)
     if x.size == 0 or grid.size == 0:
         raise PathDomainError("samples and lambda grid must be non-empty")
+    if not np.isfinite(x).all():
+        raise PathDomainError("samples must be finite")
     sides = {}
-    ax, trig = np.empty_like(x), np.empty_like(x)
+    z = np.ones(x.size, dtype=complex)
+    w = np.empty_like(z)
+    prev = step = 0.0
+    for a in sorted({abs(float(lam)) for lam in grid}):
+        if a != prev:
+            if a - prev != step:
+                step = a - prev
+                w.real = 0.0
+                np.multiply(x, step, out=w.imag)
+                np.exp(w, out=w)
+            z *= w
+            prev = a
+        sides[a] = (float(np.mean(z.real)), float(np.mean(z.imag)))
     best = 0.0
     for lam in grid:
-        a = abs(float(lam))
-        if a not in sides:
-            np.multiply(a, x, out=ax)
-            sides[a] = (float(np.mean(np.cos(ax, out=trig))),
-                        float(np.mean(np.sin(ax, out=trig))))
-        re, im = sides[a]
+        re, im = sides[abs(float(lam))]
         if lam < 0:
             im = -im
         model = complex(cf(float(lam)))
@@ -74,11 +93,16 @@ def ecf_distance(
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Classical two-sample KS statistic, exact via sort and merge."""
+    """Classical two-sample KS statistic, exact via sort and merge.
+
+    A NaN or infinite value raises; after the sort it sits at an end.
+    """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise PathDomainError("both samples must be non-empty")
+    if not np.isfinite([a[0], a[-1], b[0], b[-1]]).all():
+        raise PathDomainError("samples must be finite")
     allv = np.concatenate([a, b])
     fa = np.searchsorted(a, allv, side="right") / a.size
     fb = np.searchsorted(b, allv, side="right") / b.size

@@ -185,7 +185,7 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 #: --jobs 2 runs have the --jobs 1 runs' digests: linnik's ecf_linnik
 #: rungs run on both workers, and mix's checks run on two workers.
 LINNIK_DIGEST = (
-    "bb10e5ff749239ddf50e19d61f33b7b303c75d556ae058814be528b59b992419")
+    "c9b00c3ff42a0111d873ead6c978d273c5ebc0df1f33436da1f77eb72d41c4f0")
 MIX_DIGEST = (
     "54630b31651eb94589fc38bad0d1a6b0cfa94bf7e7167f9ea42c60cac36442c6")
 REPORT_DIGESTS = [

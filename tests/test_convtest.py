@@ -65,12 +65,110 @@ def test_ecf_distance_validation():
         ecf_distance(np.array([1.0]), lambda lam: 1.0, [])
 
 
+ORACLE_GRIDS = [
+    np.arange(-3, 3.125, 0.25),
+    [2.0, -0.5, 0.0, 0.5, -1.25, 1.0, 3.0, -2.0, 0.75],
+    np.linspace(0.1, 3, 17),
+    [0.3, 1.7, 2.9],
+]
+ORACLE_IDS = ["cli", "asymmetric", "uneven", "sparse"]
+
+
+def _oracle_samples(kind):
+    gen = np.random.default_rng(SEED)
+    if kind == "t3":
+        return gen.standard_t(3, size=50_000) + 0.3
+    return gen.standard_cauchy(size=50_000)  # |x| up to about 1e5
+
+
+@pytest.mark.parametrize("kind", ["t3", "cauchy"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_ecf_distance_walk_matches_the_per_lambda_oracle(grid, kind):
+    x = _oracle_samples(kind)
+
+    def cf(lam):
+        return complex(math.exp(-abs(lam)), 0.2 * math.sin(lam))
+
+    assert ecf_distance(x, cf, grid) == pytest.approx(
+        _ecf_distance_per_lambda(x, cf, grid), rel=0, abs=1e-14)
+    # every point of the walk over the whole grid: a model that is -3 at
+    # one lambda and 0 elsewhere puts the sup at that lambda, since an
+    # empirical CF has modulus at most 1
+    for probe in np.asarray(grid, dtype=float):
+        def spike(lam, probe=probe):
+            return -3.0 if lam == probe else 0.0
+        assert ecf_distance(x, spike, grid) == pytest.approx(
+            _ecf_distance_per_lambda(x, spike, grid), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=ORACLE_IDS)
+def test_ecf_distance_is_exact_under_conjugation(grid):
+    x = _oracle_samples("t3")
+
+    def cf(lam):
+        return complex(math.exp(-lam * lam / 2.0), 0.2 * math.sin(lam) + 0.1)
+
+    def conj_cf(mu):  # the CF of -X when cf is the CF of X
+        return cf(-mu).conjugate()
+
+    grid = np.asarray(grid, dtype=float)
+    assert ecf_distance(x, cf, grid) == ecf_distance(x, conj_cf, -grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ecf_distance_rejects_a_non_finite_sample(bad):
+    x = np.random.default_rng(SEED).laplace(size=20_000)
+    grid = np.arange(-3, 3.125, 0.25)
+    laplace = lambda lam: 1.0 / (1.0 + lam * lam)  # noqa: E731
+    assert 0.0 < ecf_distance(x, laplace, grid) < 0.05
+    x[17] = bad
+    with pytest.raises(PathDomainError):
+        ecf_distance(x, laplace, grid)
+    with pytest.raises(PathDomainError):
+        ecf_distance(x, laplace, [0.0])
+
+
+@pytest.mark.parametrize("grid", [
+    np.arange(-3, 3.125, 0.25),
+    np.cumsum(np.arange(1, 26)) / 100.0,  # 25 levels, no two steps equal
+], ids=["cli", "unequal_steps"])
+def test_ecf_distance_memory_is_a_few_sample_sized_arrays(grid):
+    import tracemalloc
+
+    n = 200_000
+    x = np.random.default_rng(SEED).standard_t(3, size=n)
+    tracemalloc.start()
+    try:
+        ecf_distance(x, lambda lam: math.exp(-abs(lam)), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most 8 float64 arrays of the sample's size; an (N x grid) matrix
+    # of the sample side would take more than 40 MB
+    assert peak <= 8 * 8 * n
+
+
 def test_ks_two_sample_hand_value():
     a = np.array([1.0, 2.0, 3.0, 4.0])
     b = np.array([3.5, 4.5, 5.5, 6.5])
     # all of a is below 3.5: the ecdf gap there is 1 - 1/4
     assert ks_two_sample(a, b) == pytest.approx(0.75)
     assert ks_two_sample(a, a) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_two_sample_rejects_a_non_finite_sample(bad):
+    gen = np.random.default_rng(SEED)
+    a, b = gen.normal(size=1000), gen.normal(size=1000)
+    for side in (a, b):
+        side[:500] = bad
+        with pytest.raises(PathDomainError):
+            ks_two_sample(a, b)
+        side[:500] = 0.0
+        side[3] = bad
+        with pytest.raises(PathDomainError):
+            ks_two_sample(a, b)
+        side[3] = 0.0
 
 
 def test_ks_two_sample_matches_scipy():
