@@ -31,10 +31,11 @@ exception is M and A on a gamma clock, of a subordinator array, the
 Linnik array included, or of a profile transform or a drifted array built
 on one (:func:`_series_clock` decides): :func:`marginal_samples` and
 :func:`running_sup_samples` read them from the clock's jump series
-(``levy.GammaSpec.jumps``) with one normal a jump, and draw no grid
-cells; a running sup bins the jumps into the grid cells it reads.  Single
-realizations are materialized as exact :class:`~cadlab.paths.CadlagPath`
-staircases.
+(``levy.GammaSpec.jumps``) and draw no grid cells.  Values at fixed
+times sum the jumps into A and, given A, take one normal a read interval
+for M; a running sup bins the jumps into the grid cells it reads, with
+one normal a jump for M.  Single realizations are materialized as exact
+:class:`~cadlab.paths.CadlagPath` staircases.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ _FIELDS = frozenset(_INCREMENTS)
 
 # -- weight profiles -------------------------------------------------------
 
-_PROFILES: dict[str, tuple[Callable[[float], float], float, float]] = {
-    "one": (lambda u: 1.0, 1.0, 1.0),
-    "two_plus_cos": (lambda u: 2.0 + math.cos(2.0 * math.pi * u), 1.0, 3.0),
+#: name -> (Q, lo, hi): Q is a numpy function, applied to a scalar or to
+#: a whole row of grid times or walk values in one call
+_PROFILES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float,
+                           float]] = {
+    "one": (lambda u: np.ones_like(u, dtype=float), 1.0, 1.0),
+    "two_plus_cos": (lambda u: 2.0 + np.cos(2.0 * np.pi * u), 1.0, 3.0),
 }
 
 
@@ -123,10 +127,10 @@ class WeightSpec:
                 f"weight profile must be bounded away from 0, got [{lo}, {hi}]"
             )
 
-    def resolve(self) -> Callable[[float], float]:
+    def resolve(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.const is not None:
             c = float(self.const)
-            return lambda u: c
+            return lambda u: np.full_like(u, c, dtype=float)
         return _PROFILES[self.name][0]
 
     def bounds(self) -> tuple[float, float]:
@@ -407,8 +411,7 @@ class TransformArray(_OnBase):
     def _profile(self, first: int, cells: int) -> np.ndarray:
         """Profile weights Q((k-1)/n) of cells k = first+1 .. first+cells."""
         q = self.weight.resolve()
-        return np.array([q(v) for v in
-                         np.arange(first, first + cells, dtype=float) / self.n])
+        return q(np.arange(first, first + cells, dtype=float) / self.n)
 
     def _weights(self, gen, first, cells) -> Callable[[int], np.ndarray]:
         """Weights Q_{n,k} of a row block, as a function of its row count.
@@ -425,14 +428,13 @@ class TransformArray(_OnBase):
                 "a random-walk transform cannot be extended past its horizon: "
                 "its weights depend on the drawn prefix; use a larger horizon"
             )
-        vec = np.vectorize(q, otypes=[float])
 
         def block(rows):
             walk = np.zeros((rows, cells))
             walk[:, 1:] = np.cumsum(gen.normal(0.0, 1.0, size=(rows, cells))
                                     [:, :-1], axis=1)
             walk *= self.weight.sigma / math.sqrt(self.n)
-            return vec(walk)
+            return q(walk)
 
         return block
 
@@ -556,8 +558,8 @@ def _series_clock(spec: ArraySpec, fields
     array on a :class:`levy.GammaSpec` clock, the Linnik array included,
     and for a profile transform or a drifted array built on such an array.
     These draw from their base's stream, so each reads its base's jump
-    list: a jump x at a time in grid cell k carries q_k sqrt(x) Z into M
-    and q_k^2 x into A.  Every other read draws grid cells.
+    list: a jump x at a time in grid cell k carries q_k^2 x into A, and
+    M is normal given A.  Every other read draws grid cells.
     """
     if not set(fields) <= {"M", "A"}:
         return None
@@ -576,22 +578,21 @@ def _series_clock(spec: ArraySpec, fields
 
 
 def _series_jumps(series, n: int, k: int, first: float, samples: int,
-                  rng: RngStream, fields, cells: bool):
+                  rng: RngStream, fields):
     """The jump series that ``series``, a result of :func:`_series_clock`,
     reads for ``samples`` paths on [0, k/n], cut for the smallest positive
     time read, ``first``, from the generator of ``rng.child(0)``.
 
     Returns the row blocks (rows, counts, sizes, at) of
-    :meth:`levy.GammaSpec.jumps` and ``block``, which turns a block's
-    (counts, sizes, at) into (cell, increments):
-
-    - ``cell`` is each jump's grid cell ceil(at n), clipped to 1 .. k, as
-      a 0-based index written over ``at``; it is None, and ``at`` is kept,
-      unless ``cells`` is set or the cells carry weights;
-    - ``increments`` yields (field, increment of each jump), A before M.
-      M puts one standard normal on each jump, from ``gen.spawn(1)[0]``,
-      as :meth:`SubordinatorArray._draw` puts one on a cell, and
-      overwrites ``sizes`` once A is read.
+    :meth:`levy.GammaSpec.jumps`; the generator of M's normals,
+    ``gen.spawn(1)[0]``, or None without M; and ``cells``, which turns a
+    block's ``at`` into (cell, qc): each jump's grid cell ceil(at n),
+    clipped to 1 .. k, as a 0-based index, and its weight q_cell (None
+    when every weight is 1).  A jump x in cell j
+    carries q_j^2 x into A.  M's normals are the reader's: one a read
+    interval of a row for values at fixed times
+    (:func:`_series_marginals`), one a jump for binned cells
+    (:func:`_series_cells`).
 
     A reader reads each block in a call of its own, so that a block's
     arrays are gone before the next is drawn.
@@ -600,28 +601,14 @@ def _series_jumps(series, n: int, k: int, first: float, samples: int,
     gen = rng.child(0).generator()
     normals = gen.spawn(1)[0] if "M" in fields else None
 
-    def increments(sizes, qc):
-        if "A" in fields:
-            yield "A", sizes if qc is None else sizes * qc * qc
-        if "M" in fields:
-            z = normals.standard_normal(sizes.size)
-            np.sqrt(sizes, out=sizes)
-            sizes *= z
-            if qc is not None:
-                sizes *= qc
-            yield "M", sizes
-
-    def block(counts, sizes, at):
-        if not cells and q is None:
-            return None, increments(sizes, None)
-        at *= n
-        np.ceil(at, out=at)
-        np.clip(at, 1, k, out=at)
-        cell = at.astype(np.intp)
+    def cells(at):
+        cell = np.ceil(at * n)
+        np.clip(cell, 1, k, out=cell)
+        cell = cell.astype(np.intp)
         cell -= 1
-        return cell, increments(sizes, None if q is None else q[cell])
+        return cell, None if q is None else q[cell]
 
-    return clock.jumps(gen, k / n, first, samples), block
+    return clock.jumps(gen, k / n, first, samples), normals, cells
 
 
 def marginal_samples(
@@ -635,13 +622,15 @@ def marginal_samples(
 
     Returns arrays of shape (samples, len(times)) keyed by field name
     ("M", "A", "QV", "O", "N"), read at the grid times k/n at or before
-    ``times``.  Only the increments these paths need are drawn, and each
-    block is summed over the cells up to the last time.
+    ``times``, which may come in any order and repeat.  Only the
+    increments these paths need are drawn, and each block is summed over
+    the cells up to the last time.
 
     Fields among "M" and "A" of an array on a gamma clock
     (:func:`_series_clock`: the Linnik array, a subordinator array on a
     gamma clock, and profile transforms and drifted arrays built on one)
-    draw no cells: they are summed from the clock's jump series
+    draw no cells: A is summed from the clock's jump series, and given A,
+    M takes one normal per interval between the times read
     (:func:`_series_marginals`), at a cost independent of n.
     """
     grid = spec.grid()
@@ -677,29 +666,57 @@ def _series_marginals(series, n: int, idx: np.ndarray, samples: int,
     for fields among "M" and "A", from the jump series that ``series``
     reads up to the last index (:func:`_series_jumps`).
 
-    A value at time s is the sum of a row's jumps at times <= s, in jump
-    order (``np.bincount``); at time 0 it is 0.
+    The distinct positive times read, t_1 < ... < t_R, cut (0, t_R] into
+    read intervals.  A(t_j) is the sum of a row's weighted jumps at times
+    <= t_j, in jump order (``np.bincount``).  Given the clock, M over an
+    interval is N(0, A(t_l) - A(t_(l-1))), so M(t_j) is the sum over
+    l <= j, in time order, of sqrt(A(t_l) - A(t_(l-1))) Z_l: one standard
+    normal a row and interval, drawn as one (rows, R) array per block from
+    the generator of M's normals.  This is exact in law jointly with A,
+    the grid sampler's sqrt(xi_k) Z_k with the read interval as the cell.
+    The interval increments are binned from the jumps, not differenced.
+    At time 0 both are 0.
     """
     out = {f: np.zeros((samples, idx.size)) for f in fields}
     k = int(idx.max(initial=0))
     if not k:
         return out
-    times = idx / n
-    read = [j for j, s in enumerate(times) if s > 0]
-    blocks, block = _series_jumps(series, n, k, times[read].min(), samples,
-                                  rng, fields, False)
+    # the read intervals' ends, in order; not np.unique, whose first call
+    # in a process takes milliseconds
+    ends = np.array(sorted(set(idx[idx > 0].tolist())))
+    times = ends / n
+    col = np.searchsorted(ends, idx, side="right")  # 0 at time 0
+    reads, weighted = times.size, series[1] is not None
+    blocks, normals, cells = _series_jumps(series, n, k, times[0], samples,
+                                           rng, fields)
 
     def read_block(rows, counts, sizes, at):
         row = np.repeat(np.arange(counts.size), counts)
-        # the jumps read at each time, all of them at the last; before
-        # block() reads the cells of weighted jumps in place of ``at``
-        kept = {j: None if idx[j] == k else at <= times[j] for j in read}
-        _, inc = block(counts, sizes, at)
-        for f, x in inc:
-            for j, keep in kept.items():
-                out[f][rows, j] = np.bincount(
-                    row if keep is None else row[keep],
-                    x if keep is None else x[keep], counts.size)
+        if weighted:
+            _, qc = cells(at)
+            sizes *= qc
+            sizes *= qc
+        vals = {}
+        if "A" in fields:
+            # the jumps read at each time, all of them at the last
+            a = vals["A"] = np.zeros((counts.size, reads + 1))
+            for j, s in enumerate(times, 1):
+                keep = at <= s if j < reads else slice(None)
+                a[:, j] = np.bincount(row[keep], sizes[keep], counts.size)
+        if "M" in fields:
+            # each jump's interval l, t_(l-1) < at <= t_l, in its block's
+            # rows of R intervals
+            if reads > 1:
+                row *= reads
+                row += np.searchsorted(times, at)
+            m = vals["M"] = np.zeros((counts.size, reads + 1))
+            da = np.bincount(row, sizes, counts.size * reads).reshape(
+                counts.size, reads)
+            np.sqrt(da, out=da)
+            da *= normals.standard_normal(da.shape)
+            np.cumsum(da, axis=1, out=m[:, 1:])
+        for f, v in vals.items():
+            out[f][rows] = v[:, col]
 
     for blk in blocks:
         read_block(*blk)
@@ -709,14 +726,24 @@ def _series_marginals(series, n: int, idx: np.ndarray, samples: int,
 def _series_cells(series, n: int, k: int, samples: int, rng: RngStream,
                   field: str) -> Iterator[tuple[slice, np.ndarray]]:
     """(rows, increments) blocks of ``field`` over grid cells 1 .. k,
-    binned (``np.bincount``) from the jump list that ``marginal_samples``
+    binned (``np.bincount``) from the jump series that ``marginal_samples``
     at time k/n reads from ``rng``; a block holds at most
-    ``_block_rows(k)`` rows."""
-    blocks, block = _series_jumps(series, n, k, k / n, samples, rng,
-                                  {field}, True)
+    ``_block_rows(k)`` rows.  M puts one standard normal on each jump, as
+    :meth:`SubordinatorArray._draw` puts one on a cell: a jump x in cell j
+    carries q_j sqrt(x) Z into M."""
+    blocks, normals, cells = _series_jumps(series, n, k, k / n, samples,
+                                           rng, {field})
 
     def binned(rows, counts, sizes, at):
-        flat, [(_, x)] = block(counts, sizes, at)
+        flat, qc = cells(at)
+        if field == "M":
+            z = normals.standard_normal(sizes.size)
+            np.sqrt(sizes, out=sizes)
+            sizes *= z
+        if qc is not None:
+            sizes *= qc
+            if field == "A":
+                sizes *= qc
         # each jump's cell in its block's rows of k cells
         flat += np.repeat(np.arange(0, counts.size * k, k), counts)
         ends = np.concatenate([[0], np.cumsum(counts)])
@@ -724,7 +751,7 @@ def _series_cells(series, n: int, k: int, samples: int, rng: RngStream,
             lo, hi = ends[sub.start], ends[sub.stop]
             size = sub.stop - sub.start
             yield (slice(rows.start + sub.start, rows.start + sub.stop),
-                   np.bincount(flat[lo:hi] - sub.start * k, x[lo:hi],
+                   np.bincount(flat[lo:hi] - sub.start * k, sizes[lo:hi],
                                size * k).reshape(size, k))
 
     for blk in blocks:
@@ -767,9 +794,11 @@ def running_sup_samples(
     Exact over grid points, which exhaust the attainable values of a
     staircase on [0, t].  M and A of an array on a gamma clock
     (:func:`_series_clock`) are binned from the jump list that
-    ``marginal_samples(spec, [t], samples, rng)`` reads, so the sup is at
-    least |M(t)| and the sup of A is A(t), up to the order in which the
-    jumps are summed.  A read at another t draws its own jump list.
+    ``marginal_samples(spec, [t], samples, rng)`` reads, so the sup of A
+    is its A(t), up to the order in which the jumps are summed.  M takes
+    one normal a jump here and one a read interval there, so its M(t) has
+    the same law but other bits.  A read at another t draws its own jump
+    list.
     """
     attr = _INCREMENTS[field]
     return _running_sup(spec, t, samples, rng, {field},

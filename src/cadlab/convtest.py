@@ -9,7 +9,7 @@ two-sample KS critical value; mean checks use standard-error bands.  The
 empirical CF on a lambda grid is one multiplicative walk over the samples,
 with one complex exponential a sample for each change of the grid step.
 Both sample statistics raise on a NaN or infinite sample rather than read
-a wrong value.
+a wrong value, and the ECF distance on a NaN or infinite model CF value.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def ecf_distance(
     means are those of z.real and z.imag.  Memory is z and w, O(N) whatever
     the grid.  At -lambda the empirical CF is the conjugate of the one at
     |lambda|, bit for bit.  The model CF is evaluated at every lambda.  A
-    NaN or infinite sample raises.
+    NaN or infinite sample, or model CF value, raises.
     """
     x = np.asarray(samples, dtype=float)
     grid = np.asarray(lambda_grid, dtype=float)
@@ -88,6 +88,8 @@ def ecf_distance(
         if lam < 0:
             im = -im
         model = complex(cf(float(lam)))
+        if not np.isfinite(model):
+            raise PathDomainError(f"model CF is not finite at lambda {lam}")
         best = max(best, math.hypot(re - model.real, im - model.imag))
     return best
 

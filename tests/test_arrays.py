@@ -450,17 +450,59 @@ def test_running_sup_samples_monotone_in_t():
 
 def test_series_running_sup_bounds_the_value_at_t():
     # a series read at t draws its own jump list, the one that
-    # marginal_samples at t reads from the same stream: the sup of |M| is
-    # at least |M(t)| and the sup of A is A(t).  The two sum the same jumps
-    # in a different order, so they may differ by a few ulps
-    spec, t, samples = LinnikArray(n=32), 0.75, 5_000
-    for field in ("M", "A"):
-        sup = running_sup_samples(spec, t, samples, RngStream(SEED, 16), field)
-        end = marginal_samples(spec, [t], samples, RngStream(SEED, 16),
-                               fields=(field,))[field][:, 0]
-        assert np.all(sup >= np.abs(end) * (1 - 1e-12)), field
-        if field == "A":
-            np.testing.assert_allclose(sup, end, rtol=1e-12, atol=0.0)
+    # marginal_samples at t reads from the same stream, so the sup of A is
+    # A(t); the two sum the same jumps in a different order, so they may
+    # differ by a few ulps.  M is not coupled path by path: a read at fixed
+    # times takes one normal per read interval, a running sup one per jump.
+    # The sup bounds |M(t)| summed from the cells it bins, and that M(t)
+    # has the law of the fixed-time read
+    spec, t, samples = LinnikArray(n=32), 0.75, 20_000
+    sup = running_sup_samples(spec, t, samples, RngStream(SEED, 16), "A")
+    end = marginal_samples(spec, [t], samples, RngStream(SEED, 16),
+                           fields=("A",))["A"][:, 0]
+    np.testing.assert_allclose(sup, end, rtol=1e-12, atol=0.0)
+    k = spec.grid().index_at(t)
+    binned = np.concatenate([
+        np.cumsum(inc, axis=1)[:, -1] for _, inc in arrays._series_cells(
+            arrays._series_clock(spec, {"M"}), spec.n, k, samples,
+            RngStream(SEED, 16), "M")])
+    sup = running_sup_samples(spec, t, samples, RngStream(SEED, 16), "M")
+    assert np.all(sup >= np.abs(binned))
+    fixed = marginal_samples(spec, [t], samples, RngStream(SEED, 17),
+                             fields=("M",))["M"][:, 0]
+    assert stats.ks_2samp(binned, fixed).pvalue > 1e-3
+
+
+def test_series_reads_times_in_any_order():
+    # the read intervals are taken in time order, whatever the order of
+    # the arguments: a repeated time gives the same column twice, and M and
+    # A are exactly 0 at time 0
+    spec = LinnikArray(n=64)
+    for fields in (("M", "A"), ("M",)):
+        got = marginal_samples(spec, [1.0, 0.5, 0.5, 0.0], 3000,
+                               RngStream(SEED, 18), fields)
+        want = marginal_samples(spec, [0.0, 0.5, 0.5, 1.0], 3000,
+                                RngStream(SEED, 18), fields)
+        for f in fields:
+            assert np.array_equal(got[f], want[f][:, ::-1]), (fields, f)
+            assert np.array_equal(got[f][:, 1], got[f][:, 2])
+            assert np.all(got[f][:, 3] == 0.0)
+            assert np.any(got[f][:, 0] != got[f][:, 1])
+
+
+@pytest.mark.parametrize("n", [4, 256])
+def test_series_two_time_linnik_read_follows_its_laws(n):
+    # M(0.5) and M(1) - M(0.5) have one law, W at a Gamma(1/2, 1) time, and
+    # are independent; M(1) is Laplace with scale 1/sqrt(2); and given the
+    # clock, M(1) is N(0, A(1))
+    got = marginal_samples(LinnikArray(n=n), [0.5, 1.0], 20_000,
+                           RngStream(SEED, 19), fields=("M", "A"))
+    m, a = got["M"], got["A"]
+    laplace = stats.laplace(scale=1 / math.sqrt(2.0))
+    assert stats.kstest(m[:, 1], laplace.cdf).pvalue > 1e-3
+    assert stats.ks_2samp(m[:, 0], m[:, 1] - m[:, 0]).pvalue > 1e-3
+    assert np.all(a[:, 1] > 0)
+    assert stats.kstest(m[:, 1] / np.sqrt(a[:, 1]), "norm").pvalue > 1e-3
 
 
 def test_marginal_samples_deterministic_per_stream():
@@ -686,18 +728,18 @@ def _reads_series(spec, fields):
     return _series_base(spec, fields) is not None
 
 
-def _reference_jumps(spec, k, first, samples, rng, fields):
+def _reference_jumps(spec, k, first, samples, gen, normals=None):
     """Each row's jumps of the truncated jump series of the gamma clock
     under ``spec`` on [0, k/n], cut for the first positive time read,
     ``first``, as (row, times, cells, {field: increments}).
 
     Each row block draws its counts, arrivals g, exponentials V and
-    uniform times u from rng.child(0); a jump is b exp(-K g) V at time
-    u T, in grid cell ceil(u T n) clipped to 1 .. k.  M puts one normal,
-    from a child spawned from that generator, on each jump.  A jump in
-    cell j carries q_j^2 x into A and q_j sqrt(x) Z into M, for the
-    product q of the profile weights of the transforms above the clock."""
-    sub, transforms = _series_base(spec, fields)
+    uniform times u from ``gen``; a jump is b exp(-K g) V at time u T, in
+    grid cell ceil(u T n) clipped to 1 .. k.  A jump in cell j carries
+    q_j^2 x into A, for the product q of the profile weights of the
+    transforms above the clock.  Given ``normals``, each jump takes one
+    normal from it, and carries q_j sqrt(x) Z into M."""
+    sub, transforms = _series_base(spec, ("M", "A"))
     clock, n, last = sub.spec, sub.n, k / sub.n
     q = np.ones(k)
     for t in transforms:
@@ -706,8 +748,6 @@ def _reference_jumps(spec, k, first, samples, rng, fields):
     cut = 37.0 * max(1.0, 1.0 / (a * first))
     mean = a * last * cut
     rows = max(1, levy._BLOCK_CELLS // math.ceil(mean))
-    gen = rng.child(0).generator()
-    normals = gen.spawn(1)[0]
     for r0 in range(0, samples, rows):
         counts = gen.poisson(mean, min(rows, samples - r0))
         g = gen.random(counts.sum())
@@ -717,43 +757,64 @@ def _reference_jumps(spec, k, first, samples, rng, fields):
         cells = np.minimum(np.maximum(np.ceil(at * n), 1), k).astype(int)
         qc = q[cells - 1]
         w = {"A": x * qc * qc}
-        if "M" in fields:
+        if normals is not None:
             w["M"] = np.sqrt(x) * normals.standard_normal(x.size) * qc
         ends = np.cumsum(counts)
         for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
             yield r0 + i, at[lo:hi], cells[lo:hi], {
-                f: w[f][lo:hi] for f in fields}
+                f: inc[lo:hi] for f, inc in w.items()}
+
+
+def _in_order(x):
+    """The sum of ``x`` added one by one, in order (np.bincount's)."""
+    return np.cumsum(np.concatenate([[0.0], x]))[-1]
 
 
 def _reference_series(spec, times, samples, rng, fields):
     """Values of M and A at the grid times of ``times`` from the jump
-    series of :func:`_reference_jumps`: a row's jumps at times <= s,
-    summed in jump order."""
+    series of :func:`_reference_jumps`, drawn from rng.child(0).
+
+    A(s) is the sum of a row's jumps at times <= s.  The distinct
+    positive times read, s_1 < ... < s_R, cut (0, s_R] into intervals.
+    M(s_j) adds up sqrt(dA_l) Z_l over l <= j in time order, where dA_l
+    sums the row's jumps in (s_(l-1), s_l] and the Z are R normals a row,
+    all rows drawn at once from a child spawned from rng.child(0).  Every
+    sum of jumps is taken in jump order."""
     idx = np.array([spec.grid().index_at(t) for t in times])
     s = idx / spec.n
     out = {f: np.zeros((samples, s.size)) for f in fields}
     if not idx.max(initial=0):
         return out
-    for r, at, _, w in _reference_jumps(spec, idx.max(), s[s > 0].min(),
-                                        samples, rng, fields):
+    ends = sorted(set(s[s > 0]))
+    gen = rng.child(0).generator()
+    z = gen.spawn(1)[0].standard_normal((samples, len(ends)))
+    for r, at, _, w in _reference_jumps(spec, idx.max(), ends[0], samples,
+                                        gen):
+        x = w["A"]
+        m, total, lo = {0.0: 0.0}, 0.0, -math.inf
+        for l, e in enumerate(ends):
+            total += math.sqrt(_in_order(x[(at > lo) & (at <= e)])) * z[r, l]
+            m[e], lo = total, e
         for j, sj in enumerate(s):
-            kept = at <= sj
-            for f in fields:
-                sums = np.cumsum(np.concatenate([[0.0], w[f][kept]]))
-                out[f][r, j] = sums[-1]
+            if "A" in fields:
+                out["A"][r, j] = _in_order(x[at <= sj])
+            if "M" in fields:
+                out["M"][r, j] = m[sj]
     return out
 
 
 def _reference_series_sup(spec, t, samples, rng, field):
     """sup over the grid times up to t of |X| for ``field``, from each
-    row's jumps of :func:`_reference_jumps` added one by one into their
-    grid cells."""
+    row's jumps of :func:`_reference_jumps`, one normal a jump for M,
+    added one by one into their grid cells."""
     k = spec.grid().index_at(t)
     sup = np.zeros(samples)
     if not k:
         return sup
-    for r, _, cells, w in _reference_jumps(spec, k, k / spec.n, samples,
-                                           rng, {field}):
+    gen = rng.child(0).generator()
+    normals = gen.spawn(1)[0] if field == "M" else None
+    for r, _, cells, w in _reference_jumps(spec, k, k / spec.n, samples, gen,
+                                           normals):
         inc = np.zeros(k)
         for j, x in zip(cells, w[field]):
             inc[j - 1] += x

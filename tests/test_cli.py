@@ -185,9 +185,9 @@ DIGEST_VERSIONS = ("3.11.7", "2.4.6")
 #: --jobs 2 runs have the --jobs 1 runs' digests: linnik's ecf_linnik
 #: rungs run on both workers, and mix's checks run on two workers.
 LINNIK_DIGEST = (
-    "c9b00c3ff42a0111d873ead6c978d273c5ebc0df1f33436da1f77eb72d41c4f0")
+    "fe45dd7b5a8b09a078be523e67135932bec05d10570cb721f249608c22df6331")
 MIX_DIGEST = (
-    "54630b31651eb94589fc38bad0d1a6b0cfa94bf7e7167f9ea42c60cac36442c6")
+    "57b716d255c68a6f9af1c34a81b48b3fb851b567db8d6159e9b9833a5387c597")
 REPORT_DIGESTS = [
     (CONFIG_DIR / "counterexample.json", "1.0", "1", 0,
      "266674ef44afdf57ee7f221ec4b8ceff9379825b338a53250430f86146a446c1"),
@@ -239,7 +239,7 @@ def test_report_verdicts_match_the_benchmark_record(family, config, seeds):
     # transform_cf read a gamma clock's jump series (a running sup and a
     # profile transform); they run at every recorded seed too (about 3 s),
     # each with the seed that run_experiment derives for it.  Their
-    # statistics read about -0.8 against about 0.012, and 0.005-0.013
+    # statistics read about -0.8 against about 0.012, and 0.004-0.012
     # against 0.03
     scale = RECORDED_VERDICTS["linnik_scale"] if family == "linnik" else 1.0
     doc = cli_mod.load_config(config)

@@ -128,6 +128,20 @@ def test_ecf_distance_rejects_a_non_finite_sample(bad):
         ecf_distance(x, laplace, [0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+def test_ecf_distance_rejects_a_non_finite_model_cf(bad):
+    # max(best, nan) keeps best, so a NaN at every lambda would read 0.0
+    # and one at one of two lambda the other one's distance
+    x = np.random.default_rng(SEED).laplace(size=1000)
+    laplace = lambda lam: 1.0 / (1.0 + lam * lam)  # noqa: E731
+    assert ecf_distance(x, laplace, [0.5, 1.5]) > 0.0
+    with pytest.raises(PathDomainError):
+        ecf_distance(x, lambda lam: bad, [0.5, 1.5])
+    with pytest.raises(PathDomainError):
+        ecf_distance(x, lambda lam: bad if lam > 1 else laplace(lam),
+                     [0.5, 1.5])
+
+
 @pytest.mark.parametrize("grid", [
     np.arange(-3, 3.125, 0.25),
     np.cumsum(np.arange(1, 26)) / 100.0,  # 25 levels, no two steps equal
